@@ -116,9 +116,7 @@ def bianchi_quad(
     # its derivative comes from that connection, not from stencils.
     a = connection_matrix(sec0.xi, sec0.derivative(), m, mu1)
     xiprime = np.einsum("kij,kj->ki", a, samples)
-    return LightConeSection(
-        grid=xi.grid, xi=samples, xiprime=xiprime, normalization="parallel"
-    )
+    return LightConeSection(grid=xi.grid, xi=samples, xiprime=xiprime)
 
 
 @dataclass

@@ -8,6 +8,8 @@ runs are reproducible and diffable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import re
 import sys
 
@@ -30,6 +32,8 @@ from .errors import (
     VerificationError,
 )
 from .surface import (
+    EdgeReport,
+    MoutardLift,
     SemiDiscreteSurface,
     build_surface,
     calapso_trivialization_residuals,
@@ -100,17 +104,6 @@ SUITE_NAMES = (
     "moutard",
     "cmc",
 )
-
-CORRUPTIBLE = (
-    "unit-circle",
-    "concentric",
-    "tractrix",
-    "cylinder-patch",
-    "three-layer",
-    "cmc-cylinder",
-    "flat-strip",
-)
-
 
 # ---------------------------------------------------------------- parsing
 
@@ -193,19 +186,6 @@ def _parse_metric_correction(text: str) -> int | None:
     )
 
 
-def _tol_overrides(pairs: list[str] | None) -> dict[str, float]:
-    overrides = {}
-    for pair in pairs or []:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise GeometryError(f"tol override must be check=value, got {pair!r}")
-        try:
-            overrides[name] = float(value)
-        except ValueError as exc:
-            raise GeometryError(f"bad tolerance {value!r} for {name}") from exc
-    return overrides
-
-
 def _safe_t(mu: list[float]) -> float:
     # Strictly inside (0, min |mu|) so it collides with no edge parameter.
     return 0.618 * min(abs(v) for v in mu)
@@ -215,20 +195,39 @@ def _safe_t(mu: list[float]) -> float:
 
 
 class Checks:
-    """Collects (check, where, residual, tolerance, pass) rows."""
+    """Judges named residuals against their tolerances and collects the rows.
 
-    def __init__(self, overrides: dict[str, float]):
+    The only code that compares a residual with a tolerance.  Each row is
+    (check, where, residual, tolerance, pass); the tolerance comes from
+    TOLERANCES unless a ``--tol-override check=value`` pair replaces it,
+    and checks in MIN_CHECKS pass only when the residual exceeds it.
+    """
+
+    def __init__(self, tol_override: list[str] | None = None):
         self.rows: list[tuple[str, str, float, float, bool]] = []
         self.notes: list[str] = []
-        self.overrides = overrides
+        self.tolerances = dict(TOLERANCES)
+        for pair in tol_override or []:
+            name, sep, value = pair.partition("=")
+            if not sep:
+                raise GeometryError(f"tol override must be check=value, got {pair!r}")
+            if name not in TOLERANCES:
+                raise GeometryError(f"tol override names unknown check {name!r}")
+            try:
+                self.tolerances[name] = float(value)
+            except ValueError as exc:
+                raise GeometryError(f"bad tolerance {value!r} for {name}") from exc
 
     def run(self, name: str, where: str, fn) -> None:
-        tol = self.overrides.get(name, TOLERANCES[name])
+        """Record the residual fn() returns; a check that raises fails with inf."""
+        tol = self.tolerances[name]
         try:
             residual = float(fn())
-        except GeometryError as exc:
-            self.notes.append(f"{name} [{where}]: {exc}")
-            residual = float("inf")
+        except Exception as exc:  # a crashing check is a failed row, not a traceback
+            detail = exc if isinstance(exc, GeometryError) else f"{type(exc).__name__}: {exc}"
+            self.notes.append(f"{name} [{where}]: {detail}")
+            self.rows.append((name, where, float("inf"), tol, False))
+            return
         if name in MIN_CHECKS:
             passed = residual > tol
         else:
@@ -241,6 +240,13 @@ class Checks:
 
     def sorted_rows(self):
         return sorted(self.rows, key=lambda row: (row[0], row[1]))
+
+    def print_rows(self) -> None:
+        """One 'check: residual (tol t) pass|FAIL' line per row, in run order."""
+        for name, _where, residual, tol, passed in self.rows:
+            print(f"{name}: {residual:.4e} (tol {tol:.1e}) {'pass' if passed else 'FAIL'}")
+        for note in self.notes:
+            print(f"note: {note}")
 
     def print_table(self, stream=None) -> None:
         # resolve the stream late so redirected stdout is honored
@@ -267,11 +273,36 @@ class Checks:
 # --------------------------------------------------------------- fixtures
 
 
+def _noisy_layer(surface: SemiDiscreteSurface, noisy) -> SemiDiscreteSurface:
+    curves = list(surface.curves)
+    curves[1] = noisy(curves[1])
+    return SemiDiscreteSurface(curves=curves, mu=list(surface.mu))
+
+
+def _noisy_cmc(fx: fixtures.CmcFixture, noisy) -> fixtures.CmcFixture:
+    return dataclasses.replace(fx, surface=_noisy_layer(fx.surface, noisy))
+
+
+# Fixture name -> (builder, corruption).  A corruption gets the built
+# fixture and a function that adds seeded noise to one curve.
+FIXTURES = {
+    "unit-circle": (fixtures.unit_circle, lambda c, noisy: noisy(c)),
+    "concentric": (fixtures.concentric_pair, lambda pair, noisy: (pair[0], noisy(pair[1]))),
+    "tractrix": (fixtures.tractrix_circle_pair, lambda pair, noisy: (pair[0], noisy(pair[1]))),
+    "cylinder-patch": (fixtures.cylinder_patch, _noisy_layer),
+    "three-layer": (fixtures.three_layer, _noisy_layer),
+    "cmc-cylinder": (fixtures.cmc_round_cylinder, _noisy_cmc),
+    "flat-strip": (fixtures.flat_strip, _noisy_cmc),
+}
+
+CORRUPTIBLE = tuple(FIXTURES)
+
+
 class FixturePool:
     """Builds named fixtures on demand, optionally corrupting one of them."""
 
     def __init__(self, corrupt: str | None = None, seed: int = 0):
-        if corrupt is not None and corrupt not in CORRUPTIBLE:
+        if corrupt is not None and corrupt not in FIXTURES:
             raise GeometryError(
                 f"unknown fixture {corrupt!r}; choose from {', '.join(CORRUPTIBLE)}"
             )
@@ -282,87 +313,14 @@ class FixturePool:
     def _noisy(self, curve: PolarizedCurve) -> PolarizedCurve:
         return fixtures.perturb_curve(curve, scale=1e-3, seed=self.seed)
 
-    def _noisy_surface(self, surface: SemiDiscreteSurface, layer: int = 1) -> SemiDiscreteSurface:
-        new = list(surface.curves)
-        new[layer] = self._noisy(new[layer])
-        return SemiDiscreteSurface(curves=new, mu=list(surface.mu))
-
-    def _get(self, name: str, builder):
+    def get(self, name: str):
         if name not in self._cache:
-            value = builder()
+            build, corrupt = FIXTURES[name]
+            value = build()
+            if name == self.corrupt:
+                value = corrupt(value, self._noisy)
             self._cache[name] = value
         return self._cache[name]
-
-    def unit_circle(self) -> PolarizedCurve:
-        def build():
-            c = fixtures.unit_circle()
-            return self._noisy(c) if self.corrupt == "unit-circle" else c
-
-        return self._get("unit-circle", build)
-
-    def concentric(self) -> tuple[PolarizedCurve, PolarizedCurve]:
-        def build():
-            a, b = fixtures.concentric_pair()
-            if self.corrupt == "concentric":
-                b = self._noisy(b)
-            return a, b
-
-        return self._get("concentric", build)
-
-    def tractrix(self) -> tuple[PolarizedCurve, PolarizedCurve]:
-        def build():
-            y, yhat = fixtures.tractrix_circle_pair()
-            if self.corrupt == "tractrix":
-                yhat = self._noisy(yhat)
-            return y, yhat
-
-        return self._get("tractrix", build)
-
-    def cylinder_patch(self) -> SemiDiscreteSurface:
-        def build():
-            s = fixtures.cylinder_patch()
-            return self._noisy_surface(s) if self.corrupt == "cylinder-patch" else s
-
-        return self._get("cylinder-patch", build)
-
-    def three_layer(self) -> SemiDiscreteSurface:
-        def build():
-            s = fixtures.three_layer()
-            return self._noisy_surface(s) if self.corrupt == "three-layer" else s
-
-        return self._get("three-layer", build)
-
-    def cmc_cylinder(self) -> fixtures.CmcFixture:
-        def build():
-            fx = fixtures.cmc_round_cylinder()
-            if self.corrupt == "cmc-cylinder":
-                fx = fixtures.CmcFixture(
-                    surface=self._noisy_surface(fx.surface),
-                    normals=fx.normals,
-                    h=fx.h,
-                    mu=fx.mu,
-                    nu=fx.nu,
-                    koenigs_fields=fx.koenigs_fields,
-                )
-            return fx
-
-        return self._get("cmc-cylinder", build)
-
-    def flat_strip(self) -> fixtures.CmcFixture:
-        def build():
-            fx = fixtures.flat_strip()
-            if self.corrupt == "flat-strip":
-                fx = fixtures.CmcFixture(
-                    surface=self._noisy_surface(fx.surface),
-                    normals=fx.normals,
-                    h=fx.h,
-                    mu=fx.mu,
-                    nu=fx.nu,
-                    koenigs_fields=fx.koenigs_fields,
-                )
-            return fx
-
-        return self._get("flat-strip", build)
 
 
 # ----------------------------------------------------------------- suites
@@ -447,7 +405,7 @@ def _suite_minkowski(checks: Checks, rng: np.random.Generator, ctx) -> None:
 def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
 
-    c = pool.unit_circle()
+    c = pool.get("unit-circle")
     p0 = np.array([2.0, 0.0])
     riccati = integrate_riccati(c, -2.0, p0, substeps=ctx["substeps"])
     section = integrate_parallel_section(
@@ -472,7 +430,7 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
         lambda: is_ribaucour(c, riccati)[1],
     )
 
-    a, b = pool.concentric()
+    a, b = pool.get("concentric")
 
     def concentric():
         cr = tangent_cross_ratio(a, b)
@@ -484,7 +442,7 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
 
     checks.run("concentric-cross-ratio", "concentric", concentric)
 
-    y, yhat = pool.tractrix()
+    y, yhat = pool.get("tractrix")
     cr = clifford.scalar_part(tangent_cross_ratio(y, yhat))
     checks.run(
         "tractrix-cross-ratio",
@@ -501,7 +459,7 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
 def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
     substeps = ctx["substeps"]
-    c = pool.unit_circle()
+    c = pool.get("unit-circle")
 
     sec0 = integrate_parallel_section(c, -2.0, mk.euclidean_lift(np.array([2.0, 0.0])), substeps=substeps)
     sec1 = integrate_parallel_section(c, 1.0, mk.euclidean_lift(np.array([0.3, -0.4])), substeps=substeps)
@@ -578,15 +536,13 @@ def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
     substeps = ctx["substeps"]
     correction = ctx["correction"]
-    c = pool.unit_circle()
-    G = mk.metric_matrix(c.n)
+    c = pool.get("unit-circle")
 
     def metric_drift():
         frames, _ = transforms.integrate_calapso(
             c, 0.7, substeps=substeps, correction_every=correction
         )
-        gram = np.einsum("kia,ij,kjb->kab", frames.T, G, frames.T)
-        return float(np.max(np.abs(gram - G))) / float(np.max(np.abs(G)))
+        return frames.metric_drift()
 
     checks.run("calapso-metric-drift", "unit-circle", metric_drift)
 
@@ -625,7 +581,7 @@ def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
 
 def _suite_christoffel(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
-    c = pool.unit_circle()
+    c = pool.get("unit-circle")
 
     def dual_of_dual():
         dual = transforms.christoffel_dual(c)
@@ -643,7 +599,7 @@ def _suite_christoffel(checks: Checks, rng: np.random.Generator, ctx) -> None:
 
     checks.run("dual-darboux-permute", "unit-circle", permute_square)
 
-    patch = pool.cylinder_patch()
+    patch = pool.get("cylinder-patch")
     dual_surface, consistency = surface_christoffel(patch)
     checks.run("dual-edge-smooth", "cylinder-patch", lambda: max(consistency))
 
@@ -666,17 +622,41 @@ def _suite_christoffel(checks: Checks, rng: np.random.Generator, ctx) -> None:
     )
 
 
+def _edge_residual(edge: EdgeReport) -> float:
+    """Worst certificate residual of one edge.
+
+    nu_residual is None where m (x', x') < 0 makes the factorization check
+    inapplicable; the edge is then judged on the other residuals, as
+    ``EdgeReport.ok`` does.
+    """
+    residuals = [edge.spread, edge.reality, edge.mu_defect]
+    if edge.nu_residual is not None:
+        residuals.append(edge.nu_residual)
+    return max(residuals)
+
+
+def _edge_checks(checks: Checks, surface: SemiDiscreteSurface) -> list[EdgeReport]:
+    """One surface-isothermic row per edge, at 'edge k'."""
+    edges = check_isothermic(surface).edges
+    for k, edge in enumerate(edges):
+        checks.run("surface-isothermic", f"edge {k}", lambda e=edge: _edge_residual(e))
+    return edges
+
+
+def _isothermic_check(checks: Checks, surface: SemiDiscreteSurface, where: str) -> None:
+    checks.run(
+        "surface-isothermic",
+        where,
+        lambda: max(_edge_residual(e) for e in check_isothermic(surface).edges),
+    )
+
+
 def _surface_checks(checks: Checks, surface: SemiDiscreteSurface, where: str, ctx) -> None:
     """Invariant checks against one surface; used for fixtures and user files."""
-
-    def isothermic():
-        report = check_isothermic(surface)
-        return max(
-            max(e.spread, e.reality, e.mu_defect, e.nu_residual) for e in report.edges
-        )
-
-    checks.run("surface-isothermic", where, isothermic)
-
+    if not surface.mu:
+        checks.notes.append(f"edge checks skipped [{where}]: a one-curve surface has no edges")
+        return
+    _isothermic_check(checks, surface, where)
     t = _safe_t(surface.mu)
     checks.run(
         "surface-flatness",
@@ -694,20 +674,61 @@ def _surface_checks(checks: Checks, surface: SemiDiscreteSurface, where: str, ct
     )
 
 
+def _moutard_checks(checks: Checks, surface: SemiDiscreteSurface, where: str) -> MoutardLift:
+    """Normalization of every Moutard-lifted curve, pairing and area of every edge."""
+    lift = moutard_lift(surface)
+    checks.run("moutard-normalization", where, lambda: max(lift.normalization_residual))
+    if not surface.mu:
+        checks.notes.append(
+            f"moutard pairing and area skipped [{where}]: a one-curve surface has no edges"
+        )
+        return lift
+    checks.run("moutard-pairing", where, lambda: max(lift.pairing_residual))
+    checks.run("moutard-area", where, lambda: max(lift.area_residual))
+    return lift
+
+
+def _cmc_checks(checks: Checks, fx: fixtures.CmcFixture, where: str):
+    """Mean curvature, conserved quantity and Koenigs certificates of one fixture.
+
+    Returns the cached callables giving the mean curvature samples and the
+    conserved-quantity certificate; each is computed once when it succeeds.
+    """
+    surface = fx.surface
+    congruence = fx.congruence()
+    curvature = functools.cache(lambda: cmc.mean_curvature(surface, congruence))
+    certificate = functools.cache(lambda: cmc.cmc_linear_cq(surface, congruence, fx.h))
+    checks.run(
+        "cmc-mean-curvature-spread",
+        where,
+        lambda: np.max(np.abs(curvature() - np.median(curvature()))),
+    )
+    checks.run(
+        "cmc-mean-curvature-value", where, lambda: abs(float(np.median(curvature())) - fx.h)
+    )
+    checks.run("cmc-conserved-quantity", where, lambda: certificate().report.max_residual)
+    checks.run("cmc-unit-z", where, lambda: certificate().z_norm_spread)
+    try:
+        fields, nu = cmc.koenigs_dual(surface)
+    except PolarizationError as exc:
+        checks.notes.append(f"koenigs dual unavailable: {exc}")
+    else:
+        checks.run(
+            "cmc-koenigs",
+            where,
+            lambda: cmc.verify_koenigs(
+                _lift_fields(surface), fields, nu, surface.grid,
+                metric=mk.metric_matrix(surface.n),
+            ).max_residual,
+        )
+    return curvature, certificate
+
+
 def _suite_surface(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
-    patch = pool.cylinder_patch()
+    patch = pool.get("cylinder-patch")
     _surface_checks(checks, patch, "cylinder-patch", ctx)
-
-    three = pool.three_layer()
-    checks.run(
-        "surface-isothermic",
-        "three-layer",
-        lambda: max(
-            max(e.spread, e.reality, e.mu_defect, e.nu_residual)
-            for e in check_isothermic(three).edges
-        ),
-    )
+    _isothermic_check(checks, pool.get("three-layer"), "three-layer")
 
     def vertical():
         hat = surface_darboux(patch, -3.0, np.array([0.0, 3.0]), substeps=ctx["substeps"])
@@ -731,59 +752,14 @@ def _suite_surface(checks: Checks, rng: np.random.Generator, ctx) -> None:
 
 def _suite_moutard(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
-    for where, surface in (
-        ("cylinder-patch", pool.cylinder_patch()),
-        ("cmc-cylinder", pool.cmc_cylinder().surface),
-    ):
-        lift = moutard_lift(surface)
-        checks.run("moutard-normalization", where, lambda L=lift: max(L.normalization_residual))
-        checks.run("moutard-pairing", where, lambda L=lift: max(L.pairing_residual))
-        checks.run("moutard-area", where, lambda L=lift: max(L.area_residual))
+    _moutard_checks(checks, pool.get("cylinder-patch"), "cylinder-patch")
+    _moutard_checks(checks, pool.get("cmc-cylinder").surface, "cmc-cylinder")
 
 
 def _suite_cmc(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
-    for where, fx in (
-        ("cmc-cylinder", pool.cmc_cylinder()),
-        ("flat-strip", pool.flat_strip()),
-    ):
-        surface = fx.surface
-        congruence = fx.congruence()
-
-        def h_spread(s=surface, cg=congruence):
-            H = cmc.mean_curvature(s, cg)
-            return float(np.max(np.abs(H - np.median(H))))
-
-        checks.run("cmc-mean-curvature-spread", where, h_spread)
-
-        def h_value(s=surface, cg=congruence, h=fx.h):
-            H = cmc.mean_curvature(s, cg)
-            return abs(float(np.median(H)) - h)
-
-        checks.run("cmc-mean-curvature-value", where, h_value)
-
-        cert = None
-
-        def cq_residual(s=surface, cg=congruence, h=fx.h):
-            nonlocal cert
-            cert = cmc.cmc_linear_cq(s, cg, h)
-            return cert.report.max_residual
-
-        checks.run("cmc-conserved-quantity", where, cq_residual)
-        checks.run(
-            "cmc-unit-z",
-            where,
-            lambda: cert.z_norm_spread if cert is not None else float("inf"),
-        )
-
-        def koenigs(s=surface):
-            fields, nu = cmc.koenigs_dual(s)
-            report = cmc.verify_koenigs(
-                _lift_fields(s), fields, nu, s.grid, metric=mk.metric_matrix(s.n)
-            )
-            return report.max_residual
-
-        checks.run("cmc-koenigs", where, koenigs)
+    for where in ("cmc-cylinder", "flat-strip"):
+        _cmc_checks(checks, pool.get(where), where)
 
 
 SUITES = {
@@ -887,7 +863,7 @@ def cmd_bianchi(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    overrides = _tol_overrides(args.tol_override)
+    checks = Checks(args.tol_override)
     if args.mode == "build":
         seed = fileio.load_curve(args.infile)
         surface = build_surface(seed, args.layers, substeps=args.step_policy)
@@ -896,32 +872,20 @@ def cmd_surface(args) -> int:
         return 0
     surface = fileio.load_surface(args.infile)
     if args.mode == "check":
-        tol = overrides.get("surface-isothermic", args.tol)
-        report = check_isothermic(surface, tol=tol)
-        for k, edge in enumerate(report.edges):
-            status = "pass" if edge.ok else "FAIL"
+        edges = _edge_checks(checks, surface)
+        for k, (edge, row) in enumerate(zip(edges, checks.rows)):
+            nu = "n/a" if edge.nu_residual is None else f"{edge.nu_residual:.4e}"
             print(
                 f"edge {k}: mu={edge.mu:.9g} declared={edge.declared_mu:g} "
                 f"spread={edge.spread:.4e} defect={edge.mu_defect:.4e} "
-                f"nu={edge.nu_residual:.4e} {status}"
+                f"nu={nu} {'pass' if row[4] else 'FAIL'}"
             )
-        print("isothermic" if report.ok else "NOT isothermic at tolerance")
-        return 0 if report.ok else 1
-    # moutard
-    lift = moutard_lift(surface)
-    rows = [
-        ("moutard-normalization", max(lift.normalization_residual)),
-        ("moutard-pairing", max(lift.pairing_residual)),
-        ("moutard-area", max(lift.area_residual)),
-    ]
-    ok = True
-    for name, residual in rows:
-        tol = overrides.get(name, TOLERANCES[name])
-        passed = residual <= tol
-        ok = ok and passed
-        print(f"{name}: {residual:.4e} (tol {tol:.1e}) {'pass' if passed else 'FAIL'}")
+        print("isothermic" if checks.ok else "NOT isothermic at tolerance")
+        return 0 if checks.ok else 1
+    lift = _moutard_checks(checks, surface, args.infile)
+    checks.print_rows()
     print(f"lift signs: {lift.signs}")
-    return 0 if ok else 1
+    return 0 if checks.ok else 1
 
 
 def cmd_dual(args) -> int:
@@ -965,7 +929,7 @@ def cmd_calapso(args) -> int:
 
 
 def cmd_cmc(args) -> int:
-    overrides = _tol_overrides(args.tol_override)
+    checks = Checks(args.tol_override)
     if args.fixture == "cylinder":
         fx = fixtures.cmc_round_cylinder(
             radius=args.radius, delta=args.delta, layers=args.layers,
@@ -973,46 +937,20 @@ def cmd_cmc(args) -> int:
         )
     else:
         fx = fixtures.flat_strip(delta=args.delta, layers=max(args.layers, 2))
-    surface = fx.surface
-    congruence = fx.congruence()
-    H = cmc.mean_curvature(surface, congruence)
-    h_med = float(np.median(H))
-    h_spread = float(np.max(np.abs(H - h_med)))
-    cert = cmc.cmc_linear_cq(surface, congruence, fx.h)
-
-    rows = [
-        ("cmc-mean-curvature-spread", h_spread),
-        ("cmc-mean-curvature-value", abs(h_med - fx.h)),
-        ("cmc-conserved-quantity", cert.report.max_residual),
-        ("cmc-unit-z", cert.z_norm_spread),
-    ]
-    try:
-        fields, nu = cmc.koenigs_dual(surface)
-        report = cmc.verify_koenigs(
-            _lift_fields(surface), fields, nu, surface.grid,
-            metric=mk.metric_matrix(surface.n),
-        )
-        rows.append(("cmc-koenigs", report.max_residual))
-    except GeometryError as exc:
-        print(f"note: koenigs dual unavailable: {exc}")
-
+    curvature, certificate = _cmc_checks(checks, fx, args.fixture)
+    h_med = float(np.median(curvature()))
+    cert = certificate()
     print(f"fixture: {args.fixture}, H target {fx.h:g}, recovered {h_med:.12g}")
     print(f"conserved quantity scale c: {cert.c:.12g} (spread {cert.c_spread:.4e})")
-    ok = True
-    for name, residual in rows:
-        tol = overrides.get(name, TOLERANCES[name])
-        passed = residual <= tol
-        ok = ok and passed
-        print(f"{name}: {residual:.4e} (tol {tol:.1e}) {'pass' if passed else 'FAIL'}")
+    checks.print_rows()
     if args.out:
-        fileio.save_surface(args.out, surface)
+        fileio.save_surface(args.out, fx.surface)
         print(f"wrote fixture surface -> {args.out}")
-    return 0 if ok else 1
+    return 0 if checks.ok else 1
 
 
 def cmd_verify(args) -> int:
-    overrides = _tol_overrides(args.tol_override)
-    checks = Checks(overrides)
+    checks = Checks(args.tol_override)
     rng = np.random.default_rng(args.seed)
     ctx = {
         "substeps": args.step_policy,
@@ -1020,18 +958,13 @@ def cmd_verify(args) -> int:
     }
     if args.surface:
         surface = fileio.load_surface(args.surface)
-        selected = SUITE_NAMES if args.suite == "all" else (args.suite,)
-        if "surface" in selected or args.suite == "all":
+        if args.suite in ("all", "surface"):
             _surface_checks(checks, surface, args.surface, ctx)
-        if "moutard" in selected or args.suite == "all":
+        if args.suite in ("all", "moutard"):
             try:
-                lift = moutard_lift(surface)
+                _moutard_checks(checks, surface, args.surface)
             except PolarizationError as exc:
                 checks.notes.append(f"moutard lift skipped: {exc}")
-            else:
-                checks.run("moutard-normalization", args.surface, lambda: max(lift.normalization_residual))
-                checks.run("moutard-pairing", args.surface, lambda: max(lift.pairing_residual))
-                checks.run("moutard-area", args.surface, lambda: max(lift.area_residual))
     else:
         ctx["pool"] = FixturePool(corrupt=args.corrupt, seed=args.seed)
         selected = SUITE_NAMES if args.suite == "all" else (args.suite,)
@@ -1046,6 +979,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    checks = Checks(args.tol_override)
     surface = fileio.load_surface(args.infile)
     if not args.obj and not args.csv:
         raise GeometryError("export needs --obj and/or --csv")
@@ -1053,12 +987,8 @@ def cmd_export(args) -> int:
         fileio.export_obj(args.obj, surface)
         print(f"wrote mesh -> {args.obj}")
     if args.csv:
-        report = check_isothermic(surface)
-        rows = []
-        for k, edge in enumerate(report.edges):
-            worst = max(edge.spread, edge.reality, edge.mu_defect, edge.nu_residual)
-            rows.append(("surface-isothermic", f"edge {k}", worst, report.tol, edge.ok))
-        fileio.write_report_csv(args.csv, sorted(rows, key=lambda r: (r[0], r[1])))
+        _edge_checks(checks, surface)
+        fileio.write_report_csv(args.csv, checks.sorted_rows())
         print(f"wrote report -> {args.csv}")
     return 0
 
@@ -1135,7 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--layers", type=_parse_layers, default=None, metavar="mu:x,y;mu:x,y")
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("dual", parents=[common], help="Christoffel dual of a curve or surface")

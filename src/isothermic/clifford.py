@@ -135,93 +135,3 @@ def nonscalar_norm(coeffs: np.ndarray) -> np.ndarray:
     """Euclidean norm of all coefficients above grade 0."""
     return np.linalg.norm(np.asarray(coeffs)[..., 1:], axis=-1)
 
-
-class Multivector:
-    """A single multivector of Cl(R^n) with operator arithmetic.
-
-    Thin convenience wrapper over the coefficient array; the batched
-    curve machinery works on raw arrays via the module functions.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, coeffs: np.ndarray, n: int):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (1 << n,):
-            raise DimensionError(f"expected {1 << n} coefficients for n = {n}")
-        self.n = n
-        self.coeffs = coeffs
-
-    @classmethod
-    def scalar(cls, value: float, n: int) -> "Multivector":
-        coeffs = np.zeros(1 << n)
-        coeffs[0] = value
-        return cls(coeffs, n)
-
-    @classmethod
-    def vector(cls, x: np.ndarray) -> "Multivector":
-        x = np.asarray(x, dtype=float)
-        return cls(vector_coeffs(x), x.shape[-1])
-
-    def _coerce(self, other) -> "Multivector":
-        if isinstance(other, Multivector):
-            if other.n != self.n:
-                raise DimensionError("multivectors from different algebras")
-            return other
-        return Multivector.scalar(float(other), self.n)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Multivector(self.coeffs + other.coeffs, self.n)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Multivector(self.coeffs - other.coeffs, self.n)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return Multivector(other.coeffs - self.coeffs, self.n)
-
-    def __neg__(self):
-        return Multivector(-self.coeffs, self.n)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(self.coeffs * other, self.n)
-        other = self._coerce(other)
-        return Multivector(geometric_product(self.coeffs, other.coeffs, self.n), self.n)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(self.coeffs * other, self.n)
-        other = self._coerce(other)
-        return Multivector(geometric_product(other.coeffs, self.coeffs, self.n), self.n)
-
-    def grade(self, k: int) -> "Multivector":
-        return Multivector(grade_part(self.coeffs, k, self.n), self.n)
-
-    @property
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
-    @property
-    def vector_part(self) -> np.ndarray:
-        return np.array([self.coeffs[1 << i] for i in range(self.n)])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def is_scalar(self, tol: float = 1e-12) -> bool:
-        return nonscalar_norm(self.coeffs) <= tol * max(abs(self.scalar_part), 1e-300)
-
-    def inverse(self) -> "Multivector":
-        """Inverse for grade-1 multivectors only."""
-        v = self.vector_part
-        if np.linalg.norm(self.coeffs) > np.linalg.norm(v) * (1 + 1e-12) + 1e-300:
-            raise DimensionError("inverse implemented for vectors only")
-        return Multivector.vector(vector_inverse(v, ref_scale=np.linalg.norm(v)))
-
-    def __repr__(self) -> str:
-        return f"Multivector(n={self.n}, coeffs={self.coeffs!r})"

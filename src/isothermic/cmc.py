@@ -24,6 +24,7 @@ from .errors import (
     DimensionError,
     GeometryError,
     NonConjugateError,
+    PolarizationError,
 )
 from .surface import SemiDiscreteSurface
 
@@ -210,7 +211,7 @@ def koenigs_dual(
     for k in range(surface.num_layers):
         w = m * surface.curves[k].speed2
         if np.min(w) <= 0.0:
-            raise GeometryError(
+            raise PolarizationError(
                 f"curve {k}: m (x', x') must be positive for the Koenigs weights"
             )
         nu.append(np.sqrt(w))

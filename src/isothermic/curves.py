@@ -42,10 +42,6 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.s0, self.s1, self.num)
 
-    def refined(self, factor: int = 2) -> "Grid":
-        """Same interval with the step divided by ``factor``."""
-        return Grid(self.s0, self.s1, (self.num - 1) * factor + 1)
-
 
 def derivative_samples(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Fourth-order finite-difference derivative along axis 0."""

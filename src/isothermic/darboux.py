@@ -27,7 +27,7 @@ pair differ by the gauge Gamma(1 - t/mu) along the pair.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +51,12 @@ class LightConeSection:
 
     ``xi`` holds the (N, n+2) samples, ``xiprime`` their derivative when
     a closed form is available (else finite differences are used on
-    demand).  ``normalization`` records the scaling convention:
-    'euclidean' for (xi, q) = -1, 'parallel' for untouched parallel
-    scaling, 'raw' otherwise.  ``finite`` flags samples that project to
-    affine space; consumers skip the others.
+    demand).
     """
 
     grid: Grid
     xi: np.ndarray
     xiprime: np.ndarray | None = None
-    normalization: str = "raw"
-    finite: np.ndarray | None = None
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=float)
@@ -71,8 +66,6 @@ class LightConeSection:
             self.xiprime = np.asarray(self.xiprime, dtype=float)
             if self.xiprime.shape != self.xi.shape:
                 raise DimensionError("xiprime shape does not match xi")
-        if self.finite is None:
-            _, self.finite = mk.affine_point(self.xi, on_infinity="mask")
 
     @property
     def n(self) -> int:
@@ -82,10 +75,6 @@ class LightConeSection:
         if self.xiprime is not None:
             return self.xiprime
         return derivative_samples(self.xi, self.grid)
-
-    def lightcone_residual(self) -> float:
-        scale = np.maximum(np.sum(self.xi**2, axis=1), 1e-300)
-        return float(np.max(np.abs(mk.norm2(self.xi)) / scale))
 
     def to_curve(self, m: np.ndarray, on_infinity: str = "error") -> PolarizedCurve:
         """Project to the affine chart as a polarized curve.
@@ -110,9 +99,7 @@ def euclidean_section(curve: PolarizedCurve) -> LightConeSection:
     """Euclidean-normalized light cone lift of a curve, with derivative."""
     xi = mk.euclidean_lift(curve.x)
     xiprime = mk.lift_derivative(curve.x, curve.xprime)
-    return LightConeSection(
-        grid=curve.grid, xi=xi, xiprime=xiprime, normalization="euclidean"
-    )
+    return LightConeSection(grid=curve.grid, xi=xi, xiprime=xiprime)
 
 
 @dataclass
@@ -190,26 +177,29 @@ def is_darboux_pair(
     return DarbouxFit(mu=mu, spread=spread, reality=reality, tol=tol)
 
 
-def _riccati_rhs_factory(curve: PolarizedCurve, mu: float, substeps: int):
-    """Precompute base data at all Runge-Kutta evaluation points.
+def half_step_samples(
+    grid: Grid, substeps: int, *values: np.ndarray
+) -> tuple[float, list[np.ndarray]]:
+    """Samples at every RK4 evaluation point, plus the effective step.
 
-    Returns (s_steps, h_eff, lookup) where lookup(j) gives (x, w) at the
-    j-th half-step with w = (m x')^{-1}.  Raw samples are used at the
-    nodes; x, x' and m are interpolated cubically in between.
+    With ``substeps`` steps per grid cell the evaluation points are the
+    (sub)step nodes and their midpoints.  Grid nodes keep their exact
+    samples; every other point is cubic interpolation.
     """
-    h_eff = curve.grid.h / substeps
-    num_steps = (curve.grid.num - 1) * substeps
-    s_all = curve.grid.s0 + 0.5 * h_eff * np.arange(2 * num_steps + 1)
-    node_stride = 2 * substeps
-    x_all = cubic_interp(curve.x, curve.grid, s_all)
-    xp_all = cubic_interp(curve.xprime, curve.grid, s_all)
-    m_all = cubic_interp(curve.m, curve.grid, s_all)
-    # Replace interpolated values by the exact samples at the nodes.
-    x_all[::node_stride] = curve.x
-    xp_all[::node_stride] = curve.xprime
-    m_all[::node_stride] = curve.m
-    w_all = xp_all / (m_all * np.sum(xp_all * xp_all, axis=1))[:, None]
-    return s_all, h_eff, x_all, w_all
+    h_eff = grid.h / substeps
+    num_steps = (grid.num - 1) * substeps
+    s_all = grid.s0 + 0.5 * h_eff * np.arange(2 * num_steps + 1)
+    sampled = []
+    for v in values:
+        v_all = cubic_interp(v, grid, s_all)
+        v_all[:: 2 * substeps] = v
+        sampled.append(v_all)
+    return h_eff, sampled
+
+
+def inverse_tangent(xprime: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(m x')^{-1} = x' / (m |x'|^2) per sample: the dual curve's derivative."""
+    return xprime / (m * np.sum(xprime * xprime, axis=1))[:, None]
 
 
 def integrate_riccati(
@@ -229,16 +219,19 @@ def integrate_riccati(
     xhat0 = np.asarray(xhat0, dtype=float)
     if xhat0.shape != (curve.n,):
         raise DimensionError(f"initial point must be in R^{curve.n}")
-    s_all, h, x_all, w_all = _riccati_rhs_factory(curve, mu, substeps)
+    h, (x_all, xp_all, m_all) = half_step_samples(
+        curve.grid, substeps, curve.x, curve.xprime, curve.m
+    )
+    w_all = inverse_tangent(xp_all, m_all)
     scale = max(float(np.max(np.abs(curve.x))), float(np.linalg.norm(xhat0)), 1.0)
 
     def rhs(j: int, y: np.ndarray) -> np.ndarray:
         v = y - x_all[j]
         if np.linalg.norm(v) <= SECANT_TOL * scale:
-            raise SingularEncounterError(s_all[j])
+            raise SingularEncounterError(curve.grid.s0 + 0.5 * h * j)
         return mu * cl.sandwich(v, w_all[j])
 
-    num_steps = (len(s_all) - 1) // 2
+    num_steps = (len(x_all) - 1) // 2
     out = np.empty((num_steps + 1, curve.n))
     out[0] = xhat0
     y = xhat0
@@ -302,16 +295,7 @@ def connection_samples(
     if m is None:
         raise GeometryError("a polarization m is required alongside a bare section")
     m = np.broadcast_to(np.asarray(m, dtype=float), (grid.num,))
-    h_eff = grid.h / substeps
-    num_steps = (grid.num - 1) * substeps
-    s_all = grid.s0 + 0.5 * h_eff * np.arange(2 * num_steps + 1)
-    stride = 2 * substeps
-    xi_all = cubic_interp(xi, grid, s_all)
-    xip_all = cubic_interp(xiprime, grid, s_all)
-    m_all = cubic_interp(m, grid, s_all)
-    xi_all[::stride] = xi
-    xip_all[::stride] = xiprime
-    m_all[::stride] = m
+    h_eff, (xi_all, xip_all, m_all) = half_step_samples(grid, substeps, xi, xiprime, m)
     return connection_matrix(xi_all, xip_all, m_all, t), h_eff
 
 
@@ -376,9 +360,7 @@ def integrate_parallel_section(
     samples = out[::substeps]
     node_idx = 2 * substeps * np.arange(grid.num)
     xiprime = np.einsum("kij,kj->ki", a_all[node_idx], samples)
-    return LightConeSection(
-        grid=grid, xi=samples, xiprime=xiprime, normalization="parallel"
-    )
+    return LightConeSection(grid=grid, xi=samples, xiprime=xiprime)
 
 
 def parallel_residual(
@@ -407,25 +389,6 @@ def parallel_residual(
         defect = defect - coef[:, None] * sec
     scale = np.max(np.linalg.norm(section.xi, axis=1))
     return float(np.max(np.linalg.norm(defect, axis=1)) / max(scale, 1e-300))
-
-
-@dataclass(frozen=True)
-class GaugeMap:
-    """The symbolic gauge transformation Gamma_{<xi>}^{<xihat>}(r).
-
-    Scales xihat by r, xi by 1/r and fixes the orthogonal complement of
-    the two null lines; materialize with ``matrix()``.
-    """
-
-    xi: np.ndarray
-    xihat: np.ndarray
-    r: float
-
-    def matrix(self) -> np.ndarray:
-        return gauge_matrix(self.xi, self.xihat, self.r)
-
-    def inverse(self) -> "GaugeMap":
-        return GaugeMap(xi=self.xi, xihat=self.xihat, r=1.0 / self.r)
 
 
 def gauge_matrix(xi: np.ndarray, xihat: np.ndarray, r: float | np.ndarray) -> np.ndarray:

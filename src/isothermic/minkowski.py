@@ -155,14 +155,6 @@ def wedge_matrix(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     )
 
 
-def skew_residual(a: np.ndarray, n: int | None = None) -> float:
-    """How far a matrix is from skewness w.r.t. the Minkowski form."""
-    a = np.asarray(a, dtype=float)
-    g = metric_diagonal((n if n is not None else a.shape[-1] - 2))
-    ga = g[..., :, None] * a
-    return float(np.max(np.abs(ga + np.swapaxes(ga, -1, -2))))
-
-
 def orthogonality_residual(t: np.ndarray) -> float:
     """Deviation of T from preserving the form: max |T^t G T - G|."""
     t = np.asarray(t, dtype=float)

@@ -18,10 +18,11 @@ from . import minkowski as mk
 from .curves import Grid, PolarizedCurve, derivative_samples
 from .darboux import (
     LightConeSection,
-    connection_samples,
+    connection_matrix,
     euclidean_section,
     gauge_matrix,
     integrate_parallel_section,
+    inverse_tangent,
     is_darboux_pair,
     verify_gauge_relation,
 )
@@ -281,9 +282,7 @@ def moutard_lift(surface: SemiDiscreteSurface) -> MoutardLift:
     normalization = []
     for k, (xi, xiprime) in enumerate(scaled):
         s = float(signs[k])
-        section = LightConeSection(
-            grid=grid, xi=s * xi, xiprime=s * xiprime, normalization="moutard"
-        )
+        section = LightConeSection(grid=grid, xi=s * xi, xiprime=s * xiprime)
         normalization.append(float(np.max(np.abs(m * mk.norm2(section.xiprime) - 1.0))))
         sections.append(section)
 
@@ -339,7 +338,8 @@ def surface_connection(surface: SemiDiscreteSurface, t: float) -> SurfaceConnect
     """Edge gauge maps and curve coefficients at parameter t, certified flat."""
     _check_spectral_parameter(surface, t)
     coefficients = [
-        connection_samples(c, None, t, 1)[0][::2] for c in surface.curves
+        connection_matrix(surface.lift(k).xi, surface.lift(k).xiprime, c.m, t)
+        for k, c in enumerate(surface.curves)
     ]
     edge_maps = []
     flatness = []
@@ -376,9 +376,7 @@ def surface_darboux(
         r = 1.0 - mu / mu_i
         carry = gauge_matrix(surface.lift(i + 1).xi, surface.lift(i).xi, 1.0 / r)
         xi_next = np.einsum("kab,kb->ka", carry, sections[i].xi)
-        sections.append(
-            LightConeSection(grid=surface.grid, xi=xi_next, normalization="parallel")
-        )
+        sections.append(LightConeSection(grid=surface.grid, xi=xi_next))
     curves = [sec.to_curve(surface.m) for sec in sections]
     return SemiDiscreteSurface(curves=curves, mu=list(surface.mu))
 
@@ -415,7 +413,7 @@ def surface_calapso(
     curves = []
     for k, curve in enumerate(surface.curves):
         lift = surface.lift(k)
-        a_nodes = connection_samples(curve, None, t, 1)[0][::2]
+        a_nodes = connection_matrix(lift.xi, lift.xiprime, curve.m, t)
         covariant = lift.xiprime - np.einsum("kab,kb->ka", a_nodes, lift.xi)
         xi = np.einsum("kab,kb->ka", chain[k], lift.xi)
         xiprime = np.einsum("kab,kb->ka", chain[k], covariant)
@@ -475,7 +473,7 @@ def surface_christoffel(
         if np.min(dd) <= 1e-24 * max(scale, 1.0):
             raise DegenerateSecantError(f"edge {i}: secant vanishes; dual edge rule undefined")
         z = duals[i].x + d / (mu_i * dd)[:, None]
-        zprime = b.xprime / (m * b.speed2)[:, None]
+        zprime = inverse_tangent(b.xprime, m)
         duals.append(
             PolarizedCurve(n=surface.n, grid=surface.grid, x=z, xprime=zprime, m=m.copy())
         )

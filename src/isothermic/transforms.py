@@ -22,20 +22,21 @@ global Moebius transformation).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import clifford as cl
 from . import minkowski as mk
-from .curves import Grid, PolarizedCurve, cubic_interp
+from .curves import Grid, PolarizedCurve
 from .darboux import (
     LightConeSection,
+    connection_matrix,
     connection_samples,
     euclidean_section,
     gauge_matrix,
-    is_darboux_pair,
+    half_step_samples,
+    inverse_tangent,
 )
 from .errors import DimensionError, GeometryError, PolarizationError
 
@@ -58,18 +59,12 @@ def christoffel_dual(
     if anchor.shape != (curve.n,):
         raise DimensionError(f"anchor must be a point of R^{curve.n}")
 
-    h_eff = curve.grid.h / substeps
-    num_steps = (curve.grid.num - 1) * substeps
-    s_all = curve.grid.s0 + 0.5 * h_eff * np.arange(2 * num_steps + 1)
-    stride = 2 * substeps
-    xp_all = cubic_interp(curve.xprime, curve.grid, s_all)
-    m_all = cubic_interp(curve.m, curve.grid, s_all)
-    xp_all[::stride] = curve.xprime
-    m_all[::stride] = curve.m
+    h_eff, (xp_all, m_all) = half_step_samples(curve.grid, substeps, curve.xprime, curve.m)
     if np.any(np.sign(m_all) != np.sign(m_all[0])):
         raise PolarizationError("polarization changes sign inside the interval")
-    rhs_all = xp_all / (m_all * np.sum(xp_all * xp_all, axis=1))[:, None]
+    rhs_all = inverse_tangent(xp_all, m_all)
 
+    num_steps = (curve.grid.num - 1) * substeps
     out = np.empty((num_steps + 1, curve.n))
     out[0] = anchor
     y = anchor
@@ -82,7 +77,7 @@ def christoffel_dual(
         n=curve.n,
         grid=curve.grid,
         x=out[::substeps],
-        xprime=rhs_all[::stride].copy(),
+        xprime=rhs_all[:: 2 * substeps].copy(),
         m=curve.m.copy(),
     )
 
@@ -116,9 +111,7 @@ def christoffel_darboux_permute(
     secant = transform.x - curve.x
     scale = max(float(np.max(np.abs(curve.x))), float(np.max(np.abs(transform.x))), 1.0)
     x_star_hat = dual.x + cl.vector_inverse(secant, ref_scale=scale) / mu
-    xprime = transform.xprime / (
-        curve.m * np.sum(transform.xprime**2, axis=1)
-    )[:, None]
+    xprime = inverse_tangent(transform.xprime, curve.m)
     return PolarizedCurve(
         n=curve.n, grid=curve.grid, x=x_star_hat, xprime=xprime, m=curve.m.copy()
     )
@@ -143,9 +136,6 @@ class CalapsoFrameField:
 
     def metric_drift(self) -> float:
         return mk.orthogonality_residual(self.T)
-
-    def inverse_at(self, k: int) -> np.ndarray:
-        return np.linalg.inv(self.T[k])
 
 
 def _metric_correct(t_mat: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -213,9 +203,7 @@ def integrate_calapso(
     xiprime = sec.derivative()
     covariant = xiprime - np.einsum("kij,kj->ki", a_all[node_idx], sec.xi)
     xiprime_new = np.einsum("kij,kj->ki", frames.T, covariant)
-    section = LightConeSection(
-        grid=grid, xi=xi_new, xiprime=xiprime_new, normalization="raw"
-    )
+    section = LightConeSection(grid=grid, xi=xi_new, xiprime=xiprime_new)
     return frames, section
 
 
@@ -320,7 +308,8 @@ def calapso_darboux_permute(
     sec_hat = euclidean_section(transform)
     moved = np.einsum("kij,kj->ki", frames.T, sec_hat.xi)
     # (T xihat)' = T (xihat' - A xihat) with A the base-curve coefficient.
-    a_nodes = connection_samples(curve, None, tau, 1)[0][::2]
+    sec = euclidean_section(curve)
+    a_nodes = connection_matrix(sec.xi, sec.xiprime, curve.m, tau)
     covariant = sec_hat.xiprime - np.einsum("kij,kj->ki", a_nodes, sec_hat.xi)
     moved_prime = np.einsum("kij,kj->ki", frames.T, covariant)
     hat_section = LightConeSection(grid=curve.grid, xi=moved, xiprime=moved_prime)

@@ -1,10 +1,19 @@
 """End-to-end command-line tests, run in-process through main()."""
 
+import re
+
 import numpy as np
 import pytest
 
-from isothermic import fileio
-from isothermic.cli import main
+from isothermic import fileio, minkowski
+from isothermic.cli import TOLERANCES, main
+from isothermic.surface import SemiDiscreteSurface
+
+# Output lines that scripts parse; their format is part of the interface.
+NAMED_ROW = re.compile(r"^([a-z-]+): (\S+) \(tol", re.M)
+EDGE_ROW = re.compile(
+    r"^edge (\d+): mu=\S+ declared=\S+ spread=(\S+) defect=(\S+) nu=(\S+) (?:pass|FAIL)$", re.M
+)
 
 
 def _curve_file(tmp_path, name="c.json", grid="0:1:1001"):
@@ -89,12 +98,17 @@ def test_surface_build_check_moutard(tmp_path, capsys):
         ]
     )
     assert rc == 0
+    capsys.readouterr()
     rc = main(["surface", "check", "--in", str(surf)])
     assert rc == 0
+    assert [m[0] for m in EDGE_ROW.findall(capsys.readouterr().out)] == ["0", "1"]
     rc = main(["surface", "moutard", "--in", str(surf)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "signs" in out
+    assert [m[0] for m in NAMED_ROW.findall(out)] == [
+        "moutard-normalization", "moutard-pairing", "moutard-area"
+    ]
 
 
 def test_surface_build_requires_layers_and_out(tmp_path):
@@ -136,6 +150,10 @@ def test_cmc_command_cylinder(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "0.5" in out
+    assert [m[0] for m in NAMED_ROW.findall(out)] == [
+        "cmc-mean-curvature-spread", "cmc-mean-curvature-value",
+        "cmc-conserved-quantity", "cmc-unit-z", "cmc-koenigs",
+    ]
 
 
 def test_cmc_command_strip(capsys):
@@ -143,10 +161,13 @@ def test_cmc_command_strip(capsys):
     assert rc == 0
 
 
-def test_verify_all_passes(capsys):
-    rc = main(["verify", "--suite", "all"])
+def test_verify_all_passes(tmp_path, capsys):
+    csv_path = tmp_path / "all.csv"
+    rc = main(["verify", "--suite", "all", "--csv", str(csv_path)])
     assert rc == 0
     assert "all" in capsys.readouterr().out
+    names = {line.split(",")[0] for line in csv_path.read_text().splitlines()[1:]}
+    assert names == set(TOLERANCES)
 
 
 def test_verify_single_suite(capsys):
@@ -258,3 +279,68 @@ def test_bad_grid_spec_exits_2(tmp_path):
         ["curve", "--family", "circle", "--grid", "oops", "--out", str(tmp_path / "x.json")]
     )
     assert rc == 2
+
+
+def _outward_cmc_file(tmp_path):
+    path = tmp_path / "outward.json"
+    assert main(["cmc", "--orientation", "outward", "--out", str(path)]) == 0
+    return path
+
+
+def test_outward_cmc_file_is_checked_without_crash(tmp_path, capsys):
+    # m (x', x') < 0 on this file, so the nu factorization check does not apply.
+    path = _outward_cmc_file(tmp_path)
+    capsys.readouterr()
+    assert main(["surface", "check", "--in", str(path)]) == 0
+    rows = EDGE_ROW.findall(capsys.readouterr().out)
+    assert len(rows) == 2 and all(row[3] == "n/a" for row in rows)
+    assert main(["verify", "--surface", str(path)]) == 0
+    assert "moutard lift skipped" in capsys.readouterr().out
+    csv_path = tmp_path / "report.csv"
+    assert main(["export", "--in", str(path), "--csv", str(csv_path)]) == 0
+    rows = csv_path.read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",true") for row in rows)
+
+
+def test_one_curve_surface_skips_edge_checks(tmp_path, capsys):
+    curve = fileio.load_curve(_curve_file(tmp_path))
+    path = tmp_path / "one.json"
+    fileio.save_surface(path, SemiDiscreteSurface(curves=[curve], mu=[]))
+    capsys.readouterr()
+    assert main(["verify", "--surface", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "edge checks skipped" in out
+    assert "moutard-normalization" in out and "moutard-pairing" not in out
+
+
+def test_crashing_check_is_a_failed_row(monkeypatch, capsys):
+    def broken(u):
+        raise TypeError("broken kernel")
+
+    monkeypatch.setattr(minkowski, "norm2", broken)
+    assert main(["verify", "--suite", "minkowski"]) == 1
+    out = capsys.readouterr().out
+    assert "failed checks: minkowski-lift-isotropy" in out
+    assert "TypeError: broken kernel" in out
+
+
+def test_tolerance_names_are_validated(tmp_path, capsys):
+    rc = main(["verify", "--suite", "clifford", "--tol-override", "clifford-asociativity=1"])
+    assert rc == 2
+    assert "clifford-asociativity" in capsys.readouterr().err
+    surf = _outward_cmc_file(tmp_path)
+    assert main(["surface", "check", "--in", str(surf), "--tol", "1e-3"]) == 2
+
+
+def test_export_honours_tol_override(tmp_path):
+    src = _curve_file(tmp_path)
+    surf = tmp_path / "s.json"
+    main(["surface", "build", "--in", str(src), "--layers", "-2:2,0", "--out", str(surf)])
+    csv_path = tmp_path / "report.csv"
+    rc = main(
+        ["export", "--in", str(surf), "--csv", str(csv_path),
+         "--tol-override", "surface-isothermic=1e-30"]
+    )
+    assert rc == 0
+    rows = csv_path.read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].endswith(",1e-30,false")
