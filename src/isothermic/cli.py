@@ -168,24 +168,6 @@ def _parse_step_policy(text: str) -> int:
     raise argparse.ArgumentTypeError(f"step policy must be grid or substep:k, got {text!r}")
 
 
-def _parse_metric_correction(text: str) -> int | None:
-    if text == "on":
-        return 50
-    if text == "off":
-        return None
-    if text.startswith("every:"):
-        try:
-            k = int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad correction policy {text!r}") from exc
-        if k < 1:
-            raise argparse.ArgumentTypeError("correction period must be >= 1")
-        return k
-    raise argparse.ArgumentTypeError(
-        f"metric correction must be on, off or every:k, got {text!r}"
-    )
-
-
 def _safe_t(mu: list[float]) -> float:
     # Strictly inside (0, min |mu|) so it collides with no edge parameter.
     return 0.618 * min(abs(v) for v in mu)
@@ -535,13 +517,10 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
 def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
     substeps = ctx["substeps"]
-    correction = ctx["correction"]
     c = pool.get("unit-circle")
 
     def metric_drift():
-        frames, _ = transforms.integrate_calapso(
-            c, 0.7, substeps=substeps, correction_every=correction
-        )
+        frames, _ = transforms.integrate_calapso(c, 0.7, substeps=substeps)
         return frames.metric_drift()
 
     checks.run("calapso-metric-drift", "unit-circle", metric_drift)
@@ -551,9 +530,7 @@ def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
     )
 
     def transported():
-        frames, _ = transforms.integrate_calapso(
-            c, -2.0, substeps=substeps, correction_every=correction
-        )
+        frames, _ = transforms.integrate_calapso(c, -2.0, substeps=substeps)
         return transforms.transported_section_drift(frames, section)
 
     checks.run("calapso-transported-constancy", "unit-circle", transported)
@@ -666,11 +643,7 @@ def _surface_checks(checks: Checks, surface: SemiDiscreteSurface, where: str, ct
     checks.run(
         "surface-trivialization",
         where,
-        lambda: max(
-            calapso_trivialization_residuals(
-                surface, t, substeps=ctx["substeps"], correction_every=ctx["correction"]
-            )
-        ),
+        lambda: max(calapso_trivialization_residuals(surface, t, substeps=ctx["substeps"])),
     )
 
 
@@ -741,9 +714,7 @@ def _suite_surface(checks: Checks, rng: np.random.Generator, ctx) -> None:
     checks.run("surface-darboux-vertical", "cylinder-patch", vertical)
 
     def calapso_parameter():
-        moved = surface_calapso(
-            patch, 0.4, substeps=ctx["substeps"], correction_every=ctx["correction"]
-        )
+        moved = surface_calapso(patch, 0.4, substeps=ctx["substeps"])
         report = check_isothermic(moved)
         return max(abs(e.mu - (v - 0.4)) for e, v in zip(report.edges, patch.mu))
 
@@ -910,16 +881,12 @@ def cmd_dual(args) -> int:
 def cmd_calapso(args) -> int:
     data = fileio.load_any(args.infile)
     if isinstance(data, PolarizedCurve):
-        moved = transforms.calapso_curve(
-            data, args.t, substeps=args.step_policy, correction_every=args.metric_correction
-        )
+        moved = transforms.calapso_curve(data, args.t, substeps=args.step_policy)
         if args.out:
             fileio.save_curve(args.out, moved)
         print(f"calapso transform at t={args.t:g}: N={moved.grid.num}")
     else:
-        moved = surface_calapso(
-            data, args.t, substeps=args.step_policy, correction_every=args.metric_correction
-        )
+        moved = surface_calapso(data, args.t, substeps=args.step_policy)
         print(f"calapso transform at t={args.t:g}: mu {list(data.mu)} -> {list(moved.mu)}")
         if args.out:
             fileio.save_surface(args.out, moved)
@@ -952,10 +919,7 @@ def cmd_cmc(args) -> int:
 def cmd_verify(args) -> int:
     checks = Checks(args.tol_override)
     rng = np.random.default_rng(args.seed)
-    ctx = {
-        "substeps": args.step_policy,
-        "correction": args.metric_correction,
-    }
+    ctx = {"substeps": args.step_policy}
     if args.surface:
         surface = fileio.load_surface(args.surface)
         if args.suite in ("all", "surface"):
@@ -1005,10 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol-override", action="append", metavar="check=value",
         help="replace the tolerance of one named check (repeatable)",
-    )
-    common.add_argument(
-        "--metric-correction", type=_parse_metric_correction, default=50,
-        metavar="on|off|every:k", help="frame re-orthonormalization policy (default: on)",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 

@@ -381,16 +381,9 @@ def surface_darboux(
     return SemiDiscreteSurface(curves=curves, mu=list(surface.mu))
 
 
-def _chain_frames(
-    surface: SemiDiscreteSurface,
-    t: float,
-    substeps: int,
-    correction_every: int,
-) -> list[np.ndarray]:
+def _chain_frames(surface: SemiDiscreteSurface, t: float, substeps: int) -> list[np.ndarray]:
     """Trivializing frames per layer: T_0 integrated, then pushed by edge maps."""
-    frames, _ = integrate_calapso(
-        surface.curves[0], t, substeps=substeps, correction_every=correction_every
-    )
+    frames, _ = integrate_calapso(surface.curves[0], t, substeps=substeps)
     chain = [frames.T]
     for i, mu_i in enumerate(surface.mu):
         r = 1.0 - t / mu_i
@@ -400,16 +393,13 @@ def _chain_frames(
 
 
 def surface_calapso(
-    surface: SemiDiscreteSurface,
-    t: float,
-    substeps: int = 1,
-    correction_every: int = 50,
+    surface: SemiDiscreteSurface, t: float, substeps: int = 1
 ) -> SemiDiscreteSurface:
     """Calapso transform of the surface: every edge parameter drops by t."""
     if t == 0.0:
         return SemiDiscreteSurface(curves=list(surface.curves), mu=list(surface.mu))
     _check_spectral_parameter(surface, t)
-    chain = _chain_frames(surface, t, substeps, correction_every)
+    chain = _chain_frames(surface, t, substeps)
     curves = []
     for k, curve in enumerate(surface.curves):
         lift = surface.lift(k)
@@ -423,10 +413,7 @@ def surface_calapso(
 
 
 def calapso_trivialization_residuals(
-    surface: SemiDiscreteSurface,
-    t: float,
-    substeps: int = 1,
-    correction_every: int = 50,
+    surface: SemiDiscreteSurface, t: float, substeps: int = 1
 ) -> list[float]:
     """Construction-independent re-check of the frame chaining.
 
@@ -438,12 +425,10 @@ def calapso_trivialization_residuals(
     if t == 0.0:
         return [0.0] * (surface.num_layers - 1)
     _check_spectral_parameter(surface, t)
-    chain = _chain_frames(surface, t, substeps, correction_every)
+    chain = _chain_frames(surface, t, substeps)
     residuals = []
     for j in range(1, surface.num_layers):
-        direct, _ = integrate_calapso(
-            surface.curves[j], t, substeps=substeps, correction_every=correction_every
-        )
+        direct, _ = integrate_calapso(surface.curves[j], t, substeps=substeps)
         m_stack = np.einsum("kab,kbc->kac", chain[j], np.linalg.inv(direct.T))
         scale = max(float(np.linalg.norm(m_stack[0])), 1e-300)
         residuals.append(float(np.max(np.linalg.norm(m_stack - m_stack[0], axis=(1, 2)))) / scale)

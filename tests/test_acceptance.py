@@ -9,11 +9,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import isothermic.minkowski as mk
 from isothermic import cmc
 from isothermic.bianchi import bianchi_cube, bianchi_quad, check_bigauge, check_quad
-from isothermic.curves import Grid, make_circle
+from isothermic.curves import Grid, PolarizedCurve, make_circle, make_helix
 from isothermic.darboux import (
     euclidean_section,
     integrate_parallel_section,
@@ -21,6 +22,7 @@ from isothermic.darboux import (
     is_darboux_pair,
     tangent_cross_ratio,
 )
+from isothermic.cli import main as cli_main
 from isothermic.clifford import nonscalar_norm, scalar_part
 from isothermic.fixtures import (
     cmc_round_cylinder,
@@ -157,24 +159,28 @@ def test_criterion_05_cube_consistency():
     _verdict(5, "cube routes agree projectively", ok, f"worst gap {worst:.2e}")
 
 
-def test_criterion_06_calapso():
-    c = unit_circle()
-    frames, _ = integrate_calapso(c, 0.7, correction_every=50)
+def _calapso_residuals(c, start):
+    """Drift, transported constancy, composition, intertwine and shift residuals."""
+    frames, _ = integrate_calapso(c, 0.7)
     g = mk.metric_matrix(c.n)
     gram = np.einsum("kia,ij,kjb->kab", frames.T, g, frames.T)
     drift = float(np.max(np.abs(gram - g)))
 
-    section = integrate_parallel_section(c, -2.0, START)
-    frames_mu, _ = integrate_calapso(c, -2.0, correction_every=50)
+    section = integrate_parallel_section(c, -2.0, start)
+    frames_mu, _ = integrate_calapso(c, -2.0)
     constancy = transported_section_drift(frames_mu, section)
 
     composition = verify_calapso_composition(c, 0.4, 0.3)
-    hat = integrate_riccati(c, -2.0, START)
+    hat = integrate_riccati(c, -2.0, start)
     intertwine = verify_calapso_intertwine(c, hat, -2.0, 0.5)
 
     new_base, new_hat = calapso_darboux_permute(c, hat, -2.0, 0.7)
     shift = abs(is_darboux_pair(new_base, new_hat).mu - (-2.7))
+    return drift, constancy, composition, intertwine, shift
 
+
+def _calapso_verdict(label, residuals):
+    drift, constancy, composition, intertwine, shift = residuals
     ok = (
         drift < 1e-8
         and constancy < 1e-6
@@ -182,9 +188,39 @@ def test_criterion_06_calapso():
         and intertwine < 1e-5
         and shift < 1e-5
     )
-    _verdict(6, "Calapso transform", ok,
+    _verdict(6, label, ok,
              f"drift {drift:.2e}, transported {constancy:.2e}, composition {composition:.2e}, "
              f"intertwine {intertwine:.2e}, parameter shift defect {shift:.2e}")
+
+
+def test_criterion_06_calapso():
+    _calapso_verdict("Calapso transform", _calapso_residuals(unit_circle(), START))
+
+
+def _fourier_curve_r4(seed: int) -> PolarizedCurve:
+    """Unit circle in R^4 plus seeded harmonics 2 and 3 in every coordinate."""
+    grid = Grid(0.0, 1.0, 1001)
+    coef = 0.1 * np.random.default_rng(seed).standard_normal((4, 2, 2))
+    s = grid.nodes()
+    x = np.zeros((grid.num, 4))
+    xp = np.zeros_like(x)
+    x[:, 0], x[:, 1] = np.cos(s), np.sin(s)
+    xp[:, 0], xp[:, 1] = -np.sin(s), np.cos(s)
+    for d in range(4):
+        for j, k in enumerate((2, 3)):
+            a, b = coef[d, j]
+            x[:, d] += a * np.cos(k * s) + b * np.sin(k * s)
+            xp[:, d] += k * (b * np.cos(k * s) - a * np.sin(k * s))
+    return PolarizedCurve(n=4, grid=grid, x=x, xprime=xp, m=np.ones(grid.num))
+
+
+@pytest.mark.parametrize("name", ["helix-n3", "fourier-n4"])
+def test_criterion_06_calapso_higher_dimensions(name):
+    if name == "helix-n3":
+        c = make_helix(1.0, 0.15, Grid(0.0, 1.0, 1001))
+    else:
+        c = _fourier_curve_r4(4)
+    _calapso_verdict(f"Calapso transform ({name})", _calapso_residuals(c, 2.0 * c.x[0]))
 
 
 def test_criterion_07_christoffel():
@@ -267,16 +303,15 @@ def test_criterion_09_cmc():
              f"|z|^2 drift {worst['unit']:.2e}, Koenigs {worst['koenigs']:.2e}")
 
 
-def test_criterion_10_cli_verify_and_corruption():
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "isothermic.cli", *args],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-
-    clean = run("verify", "--suite", "all")
+def test_criterion_10_cli_verify_and_corruption(capsys):
+    # The clean run goes through the module entry point in a fresh
+    # interpreter; the corrupted runs call the same main() in-process.
+    clean = subprocess.run(
+        [sys.executable, "-m", "isothermic.cli", "verify", "--suite", "all"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
     ok = clean.returncode == 0
     detail = [f"clean rc {clean.returncode}"]
 
@@ -290,11 +325,11 @@ def test_criterion_10_cli_verify_and_corruption():
         "flat-strip": ("cmc", "cmc-mean-curvature-value"),
     }
     for fixture, (suite, expected) in corruptions.items():
-        res = run("verify", "--suite", suite, "--corrupt", fixture)
+        rc = cli_main(["verify", "--suite", suite, "--corrupt", fixture])
         named = any(
             line.startswith("failed checks") and expected in line
-            for line in res.stdout.splitlines()
+            for line in capsys.readouterr().out.splitlines()
         )
-        ok = ok and res.returncode == 1 and named
-        detail.append(f"{fixture} rc {res.returncode}{'' if named else ' UNNAMED'}")
+        ok = ok and rc == 1 and named
+        detail.append(f"{fixture} rc {rc}{'' if named else ' UNNAMED'}")
     _verdict(10, "CLI verification detects corruption", ok, ", ".join(detail))

@@ -330,6 +330,8 @@ def test_tolerance_names_are_validated(tmp_path, capsys):
     assert "clifford-asociativity" in capsys.readouterr().err
     surf = _outward_cmc_file(tmp_path)
     assert main(["surface", "check", "--in", str(surf), "--tol", "1e-3"]) == 2
+    curve = _curve_file(tmp_path)
+    assert main(["calapso", "--in", str(curve), "--t", "0.4", "--metric-correction", "off"]) == 2
 
 
 def test_export_honours_tol_override(tmp_path):

@@ -1,8 +1,8 @@
 """Calapso and Christoffel transform tests.
 
 Core claims:
-    - the Calapso frame solves dT = -T A with O(h^4) metric drift, kept
-      small by periodic re-orthonormalization
+    - the Calapso frame solves dT = -T A to fourth order with Magnus steps,
+      whose step maps keep T in O(n+1,1) to rounding with no repair
     - T^mu transports the Darboux section of parameter mu to a constant line
     - composition T^(s+t) = gauge-equivalent T^s then T^t, and the
       intertwining with Darboux transforms, hold up to constant gauges
@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import isothermic.minkowski as mk
-from isothermic.curves import Grid, make_circle
+from isothermic.cli import TOLERANCES
+from isothermic.curves import Grid, make_circle, make_helix
 from isothermic.darboux import integrate_parallel_section, integrate_riccati, is_darboux_pair
 from isothermic.errors import GeometryError
 from isothermic.fixtures import unit_circle
@@ -34,23 +35,28 @@ from isothermic.transforms import (
 
 def test_metric_drift_small():
     c = unit_circle()
-    frames, _ = integrate_calapso(c, 0.7, correction_every=50)
+    frames, _ = integrate_calapso(c, 0.7)
     G = mk.metric_matrix(c.n)
     gram = np.einsum("kia,ij,kjb->kab", frames.T, G, frames.T)
     assert np.max(np.abs(gram - G)) < 1e-10
 
 
-def test_metric_drift_correction_matters_on_long_runs():
-    c = unit_circle()
-    frames_off, _ = integrate_calapso(c, 0.7, correction_every=None)
-    frames_on, _ = integrate_calapso(c, 0.7, correction_every=10)
-    G = mk.metric_matrix(c.n)
+def test_calapso_frame_converges_at_fourth_order():
+    def end_frame(num):
+        c = make_circle(1.0, Grid(0.0, 1.0, num))
+        frames, _ = integrate_calapso(c, 0.7)
+        return frames.T[-1]
 
-    def drift(T):
-        gram = np.einsum("kia,ij,kjb->kab", T, G, T)
-        return float(np.max(np.abs(gram - G)))
+    reference = end_frame(6401)
+    errors = [float(np.max(np.abs(end_frame(num) - reference))) for num in (101, 201, 401)]
+    assert errors[0] / errors[1] > 12.0
+    assert errors[1] / errors[2] > 12.0
 
-    assert drift(frames_on.T) <= drift(frames_off.T) + 1e-12
+
+@pytest.mark.parametrize("substeps", [1, 16])
+def test_metric_drift_stays_at_rounding_without_repair(substeps):
+    frames, _ = integrate_calapso(unit_circle(), 0.7, substeps=substeps)
+    assert frames.metric_drift() < TOLERANCES["calapso-metric-drift"]
 
 
 def test_transported_darboux_section_is_constant():
@@ -85,6 +91,18 @@ def test_calapso_parameter_shift():
     fit = is_darboux_pair(new_base, new_hat)
     assert abs(fit.mu - (-2.7)) < 1e-10
     assert fit.spread < 1e-10
+
+
+def test_calapso_permuted_pair_on_long_helix():
+    # Fifteen thousand steps with frame entries up to ~3e5: long enough for
+    # frames that leave O(n+1,1) to spoil the transported pair.
+    c = make_helix(1.0, 0.15, Grid(0.0, 15.0, 15001))
+    start = c.x[0] * np.array([2.0, 2.0, 1.0])
+    hat = integrate_parallel_section(c, -2.0, start).to_curve(c.m)
+    new_base, new_hat = calapso_darboux_permute(c, hat, -2.0, 0.4)
+    fit = is_darboux_pair(new_base, new_hat)
+    assert fit.spread < TOLERANCES["calapso-permute-parameter"]
+    assert fit.reality < TOLERANCES["calapso-permute-parameter"]
 
 
 def test_calapso_at_zero_is_identity():
