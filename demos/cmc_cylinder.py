@@ -10,7 +10,6 @@ certificate.  A flat strip shows the minimal case H = 0.
 
 import numpy as np
 
-import isothermic.minkowski as mk
 from isothermic import cmc, fileio
 from isothermic.fixtures import cmc_round_cylinder, flat_strip
 
@@ -36,9 +35,7 @@ def describe(fix, title):
         cmc.SampledField(values=surface.lift(k).xi, prime=surface.lift(k).xiprime)
         for k in range(surface.num_layers)
     ]
-    kreport = cmc.verify_koenigs(
-        x_fields, fields, nu, surface.grid, metric=mk.metric_matrix(surface.n)
-    )
+    kreport = cmc.verify_koenigs(x_fields, fields, nu, surface.grid)
     print(f"  koenigs duality residual: {kreport.max_residual:.2e}, "
           f"recovered mu {np.round(kreport.recovered_mu, 9)}")
 

@@ -40,14 +40,14 @@ def moebius_cross_ratio(
     p2: np.ndarray,
     p3: np.ndarray,
     p4: np.ndarray,
-    tol: float = CONCIRCULARITY_TOL,
 ) -> np.ndarray | float:
     """Cross ratio of four concircular null directions.
 
     Computed as the Clifford cross ratio of stereographic images in a
     chart avoiding all four points; the value is chart-independent.
     Convention: for zeta = Gamma_{<xi>}^{<xihat>}(r) eta the quadruple
-    (xihat, eta, xi, zeta) returns r.
+    (xihat, eta, xi, zeta) returns r.  A relative non-scalar part above
+    CONCIRCULARITY_TOL raises NonConcircularError.
     """
     pts = [np.asarray(p, dtype=float) for p in (p1, p2, p3, p4)]
     shape = np.broadcast_shapes(*(p.shape for p in pts))
@@ -58,7 +58,7 @@ def moebius_cross_ratio(
     scalar = cl.scalar_part(cr)
     rest = cl.nonscalar_norm(cr)
     residual = float(np.max(rest / np.maximum(np.abs(scalar), 1e-300)))
-    if residual > tol:
+    if residual > CONCIRCULARITY_TOL:
         raise NonConcircularError(
             f"points are not concircular: relative residual {residual:.3e}"
         )
@@ -76,12 +76,6 @@ def _require_sections_compatible(*sections: LightConeSection) -> None:
             raise DimensionError("sections live in different dimensions")
 
 
-def _as_section(base: PolarizedCurve | LightConeSection) -> LightConeSection:
-    if isinstance(base, PolarizedCurve):
-        return euclidean_section(base)
-    return base
-
-
 def bianchi_quad(
     base: PolarizedCurve | LightConeSection,
     sec0: LightConeSection,
@@ -93,20 +87,23 @@ def bianchi_quad(
     """Close the Darboux quadrilateral algebraically.
 
     ``sec0`` and ``sec1`` are parallel sections over ``base`` for the
-    parameters mu0 and mu1.  The returned section is an exact
-    mu1-parallel section along the sec0 curve; along the sec1 curve it
-    is mu0-parallel up to scaling (the line is parallel, the chosen
+    parameters mu0 and mu1.  A curve base supplies its own polarization
+    and ``m`` is not read; a bare section base, as on the faces of a
+    cube, needs ``m``.  The returned section is an exact mu1-parallel
+    section along the sec0 curve; along the sec1 curve it is
+    mu0-parallel up to scaling (the line is parallel, the chosen
     representative is not).
     """
     if mu0 == mu1:
         raise GeometryError("quad requires distinct Darboux parameters")
     if mu0 == 0.0:
         raise GeometryError("mu0 = 0 leaves the gauge parameter undefined")
-    if isinstance(base, PolarizedCurve) and m is None:
-        m = base.m
-    if m is None:
+    if isinstance(base, PolarizedCurve):
+        xi, m = euclidean_section(base), base.m
+    elif m is None:
         raise GeometryError("a polarization m is required alongside bare sections")
-    xi = _as_section(base)
+    else:
+        xi = base
     _require_sections_compatible(xi, sec0, sec1)
     r = 1.0 - mu1 / mu0
     gamma = gauge_matrix(xi.xi, sec0.xi, np.full(xi.grid.num, r))
@@ -130,23 +127,14 @@ class QuadReport:
     parallel_residual_defining: float
     parallel_residual_other: float
 
-    def ok(self, tol: float = 1e-6) -> bool:
-        return bool(
-            self.cross_ratio_spread < tol
-            and self.cross_ratio_swapped_spread < tol
-            and self.parallel_residual_defining < tol
-            and self.parallel_residual_other < tol
-        )
-
 
 def check_quad(
-    base: PolarizedCurve | LightConeSection,
+    base: PolarizedCurve,
     sec0: LightConeSection,
     sec1: LightConeSection,
     sec01: LightConeSection,
     mu0: float,
     mu1: float,
-    m: np.ndarray | None = None,
 ) -> QuadReport:
     """Certify a quadrilateral: cross ratios and both parallel residuals.
 
@@ -154,16 +142,14 @@ def check_quad(
     line because the algebraic quad point carries a non-constant scaling
     relative to the exact parallel section there.
     """
-    if isinstance(base, PolarizedCurve) and m is None:
-        m = base.m
-    xi = _as_section(base)
+    xi = euclidean_section(base)
     cr = moebius_cross_ratio(xi.xi, sec0.xi, sec01.xi, sec1.xi)
     target = mu1 / mu0
     spread = float(np.max(np.abs(cr - target)))
     cr_swapped = moebius_cross_ratio(sec0.xi, sec1.xi, xi.xi, sec01.xi)
     swapped_spread = float(np.max(np.abs(cr_swapped - (1.0 - target))))
-    curve0 = sec0.to_curve(m)
-    curve1 = sec1.to_curve(m)
+    curve0 = sec0.to_curve(base.m)
+    curve1 = sec1.to_curve(base.m)
     res_def = parallel_residual(sec01, curve0, mu1)
     res_other = parallel_residual(sec01, curve1, mu0, mod_line=True)
     return QuadReport(
@@ -225,14 +211,13 @@ class BianchiCube:
 
 
 def bianchi_cube(
-    base: PolarizedCurve | LightConeSection,
+    base: PolarizedCurve,
     sec0: LightConeSection,
     sec1: LightConeSection,
     sec2: LightConeSection,
     mu0: float,
     mu1: float,
     mu2: float,
-    m: np.ndarray | None = None,
 ) -> BianchiCube:
     """Three Darboux transforms close into a combinatorial cube.
 
@@ -243,14 +228,12 @@ def bianchi_cube(
     mus = (mu0, mu1, mu2)
     if len(set(mus)) != 3:
         raise GeometryError("cube requires pairwise distinct parameters")
-    if isinstance(base, PolarizedCurve) and m is None:
-        m = base.m
-    face01 = bianchi_quad(base, sec0, sec1, mu0, mu1, m)
-    face02 = bianchi_quad(base, sec0, sec2, mu0, mu2, m)
-    face12 = bianchi_quad(base, sec1, sec2, mu1, mu2, m)
-    route0 = bianchi_quad(sec0, face01, face02, mu1, mu2, m)
-    route1 = bianchi_quad(sec1, face01, face12, mu0, mu2, m)
-    route2 = bianchi_quad(sec2, face02, face12, mu0, mu1, m)
+    face01 = bianchi_quad(base, sec0, sec1, mu0, mu1)
+    face02 = bianchi_quad(base, sec0, sec2, mu0, mu2)
+    face12 = bianchi_quad(base, sec1, sec2, mu1, mu2)
+    route0 = bianchi_quad(sec0, face01, face02, mu1, mu2, base.m)
+    route1 = bianchi_quad(sec1, face01, face12, mu0, mu2, base.m)
+    route2 = bianchi_quad(sec2, face02, face12, mu0, mu1, base.m)
     gaps = (
         mk.projective_gap(route0.xi, route1.xi),
         mk.projective_gap(route0.xi, route2.xi),

@@ -105,25 +105,16 @@ class MixedAreaElement:
         return element_pairing(self.values, other.values, self.metric)
 
 
-def mixed_area(
-    x0,
-    x1,
-    z0,
-    z1,
-    grid: Grid,
-    metric: np.ndarray | None = None,
-) -> MixedAreaElement:
+def mixed_area(x0, x1, z0, z1, grid: Grid) -> MixedAreaElement:
     """Mixed area element (x'_{ij} wedge d_{ij}z + z'_{ij} wedge d_{ij}x) / 2.
 
     ``x0, x1`` and ``z0, z1`` are the two fields on the edge's pair of
-    curves; edge means are f_{ij} = (f_i + f_j)/2 and differences
-    d_{ij}f = f_j - f_i.  The default metric is Euclidean (affine
-    fields); pass the Minkowski metric for lifted fields.
+    curves, lifted to R^{n+1,1}; edge means are f_{ij} = (f_i + f_j)/2
+    and differences d_{ij}f = f_j - f_i.  The wedges use the Minkowski
+    metric of the fields' dimension n + 2.
     """
     x0, x1, z0, z1 = map(_as_field, (x0, x1, z0, z1))
-    d = x0.values.shape[1]
-    if metric is None:
-        metric = np.eye(d)
+    metric = mk.metric_matrix(x0.values.shape[1] - 2)
     xp = 0.5 * (x0.derivative(grid) + x1.derivative(grid))
     zp = 0.5 * (z0.derivative(grid) + z1.derivative(grid))
     dx = x1.values - x0.values
@@ -132,25 +123,20 @@ def mixed_area(
     return MixedAreaElement(values=values, metric=metric)
 
 
-def is_christoffel_pair_mixed_area(
-    x_fields: list,
-    z_fields: list,
-    grid: Grid,
-    metric: np.ndarray | None = None,
-    tol: float = 1e-7,
-) -> tuple[bool, float]:
-    """Vanishing test of all per-edge mixed areas of the two nets."""
+def is_christoffel_pair_mixed_area(x_fields: list, z_fields: list, grid: Grid) -> float:
+    """Worst per-edge mixed-area magnitude of two lifted nets.
+
+    The nets are Christoffel partners where it vanishes.
+    """
     if len(x_fields) != len(z_fields):
         raise DimensionError("the two nets must have the same number of curves")
     if len(x_fields) < 2:
         raise DimensionError("a mixed-area test needs at least one edge")
     residual = 0.0
     for i in range(len(x_fields) - 1):
-        elem = mixed_area(
-            x_fields[i], x_fields[i + 1], z_fields[i], z_fields[i + 1], grid, metric
-        )
+        elem = mixed_area(x_fields[i], x_fields[i + 1], z_fields[i], z_fields[i + 1], grid)
         residual = max(residual, float(np.max(elem.frobenius())))
-    return residual < tol, residual
+    return residual
 
 
 def _cumulative_simpson(f_nodes: np.ndarray, grid: Grid) -> np.ndarray:
@@ -263,17 +249,18 @@ def verify_koenigs(
     z_fields: list,
     nu: list[np.ndarray],
     grid: Grid,
-    metric: np.ndarray | None = None,
 ) -> KoenigsReport:
-    """Certify that z is the Koenigs dual of x with the weights nu."""
+    """Certify that z is the Koenigs dual of x with the weights nu.
+
+    The fields are lifts to R^{n+1,1}; the polarization and edge
+    invariants use the Minkowski metric of their dimension n + 2.
+    """
     if not (len(x_fields) == len(z_fields) == len(nu)):
         raise DimensionError("x, z, and nu must have one entry per curve")
     x_fields = [_as_field(f) for f in x_fields]
     z_fields = [_as_field(f) for f in z_fields]
     nu = [np.asarray(v, dtype=float) for v in nu]
-    d = x_fields[0].values.shape[1]
-    if metric is None:
-        metric = np.eye(d)
+    metric = mk.metric_matrix(x_fields[0].values.shape[1] - 2)
 
     smooth = []
     xprimes = []
@@ -376,16 +363,12 @@ class CqReport:
     smooth: list[float]
     coefficient_spread: tuple[float, float, float]
     h: float
-    h_spread: float
 
     @property
     def max_residual(self) -> float:
         pools = [self.q_constancy, self.orthogonality, *self.coefficient_spread]
         pools += self.edge + self.smooth
         return max(pools)
-
-    def ok(self, tol: float) -> bool:
-        return self.max_residual <= tol
 
 
 def conserved_quantity_residual(
@@ -460,7 +443,6 @@ def conserved_quantity_residual(
     else:
         spread0 = 0.0
     h = -float(np.median(all_zq))
-    h_spread = float(np.max(np.abs(all_zq + h))) / max(abs(h), 1.0)
     return CqReport(
         q_constancy=q_constancy,
         orthogonality=orthogonality,
@@ -468,7 +450,6 @@ def conserved_quantity_residual(
         smooth=smooth,
         coefficient_spread=(spread2, spread1, spread0),
         h=h,
-        h_spread=h_spread,
     )
 
 
@@ -514,20 +495,17 @@ def tangent_congruence(
 
 
 def mean_curvature(
-    surface: SemiDiscreteSurface,
-    congruence: TangentPlaneCongruence,
-    parallel_tol: float = PARALLEL_TOL,
+    surface: SemiDiscreteSurface, congruence: TangentPlaneCongruence
 ) -> np.ndarray:
     """Mixed-area mean curvature H = -A(x,n)/A(x,x), per edge and sample.
 
     The ratio is extracted by projecting A(x,n) onto A(x,x) in the
     induced 2-vector inner product; inputs whose elements are not
-    parallel within ``parallel_tol`` are rejected, as are degenerate
+    parallel within PARALLEL_TOL are rejected, as are degenerate
     edges.
     """
     if len(congruence.fields) != surface.num_layers:
         raise DimensionError("congruence does not match the surface layers")
-    metric = mk.metric_matrix(surface.n)
     grid = surface.grid
     out = np.empty((len(surface.mu), grid.num))
     for i in range(len(surface.mu)):
@@ -536,8 +514,8 @@ def mean_curvature(
         x1 = SampledField(values=lb.xi, prime=lb.xiprime)
         n0 = _as_field(congruence.fields[i])
         n1 = _as_field(congruence.fields[i + 1])
-        a_xx = mixed_area(x0, x1, x0, x1, grid, metric)
-        a_xn = mixed_area(x0, x1, n0, n1, grid, metric)
+        a_xx = mixed_area(x0, x1, x0, x1, grid)
+        a_xn = mixed_area(x0, x1, n0, n1, grid)
         den = a_xx.pairing(a_xx)
         fro = a_xx.frobenius()
         if np.min(np.abs(den)) <= 1e-14 * max(float(np.max(fro)) ** 2, 1.0):
@@ -548,7 +526,7 @@ def mean_curvature(
             a_xn.frobenius(), 1e-300
         )
         worst = float(np.max(mis))
-        if worst > parallel_tol:
+        if worst > PARALLEL_TOL:
             raise NonConjugateError(worst)
         out[i] = -lam
     return out
@@ -560,7 +538,6 @@ class CmcCertificate:
 
     cq: ConservedQuantity
     report: CqReport
-    h_input: float
     h_recovered: float
     c: float
     c_spread: float
@@ -602,7 +579,6 @@ def cmc_linear_cq(
     return CmcCertificate(
         cq=cq,
         report=report,
-        h_input=h,
         h_recovered=report.h,
         c=c,
         c_spread=c_spread,

@@ -181,6 +181,8 @@ def make_line(
     n: int = 2,
     m: np.ndarray | float = 1.0,
 ) -> PolarizedCurve:
+    if n < 1:
+        raise DimensionError(f"lines need n >= 1, got n = {n}")
     d = np.zeros(n) if direction is None else np.asarray(direction, dtype=float)
     if direction is None:
         d[0] = 1.0
@@ -208,19 +210,17 @@ def arc_length_polarization(curve: PolarizedCurve) -> PolarizedCurve:
     return curve.with_polarization(1.0 / curve.speed2)
 
 
-def tractrix_pair(
-    y: PolarizedCurve, mu: float, unit_speed_tol: float = 1e-8
-) -> tuple[PolarizedCurve, PolarizedCurve]:
+def tractrix_pair(y: PolarizedCurve, mu: float) -> tuple[PolarizedCurve, PolarizedCurve]:
     """Darboux pair x± = y ± y'/(2 sqrt(mu)) from an arclength curve.
 
-    The input must be unit speed; the output pair carries the common
-    arc-length polarization m = 1/(x', x') and has constant tangent
-    cross ratio mu/m, separation |x+ - x-| = 1/sqrt(mu).
+    The input must be unit speed to 1e-8; the output pair carries the
+    common arc-length polarization m = 1/(x', x') and has constant
+    tangent cross ratio mu/m, separation |x+ - x-| = 1/sqrt(mu).
     """
     if mu <= 0:
         raise GeometryError("tractrix construction needs mu > 0")
     speed = np.sqrt(y.speed2)
-    if np.max(np.abs(speed - 1.0)) > unit_speed_tol:
+    if np.max(np.abs(speed - 1.0)) > 1e-8:
         raise GeometryError("tractrix construction needs a unit-speed curve")
     ysecond = derivative_samples(y.xprime, y.grid)
     half = 1.0 / (2.0 * np.sqrt(mu))

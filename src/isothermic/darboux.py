@@ -35,7 +35,6 @@ from . import clifford as cl
 from . import minkowski as mk
 from .curves import Grid, PolarizedCurve, cubic_interp, derivative_samples
 from .errors import (
-    DegenerateSecantError,
     DimensionError,
     GeometryError,
     SingularEncounterError,
@@ -43,6 +42,10 @@ from .errors import (
 
 # Relative secant threshold for the Riccati right hand side.
 SECANT_TOL = 1e-12
+
+# Default bound on the relative cross-ratio residuals of a Darboux or
+# Ribaucour certificate.
+CERTIFICATE_TOL = 1e-8
 
 
 @dataclass
@@ -76,16 +79,16 @@ class LightConeSection:
             return self.xiprime
         return derivative_samples(self.xi, self.grid)
 
-    def to_curve(self, m: np.ndarray, on_infinity: str = "error") -> PolarizedCurve:
+    def to_curve(self, m: np.ndarray) -> PolarizedCurve:
         """Project to the affine chart as a polarized curve.
 
         The derivative comes from the quotient rule on (xi, xi'), so no
-        finite-difference error enters when xiprime is analytic.
+        finite-difference error enters when xiprime is analytic.  A
+        section that meets the chart's infinity raises
+        PointAtInfinityError.
         """
         frame = mk.canonical_frame(self.n)
-        pts, finite = mk.affine_point(self.xi, frame, on_infinity=on_infinity)
-        if not np.all(finite):
-            raise GeometryError("section crosses infinity; cannot form an affine curve")
+        pts = mk.affine_point(self.xi)
         w = -mk.inner(self.xi, frame.q)
         xiprime = self.derivative()
         wprime = -mk.inner(xiprime, frame.q)
@@ -140,14 +143,15 @@ def tangent_cross_ratio(x: PolarizedCurve, xhat: PolarizedCurve) -> np.ndarray:
     return cl.geometric_product(a, b, n)
 
 
-def is_ribaucour(x: PolarizedCurve, xhat: PolarizedCurve, tol: float = 1e-8) -> tuple[bool, float]:
+def is_ribaucour(x: PolarizedCurve, xhat: PolarizedCurve) -> tuple[bool, float]:
     """Reality test of the tangent cross ratio.
 
-    Returns (verdict, worst relative non-scalar magnitude).
+    Returns (verdict at CERTIFICATE_TOL, worst relative non-scalar
+    magnitude).
     """
     cr = tangent_cross_ratio(x, xhat)
     residual = _reality_residual(cr)
-    return bool(residual < tol), residual
+    return bool(residual < CERTIFICATE_TOL), residual
 
 
 def _reality_residual(cr_coeffs: np.ndarray) -> float:
@@ -157,20 +161,17 @@ def _reality_residual(cr_coeffs: np.ndarray) -> float:
 
 
 def is_darboux_pair(
-    x: PolarizedCurve,
-    xhat: PolarizedCurve,
-    m: np.ndarray | None = None,
-    tol: float = 1e-8,
+    x: PolarizedCurve, xhat: PolarizedCurve, tol: float = CERTIFICATE_TOL
 ) -> DarbouxFit:
     """Fit the parameter mu of a candidate Darboux pair.
 
-    cr * m must be real and constant; mu is estimated as the median of
-    the per-sample products, robust against a few bad samples.
+    cr * m, with the polarization m of ``x``, must be real and constant;
+    mu is estimated as the median of the per-sample products, robust
+    against a few bad samples.
     """
-    m = x.m if m is None else np.broadcast_to(np.asarray(m, float), (x.grid.num,))
     cr = tangent_cross_ratio(x, xhat)
     reality = _reality_residual(cr)
-    crm = cl.scalar_part(cr) * m
+    crm = cl.scalar_part(cr) * x.m
     mu = float(np.median(crm))
     denom = abs(mu) if abs(mu) > 1e-300 else 1.0
     spread = float(np.max(np.abs(crm - mu)) / denom)
@@ -271,35 +272,26 @@ def connection_matrix(
     return factor[..., None, None] * mk.wedge_matrix(xi, xiprime)
 
 
-def _section_data(source: PolarizedCurve | LightConeSection) -> tuple[Grid, np.ndarray, np.ndarray, np.ndarray | None]:
-    if isinstance(source, PolarizedCurve):
-        sec = euclidean_section(source)
-        return source.grid, sec.xi, sec.xiprime, source.m
-    return source.grid, source.xi, source.derivative(), None
-
-
 def connection_samples(
-    source: PolarizedCurve | LightConeSection,
-    m: np.ndarray | None,
+    section: LightConeSection,
+    m: np.ndarray,
     t: float,
     substeps: int = 1,
 ) -> tuple[np.ndarray, float]:
-    """A(s, t) at every node and half step, plus the effective step.
+    """A(s, t) along a section at every node and half step, and the step.
 
     Nodes keep their exact samples; half steps (and substep nodes) use
     cubic interpolation of the lift, its derivative, and m.
     """
-    grid, xi, xiprime, m_curve = _section_data(source)
-    if m is None:
-        m = m_curve
-    if m is None:
-        raise GeometryError("a polarization m is required alongside a bare section")
+    grid = section.grid
     m = np.broadcast_to(np.asarray(m, dtype=float), (grid.num,))
-    h_eff, (xi_all, xip_all, m_all) = half_step_samples(grid, substeps, xi, xiprime, m)
+    h_eff, (xi_all, xip_all, m_all) = half_step_samples(
+        grid, substeps, section.xi, section.derivative(), m
+    )
     return connection_matrix(xi_all, xip_all, m_all, t), h_eff
 
 
-def lightcone_restore(y: np.ndarray, frame: mk.Frame, eps: float = 1e-8) -> np.ndarray:
+def lightcone_restore(y: np.ndarray, frame: mk.Frame) -> np.ndarray:
     """Project y back onto the light cone exactly.
 
     Subtracts the defect along q, or along o when y is nearly
@@ -308,26 +300,25 @@ def lightcone_restore(y: np.ndarray, frame: mk.Frame, eps: float = 1e-8) -> np.n
     """
     defect = mk.norm2(y)
     wq = mk.inner(y, frame.q)
-    if abs(wq) > eps * np.linalg.norm(y):
+    if abs(wq) > 1e-8 * np.linalg.norm(y):
         return y - (defect / (2.0 * wq)) * frame.q
     wo = mk.inner(y, frame.o)
     return y - (defect / (2.0 * wo)) * frame.o
 
 
 def integrate_parallel_section(
-    source: PolarizedCurve | LightConeSection,
+    source: PolarizedCurve,
     t: float,
     xihat0: np.ndarray,
-    m: np.ndarray | None = None,
     substeps: int = 1,
-    restore: bool = True,
 ) -> LightConeSection:
     """Parallel null section of the family connection at parameter t.
 
     ``xihat0`` may be an affine point of R^n (lifted automatically) or a
     null vector of R^{n+1,1}.  At t = mu the projected section is the
     Darboux transform with parameter mu; the parallel scaling of the
-    output is preserved, only the light-cone defect is corrected.
+    output is preserved, only the light-cone defect is corrected after
+    every step.
     """
     if t == 0.0:
         warnings.warn("t = 0 gives a constant section", stacklevel=2)
@@ -343,7 +334,7 @@ def integrate_parallel_section(
             raise GeometryError("initial section vector is not lightlike")
     else:
         raise DimensionError("initial point must be affine (n,) or a null vector (n+2,)")
-    a_all, h = connection_samples(source, m, t, substeps)
+    a_all, h = connection_samples(euclidean_section(source), source.m, t, substeps)
     num_steps = (len(a_all) - 1) // 2
     out = np.empty((num_steps + 1, n + 2))
     out[0] = y
@@ -353,9 +344,7 @@ def integrate_parallel_section(
         k2 = a_all[j + 1] @ (y + 0.5 * h * k1)
         k3 = a_all[j + 1] @ (y + 0.5 * h * k2)
         k4 = a_all[j + 2] @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if restore:
-            y = lightcone_restore(y, frame)
+        y = lightcone_restore(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), frame)
         out[k + 1] = y
     samples = out[::substeps]
     node_idx = 2 * substeps * np.arange(grid.num)
@@ -365,23 +354,19 @@ def integrate_parallel_section(
 
 def parallel_residual(
     section: LightConeSection,
-    base: PolarizedCurve | LightConeSection,
+    base: PolarizedCurve,
     t: float,
-    m: np.ndarray | None = None,
     mod_line: bool = False,
 ) -> float:
-    """Worst defect of D/ds^t applied to the section.
+    """Worst defect of D/ds^t over ``base`` applied to the section.
 
     With ``mod_line`` the component along the section itself is
     discarded first, which tests the projective (Darboux) property
     rather than exactness of the parallel scaling.
     """
-    grid, xi, xiprime, m_curve = _section_data(base)
-    if m is None:
-        m = m_curve
-    m = np.broadcast_to(np.asarray(m, dtype=float), (grid.num,))
-    a = connection_matrix(xi, xiprime, m, t)
-    deriv = derivative_samples(section.xi, grid)
+    lift = euclidean_section(base)
+    a = connection_matrix(lift.xi, lift.xiprime, base.m, t)
+    deriv = derivative_samples(section.xi, base.grid)
     defect = deriv - np.einsum("kij,kj->ki", a, section.xi)
     if mod_line:
         sec = section.xi
@@ -410,7 +395,7 @@ def verify_gauge_relation(
     curve: PolarizedCurve,
     transform: PolarizedCurve,
     t: float,
-    mu: float | None = None,
+    mu: float,
 ) -> float:
     """Residual of the connection gauge relation along a Darboux pair.
 
@@ -418,11 +403,6 @@ def verify_gauge_relation(
     with G(s) = Gamma_{<xi>}^{<xi^>}(1 - t/mu); the gauge derivative is
     taken by finite differences.  Returns the worst Frobenius defect.
     """
-    if mu is None:
-        fit = is_darboux_pair(curve, transform)
-        if not fit.ok:
-            raise GeometryError("curves do not form a Darboux pair; cannot gauge")
-        mu = fit.mu
     if mu == 0.0 or t == mu:
         raise GeometryError("gauge parameter 1 - t/mu is zero or undefined")
     sec = euclidean_section(curve)

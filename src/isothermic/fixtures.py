@@ -110,6 +110,10 @@ def cmc_round_cylinder(
     """
     if layers < 2:
         raise GeometryError("a cylinder fixture needs at least two circles")
+    if radius <= 0:
+        raise GeometryError("cylinder radius must be positive")
+    if delta == 0:
+        raise GeometryError("layer spacing delta must be nonzero")
     if orientation not in ("inward", "outward"):
         raise GeometryError(f"unknown orientation {orientation!r}")
     grid = grid or default_grid()
@@ -148,6 +152,8 @@ def flat_strip(
     """Parallel lines at equal height steps: a minimal (h = 0) fixture."""
     if layers < 2:
         raise GeometryError("a strip fixture needs at least two lines")
+    if delta == 0:
+        raise GeometryError("layer spacing delta must be nonzero")
     grid = grid or default_grid()
     s = grid.nodes()
     mu = -1.0 / delta**2

@@ -97,47 +97,36 @@ def embed(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, pad], axis=-1)
 
 
-def euclidean_lift(x: np.ndarray, frame: Frame | None = None) -> np.ndarray:
+def euclidean_lift(x: np.ndarray) -> np.ndarray:
     """Null lift o + x + (x,x)/2 q of affine points, normalized to (y, q) = -1."""
     x = np.asarray(x, dtype=float)
-    frame = frame or canonical_frame(x.shape[-1])
+    frame = canonical_frame(x.shape[-1])
     xx = np.sum(x * x, axis=-1)[..., None]
     return frame.o + embed(x) + 0.5 * xx * frame.q
 
 
-def lift_derivative(x: np.ndarray, xprime: np.ndarray, frame: Frame | None = None) -> np.ndarray:
+def lift_derivative(x: np.ndarray, xprime: np.ndarray) -> np.ndarray:
     """Derivative of the Euclidean lift along a curve: x' + (x . x') q."""
     x = np.asarray(x, dtype=float)
     xprime = np.asarray(xprime, dtype=float)
-    frame = frame or canonical_frame(x.shape[-1])
+    q = canonical_frame(x.shape[-1]).q
     xdx = np.sum(x * xprime, axis=-1)[..., None]
-    return embed(xprime) + xdx * frame.q
+    return embed(xprime) + xdx * q
 
 
-def affine_point(
-    xi: np.ndarray,
-    frame: Frame | None = None,
-    tol: float = INFINITY_TOL,
-    on_infinity: str = "error",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Affine representative of null vectors in the chart of ``frame``.
+def affine_point(xi: np.ndarray) -> np.ndarray:
+    """Affine points of R^n represented by null vectors, canonical chart.
 
-    Returns ``(points, finite_mask)``.  With ``on_infinity="error"`` a
-    vanishing pairing (xi, q) raises; with ``"mask"`` the offending
-    samples are returned as NaN and flagged False in the mask.
+    A null line whose pairing (xi, q) with the chart's infinity vanishes
+    (relative to |xi|, below INFINITY_TOL) raises PointAtInfinityError.
     """
     xi = np.asarray(xi, dtype=float)
     n = xi.shape[-1] - 2
-    frame = frame or canonical_frame(n)
-    w = -inner(xi, frame.q)
+    w = -inner(xi, canonical_frame(n).q)
     scale = np.linalg.norm(xi, axis=-1)
-    finite = np.abs(w) > tol * np.maximum(scale, 1e-300)
-    if not np.all(finite):
-        if on_infinity == "error":
-            raise PointAtInfinityError("null line pairs to zero with the chart's infinity")
-        w = np.where(finite, w, np.nan)
-    normalized = xi / w[..., None]
-    return normalized[..., :n], finite
+    if not np.all(np.abs(w) > INFINITY_TOL * np.maximum(scale, 1e-300)):
+        raise PointAtInfinityError("null line pairs to zero with the chart's infinity")
+    return (xi / w[..., None])[..., :n]
 
 
 def wedge_action(xi: np.ndarray, eta: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,14 +204,13 @@ def orthonormal_complement(o2: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return np.stack(basis)
 
 
-def chart_coordinates(points: np.ndarray, frame: Frame, basis: np.ndarray | None = None) -> np.ndarray:
+def chart_coordinates(points: np.ndarray, frame: Frame, basis: np.ndarray) -> np.ndarray:
     """Affine coordinates of null vectors in an arbitrary chart.
 
-    ``basis`` defaults to an orthonormal basis of <o, q>^perp.  For the
-    canonical frame this reproduces ``affine_point``.
+    ``basis`` holds the rows of an orthonormal basis of <o, q>^perp, as
+    ``chart_avoiding`` returns it.  For the canonical frame and the
+    coordinate basis this reproduces ``affine_point``.
     """
-    if basis is None:
-        basis = orthonormal_complement(frame.o, frame.q)
     w = -inner(points, frame.q)
     scale = np.linalg.norm(points, axis=-1)
     if np.any(np.abs(w) <= INFINITY_TOL * np.maximum(scale, 1e-300)):

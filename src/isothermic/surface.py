@@ -119,14 +119,14 @@ def build_surface(
     seed: PolarizedCurve,
     layers: list[tuple[float, np.ndarray]],
     substeps: int = 1,
-    check: bool = True,
     tol: float = 1e-6,
 ) -> SemiDiscreteSurface:
     """Stack Darboux transforms of ``seed`` into a surface.
 
     Each layer is given by (mu, initial point); the next curve is the
-    parallel-section transform of the previous one.  With ``check`` the
-    result is certified isothermic before being returned.
+    parallel-section transform of the previous one.  The result is
+    certified isothermic at ``tol`` before being returned; a failing
+    edge raises VerificationError.
     """
     curves = [seed]
     mu: list[float] = []
@@ -147,12 +147,11 @@ def build_surface(
             raise type(exc)(f"layer {k}: {exc}") from exc
         mu.append(mu_k)
     surface = SemiDiscreteSurface(curves=curves, mu=mu)
-    if check:
-        report = check_isothermic(surface, tol=tol)
-        if not report.ok:
-            raise VerificationError(
-                f"built surface fails the isothermicity check on edges {report.offending}"
-            )
+    report = check_isothermic(surface, tol=tol)
+    if not report.ok:
+        raise VerificationError(
+            f"built surface fails the isothermicity check on edges {report.offending}"
+        )
     return surface
 
 

@@ -123,9 +123,9 @@ def christoffel_darboux_permute(
 class CalapsoFrameField:
     """Sampled trivializing gauge T^t(s) of the connection family.
 
-    ``T`` holds (num, n+2, n+2) matrices with T(s0) equal to the given
-    initial frame; each T(s) preserves the Minkowski form up to the
-    rounding reported by ``metric_drift``.
+    ``T`` holds (num, n+2, n+2) matrices with T(s0) = I; each T(s)
+    preserves the Minkowski form up to the rounding reported by
+    ``metric_drift``.
     """
 
     grid: Grid
@@ -171,11 +171,10 @@ def _expm1_matrices(x: np.ndarray) -> np.ndarray:
 def integrate_calapso(
     source: PolarizedCurve | LightConeSection,
     t: float,
-    T0: np.ndarray | None = None,
     substeps: int = 1,
     m: np.ndarray | None = None,
 ) -> tuple[CalapsoFrameField, LightConeSection]:
-    """Solve T' = -T A(s, t) and return (frame field, transformed curve).
+    """Solve T' = -T A(s, t) from T(s0) = I; return (frames, transformed curve).
 
     Each step is the fourth-order Magnus map T <- T exp(-Omega) with
     Omega = h/6 (A_k + 4 A_(k+1/2) + A_(k+1)) + h^2/12 [A_(k+1), A_k].
@@ -184,30 +183,24 @@ def integrate_calapso(
     curve is the section s -> T(s) xi(s) with the exact derivative
     T (xi' - A xi).
 
-    Accepts a raw light-cone section in place of a curve (with ``m``
-    supplied); the coefficient A only sees the null line, so iterated
+    Accepts a raw light-cone section in place of a curve, with ``m``
+    supplied (a curve brings its own polarization and ``m`` is not
+    read); the coefficient A only sees the null line, so iterated
     transforms should stay in lift form instead of projecting through a
     chart that the intermediate curve may cross at infinity.
     """
     if isinstance(source, PolarizedCurve):
-        sec = euclidean_section(source)
-        grid, n = source.grid, source.n
+        sec, m = euclidean_section(source), source.m
+    elif m is None:
+        raise GeometryError("a polarization m is required alongside a bare section")
     else:
         sec = source
-        grid, n = source.grid, source.n
-        if m is None:
-            raise GeometryError("a polarization m is required alongside a bare section")
-    a_all, h = connection_samples(source, m, t, substeps)
-    d = n + 2
-    if T0 is None:
-        T0 = np.eye(d)
-    T0 = np.asarray(T0, dtype=float)
-    if T0.shape != (d, d):
-        raise DimensionError(f"initial frame must be ({d}, {d})")
+    grid, d = sec.grid, sec.n + 2
+    a_all, h = connection_samples(sec, m, t, substeps)
     num_steps = (len(a_all) - 1) // 2
     out = np.empty((num_steps + 1, d, d))
-    out[0] = T0
-    y = T0
+    y = np.eye(d)
+    out[0] = y
     for k0 in range(0, num_steps, _BLOCK_STEPS):
         k1 = min(k0 + _BLOCK_STEPS, num_steps)
         left = a_all[2 * k0 : 2 * k1 : 2]

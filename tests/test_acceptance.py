@@ -46,6 +46,10 @@ from isothermic.transforms import (
 )
 
 START = np.array([2.0, 0.0])
+# Second and third initial points; a curve in R^n takes the first n entries.
+POINT1 = np.array([0.3, -0.4, 0.5, -0.2])
+POINT2 = np.array([-1.5, 0.2, -0.3, 0.4])
+HIGHER = ["helix-n3", "fourier-n4"]
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -53,20 +57,56 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d} {label}: {detail}"
 
 
-def _route_gap(num: int) -> float:
-    c = make_circle(1.0, Grid(0.0, 1.0, num))
-    par = integrate_parallel_section(c, -2.0, START).to_curve(c.m)
-    ric = integrate_riccati(c, -2.0, START)
+def _fourier_curve_r4(seed: int, grid: Grid) -> PolarizedCurve:
+    """Unit circle in R^4 plus seeded harmonics 2 and 3 in every coordinate."""
+    coef = 0.1 * np.random.default_rng(seed).standard_normal((4, 2, 2))
+    s = grid.nodes()
+    x = np.zeros((grid.num, 4))
+    xp = np.zeros_like(x)
+    x[:, 0], x[:, 1] = np.cos(s), np.sin(s)
+    xp[:, 0], xp[:, 1] = -np.sin(s), np.cos(s)
+    for d in range(4):
+        for j, k in enumerate((2, 3)):
+            a, b = coef[d, j]
+            x[:, d] += a * np.cos(k * s) + b * np.sin(k * s)
+            xp[:, d] += k * (b * np.cos(k * s) - a * np.sin(k * s))
+    return PolarizedCurve(n=4, grid=grid, x=x, xprime=xp, m=np.ones(grid.num))
+
+
+def _higher_curve(name: str, num: int = 1001) -> PolarizedCurve:
+    """A helix in R^3 or a seeded Fourier curve in R^4, on [0, 1]."""
+    grid = Grid(0.0, 1.0, num)
+    if name == "helix-n3":
+        return make_helix(1.0, 0.15, grid)
+    return _fourier_curve_r4(4, grid)
+
+
+def _route_gap(c: PolarizedCurve) -> float:
+    start = 2.0 * c.x[0]
+    par = integrate_parallel_section(c, -2.0, start).to_curve(c.m)
+    ric = integrate_riccati(c, -2.0, start)
     return float(np.max(np.abs(par.x - ric.x)))
 
 
-def test_criterion_01_riccati_linear_system_equivalence():
-    gap = _route_gap(1001)  # h = 1e-3
-    coarse, fine = _route_gap(101), _route_gap(201)
-    ratio = coarse / fine
+def _route_verdict(label, curve_on):
+    """Route gap at N = 1001 (h = 1e-3) and its ratio from N = 101 to 201."""
+    gap = _route_gap(curve_on(1001))
+    ratio = _route_gap(curve_on(101)) / _route_gap(curve_on(201))
     ok = gap < 1e-6 and 12.0 < ratio < 20.0
-    _verdict(1, "riccati/linear-system equivalence", ok,
-             f"gap {gap:.2e}, halving ratio {ratio:.2f}")
+    _verdict(1, label, ok, f"gap {gap:.2e}, halving ratio {ratio:.2f}")
+
+
+def test_criterion_01_riccati_linear_system_equivalence():
+    _route_verdict(
+        "riccati/linear-system equivalence", lambda num: make_circle(1.0, Grid(0.0, 1.0, num))
+    )
+
+
+@pytest.mark.parametrize("name", HIGHER)
+def test_criterion_01_riccati_higher_dimensions(name):
+    _route_verdict(
+        f"riccati/linear-system equivalence ({name})", lambda num: _higher_curve(name, num)
+    )
 
 
 def test_criterion_02_closed_form_darboux_pairs():
@@ -86,10 +126,9 @@ def test_criterion_02_closed_form_darboux_pairs():
              f"concentric spread {conc:.2e}, tractrix spread {trac:.2e}, m gap {m_gap:.2e}")
 
 
-def test_criterion_03_bianchi_quad():
-    c = unit_circle()
-    s0 = integrate_parallel_section(c, -2.0, START)
-    s1 = integrate_parallel_section(c, 1.0, np.array([0.3, -0.4]))
+def _quad_verdict(label, c):
+    s0 = integrate_parallel_section(c, -2.0, 2.0 * c.x[0])
+    s1 = integrate_parallel_section(c, 1.0, POINT1[: c.n])
     quad = bianchi_quad(c, s0, s1, -2.0, 1.0)
     rep = check_quad(c, s0, s1, quad, -2.0, 1.0)
     ok = (
@@ -97,9 +136,18 @@ def test_criterion_03_bianchi_quad():
         and rep.parallel_residual_other < 1e-6
         and rep.cross_ratio_spread < 1e-8
     )
-    _verdict(3, "Bianchi quad closes", ok,
+    _verdict(3, label, ok,
              f"parallel {rep.parallel_residual_defining:.2e}/{rep.parallel_residual_other:.2e}, "
              f"cross-ratio spread {rep.cross_ratio_spread:.2e}")
+
+
+def test_criterion_03_bianchi_quad():
+    _quad_verdict("Bianchi quad closes", unit_circle())
+
+
+@pytest.mark.parametrize("name", HIGHER)
+def test_criterion_03_bianchi_quad_higher_dimensions(name):
+    _quad_verdict(f"Bianchi quad closes ({name})", _higher_curve(name))
 
 
 def test_criterion_04_bigauge_identity():
@@ -138,16 +186,7 @@ def test_criterion_04_bigauge_identity():
              f"{accepted} draws, worst residual {worst:.2e}")
 
 
-def test_criterion_05_cube_consistency():
-    c = unit_circle()
-    rng = np.random.default_rng(11)
-    triples = [(START, np.array([0.3, -0.4]), np.array([-1.5, 0.2]))]
-    for _ in range(10):
-        pts = []
-        for _k in range(3):
-            ang = rng.uniform(0.0, 2.0 * np.pi)
-            pts.append(rng.uniform(1.4, 2.6) * np.array([np.cos(ang), np.sin(ang)]))
-        triples.append(tuple(pts))
+def _cube_verdict(label, c, triples):
     worst = 0.0
     for p0, p1, p2 in triples:
         s0 = integrate_parallel_section(c, -2.0, p0)
@@ -156,7 +195,33 @@ def test_criterion_05_cube_consistency():
         cube = bianchi_cube(c, s0, s1, s2, -2.0, 1.0, 3.0)
         worst = max(worst, float(np.max(cube.route_gaps)))
     ok = worst < 1e-6
-    _verdict(5, "cube routes agree projectively", ok, f"worst gap {worst:.2e}")
+    _verdict(5, label, ok, f"worst gap {worst:.2e}")
+
+
+def test_criterion_05_cube_consistency():
+    c = unit_circle()
+    rng = np.random.default_rng(11)
+    triples = [(START, POINT1[:2], POINT2[:2])]
+    for _ in range(10):
+        pts = []
+        for _k in range(3):
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            pts.append(rng.uniform(1.4, 2.6) * np.array([np.cos(ang), np.sin(ang)]))
+        triples.append(tuple(pts))
+    _cube_verdict("cube routes agree projectively", c, triples)
+
+
+@pytest.mark.parametrize("name", HIGHER)
+def test_criterion_05_cube_higher_dimensions(name):
+    c = _higher_curve(name)
+    rng = np.random.default_rng(11)
+    triples = [(2.0 * c.x[0], POINT1[: c.n], POINT2[: c.n])]
+    for _ in range(10):
+        # three points at radius 1.4..2.6 in random directions of R^n
+        dirs = rng.standard_normal((3, c.n))
+        radii = rng.uniform(1.4, 2.6, size=3)
+        triples.append(tuple(radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)))
+    _cube_verdict(f"cube routes agree projectively ({name})", c, triples)
 
 
 def _calapso_residuals(c, start):
@@ -197,29 +262,9 @@ def test_criterion_06_calapso():
     _calapso_verdict("Calapso transform", _calapso_residuals(unit_circle(), START))
 
 
-def _fourier_curve_r4(seed: int) -> PolarizedCurve:
-    """Unit circle in R^4 plus seeded harmonics 2 and 3 in every coordinate."""
-    grid = Grid(0.0, 1.0, 1001)
-    coef = 0.1 * np.random.default_rng(seed).standard_normal((4, 2, 2))
-    s = grid.nodes()
-    x = np.zeros((grid.num, 4))
-    xp = np.zeros_like(x)
-    x[:, 0], x[:, 1] = np.cos(s), np.sin(s)
-    xp[:, 0], xp[:, 1] = -np.sin(s), np.cos(s)
-    for d in range(4):
-        for j, k in enumerate((2, 3)):
-            a, b = coef[d, j]
-            x[:, d] += a * np.cos(k * s) + b * np.sin(k * s)
-            xp[:, d] += k * (b * np.cos(k * s) - a * np.sin(k * s))
-    return PolarizedCurve(n=4, grid=grid, x=x, xprime=xp, m=np.ones(grid.num))
-
-
-@pytest.mark.parametrize("name", ["helix-n3", "fourier-n4"])
+@pytest.mark.parametrize("name", HIGHER)
 def test_criterion_06_calapso_higher_dimensions(name):
-    if name == "helix-n3":
-        c = make_helix(1.0, 0.15, Grid(0.0, 1.0, 1001))
-    else:
-        c = _fourier_curve_r4(4)
+    c = _higher_curve(name)
     _calapso_verdict(f"Calapso transform ({name})", _calapso_residuals(c, 2.0 * c.x[0]))
 
 
@@ -238,22 +283,19 @@ def test_criterion_07_christoffel():
     _, consistency = surface_christoffel(patch)
     edge_smooth = max(consistency)
 
-    metric = mk.metric_matrix(patch.n)
     x_fields = [
         cmc.SampledField(values=patch.lift(k).xi, prime=patch.lift(k).xiprime)
         for k in range(patch.num_layers)
     ]
-    _, on_dual = cmc.is_christoffel_pair_mixed_area(
-        x_fields, cmc.lifted_christoffel_dual(patch), patch.grid, metric=metric
+    on_dual = cmc.is_christoffel_pair_mixed_area(
+        x_fields, cmc.lifted_christoffel_dual(patch), patch.grid
     )
     affine_dual, _ = surface_christoffel(patch)
     z_fields = [
         cmc.SampledField(values=affine_dual.lift(k).xi, prime=affine_dual.lift(k).xiprime)
         for k in range(affine_dual.num_layers)
     ]
-    _, negative = cmc.is_christoffel_pair_mixed_area(
-        x_fields, z_fields, patch.grid, metric=metric
-    )
+    negative = cmc.is_christoffel_pair_mixed_area(x_fields, z_fields, patch.grid)
 
     ok = dd < 1e-9 and double < 1e-7 and edge_smooth < 1e-7 and on_dual < 1e-7 and negative > 1e-3
     _verdict(7, "Christoffel duality", ok,
@@ -288,9 +330,7 @@ def test_criterion_09_cmc():
             cmc.SampledField(values=surface.lift(k).xi, prime=surface.lift(k).xiprime)
             for k in range(surface.num_layers)
         ]
-        kreport = cmc.verify_koenigs(
-            x_fields, fields, nu, surface.grid, metric=mk.metric_matrix(surface.n)
-        )
+        kreport = cmc.verify_koenigs(x_fields, fields, nu, surface.grid)
         worst["koenigs"] = max(worst["koenigs"], kreport.max_residual)
     ok = (
         worst["spread"] < 1e-8

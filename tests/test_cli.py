@@ -281,6 +281,24 @@ def test_bad_grid_spec_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cmc", "--radius", "0"],
+        ["cmc", "--delta", "0"],
+        ["cmc", "--fixture", "strip", "--delta", "0"],
+        ["curve", "--family", "line", "--n", "0"],
+        ["curve", "--family", "line", "--n", "-1"],
+    ],
+    ids=["cylinder-radius-0", "cylinder-delta-0", "strip-delta-0", "line-n-0", "line-n-negative"],
+)
+def test_out_of_range_numbers_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "curve":
+        argv = argv + ["--out", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _outward_cmc_file(tmp_path):
     path = tmp_path / "outward.json"
     assert main(["cmc", "--orientation", "outward", "--out", str(path)]) == 0

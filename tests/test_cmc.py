@@ -60,22 +60,19 @@ def test_mixed_area_symmetric_in_the_two_nets():
     surface = fix.surface
     x = _lift_fields(surface)
     z = fix.koenigs_fields
-    g = mk.metric_matrix(surface.n)
-    one = cmc.mixed_area(x[0], x[1], z[0], z[1], surface.grid, g)
-    two = cmc.mixed_area(z[0], z[1], x[0], x[1], surface.grid, g)
+    one = cmc.mixed_area(x[0], x[1], z[0], z[1], surface.grid)
+    two = cmc.mixed_area(z[0], z[1], x[0], x[1], surface.grid)
     assert np.max(np.abs(one.values - two.values)) < 1e-12
 
 
 def test_koenigs_dual_kills_mixed_area():
     fix = cmc_round_cylinder()
     surface = fix.surface
-    ok, residual = cmc.is_christoffel_pair_mixed_area(
+    residual = cmc.is_christoffel_pair_mixed_area(
         _lift_fields(surface),
         cmc.lifted_christoffel_dual(surface),
         surface.grid,
-        metric=mk.metric_matrix(surface.n),
     )
-    assert ok
     assert residual < 1e-12
 
 
@@ -85,13 +82,11 @@ def test_affine_dual_lift_is_not_the_mixed_area_partner():
     fix = cmc_round_cylinder()
     surface = fix.surface
     dual, _ = surface_christoffel(surface)
-    ok, residual = cmc.is_christoffel_pair_mixed_area(
+    residual = cmc.is_christoffel_pair_mixed_area(
         _lift_fields(surface),
         _lift_fields(dual),
         surface.grid,
-        metric=mk.metric_matrix(surface.n),
     )
-    assert not ok
     assert residual > 1e-3
 
 
@@ -99,9 +94,7 @@ def test_koenigs_certificate_cylinder():
     fix = cmc_round_cylinder()
     surface = fix.surface
     fields, nu = cmc.koenigs_dual(surface)
-    report = cmc.verify_koenigs(
-        _lift_fields(surface), fields, nu, surface.grid, metric=mk.metric_matrix(surface.n)
-    )
+    report = cmc.verify_koenigs(_lift_fields(surface), fields, nu, surface.grid)
     assert report.max_residual < 1e-10
     for mu in report.recovered_mu:
         assert abs(mu - fix.mu) < 1e-8
@@ -112,9 +105,7 @@ def test_koenigs_certificate_strip():
     fix = flat_strip()
     surface = fix.surface
     fields, nu = cmc.koenigs_dual(surface)
-    report = cmc.verify_koenigs(
-        _lift_fields(surface), fields, nu, surface.grid, metric=mk.metric_matrix(surface.n)
-    )
+    report = cmc.verify_koenigs(_lift_fields(surface), fields, nu, surface.grid)
     assert report.max_residual < 1e-10
     assert abs(report.recovered_mu[0] + 4.0) < 1e-10
 

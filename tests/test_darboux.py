@@ -134,7 +134,7 @@ def test_connection_matrix_is_metric_skew():
 
 def test_connection_substeps_shape():
     c = unit_circle()
-    a_all, h = connection_samples(c, None, -2.0, 2)
+    a_all, h = connection_samples(euclidean_section(c), c.m, -2.0, 2)
     assert len(a_all) == 4 * (c.grid.num - 1) + 1
     assert abs(h - c.grid.h / 2.0) < 1e-15
 

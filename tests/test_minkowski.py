@@ -58,9 +58,8 @@ def test_affine_point_round_trip():
     x = rng.standard_normal((16, 3)) * 1.7
     xi = mk.euclidean_lift(x)
     # scale invariance of the projective point
-    back, finite = mk.affine_point(3.7 * xi)
+    back = mk.affine_point(3.7 * xi)
     assert np.max(np.abs(back - x)) < 1e-12
-    assert np.all(finite)
 
 
 def test_affine_point_at_infinity():
