@@ -748,6 +748,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_darboux(args) -> int:
+    if args.mu == 0.0:
+        raise GeometryError("--mu must be nonzero: mu = 0 gives a constant curve")
     curve = fileio.load_curve(args.infile)
     point = args.init
     if point.shape != (curve.n,):
@@ -783,8 +785,9 @@ def cmd_bianchi(args) -> int:
     if len(mus) not in (2, 3):
         raise GeometryError("bianchi needs 2 (quad) or 3 (cube) mu values")
     points = args.points
-    if points is None:
-        points = [np.array([2.0, 0.0]), np.array([0.3, -0.4]), np.array([-1.5, 0.2])][: len(mus)]
+    if points is None:  # planar defaults, zero-padded to the curve's dimension
+        points = np.zeros((len(mus), max(curve.n, 2)))
+        points[:, :2] = [[2.0, 0.0], [0.3, -0.4], [-1.5, 0.2]][: len(mus)]
     if len(points) != len(mus):
         raise GeometryError(f"need {len(mus)} initial points, got {len(points)}")
     sections = [

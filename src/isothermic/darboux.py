@@ -26,7 +26,6 @@ pair differ by the gauge Gamma(1 - t/mu) along the pair.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,12 +210,12 @@ def integrate_riccati(
 ) -> PolarizedCurve:
     """Darboux transform by integrating the Riccati equation with RK4.
 
-    mu = 0 is allowed (the transform degenerates to a constant curve)
-    but flagged with a warning.  A collapsing secant |x^ - x| raises
+    mu = 0 raises GeometryError: the transform degenerates to a constant
+    curve, which is not immersed.  A collapsing secant |x^ - x| raises
     SingularEncounterError carrying the parameter value.
     """
     if mu == 0.0:
-        warnings.warn("mu = 0 gives a constant Darboux transform", stacklevel=2)
+        raise GeometryError("mu = 0 gives a constant curve, not a Darboux transform")
     xhat0 = np.asarray(xhat0, dtype=float)
     if xhat0.shape != (curve.n,):
         raise DimensionError(f"initial point must be in R^{curve.n}")
@@ -320,8 +319,6 @@ def integrate_parallel_section(
     output is preserved, only the light-cone defect is corrected after
     every step.
     """
-    if t == 0.0:
-        warnings.warn("t = 0 gives a constant section", stacklevel=2)
     grid = source.grid
     n = source.n
     frame = mk.canonical_frame(n)
@@ -409,9 +406,10 @@ def verify_gauge_relation(
     sec_hat = euclidean_section(transform)
     a = connection_matrix(sec.xi, sec.xiprime, curve.m, t)
     a_hat = connection_matrix(sec_hat.xi, sec_hat.xiprime, transform.m, t)
-    gamma = gauge_matrix(sec.xi, sec_hat.xi, np.full(curve.grid.num, 1.0 - t / mu))
+    r = 1.0 - t / mu
+    gamma = gauge_matrix(sec.xi, sec_hat.xi, r)
     gamma_prime = derivative_samples(gamma, curve.grid)
-    gamma_inv = np.linalg.inv(gamma)
+    gamma_inv = gauge_matrix(sec.xi, sec_hat.xi, 1.0 / r)
     lhs = a_hat
     rhs = gamma_prime @ gamma_inv + gamma @ a @ gamma_inv
     return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))))

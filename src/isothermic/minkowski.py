@@ -144,12 +144,10 @@ def wedge_matrix(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     )
 
 
-def orthogonality_residual(t: np.ndarray) -> float:
-    """Deviation of T from preserving the form: max |T^t G T - G|."""
-    t = np.asarray(t, dtype=float)
-    g = metric_matrix(t.shape[-1] - 2)
-    gram = np.swapaxes(t, -1, -2) @ g @ t
-    return float(np.max(np.abs(gram - g)))
+def orthogonal_inverse(t: np.ndarray) -> np.ndarray:
+    """G T^t G, the inverse of T in O(n+1,1), batched over leading axes."""
+    g = metric_diagonal(np.shape(t)[-1] - 2)
+    return g[:, None] * np.swapaxes(t, -1, -2) * g
 
 
 def line_projection(v: np.ndarray, xi: np.ndarray, xihat: np.ndarray) -> np.ndarray:

@@ -36,7 +36,12 @@ from .errors import (
     SingularEncounterError,
     VerificationError,
 )
-from .transforms import christoffel_dual, integrate_calapso
+from .transforms import (
+    CalapsoFrameField,
+    _constancy_residual,
+    christoffel_dual,
+    integrate_calapso,
+)
 
 __all__ = [
     "SemiDiscreteSurface",
@@ -333,6 +338,14 @@ def _check_spectral_parameter(surface: SemiDiscreteSurface, t: float) -> None:
             )
 
 
+def _edge_gauges(surface: SemiDiscreteSurface, t: float) -> list[np.ndarray]:
+    """Edge maps Gamma_{<x_(i+1)>}^{<x_i>}(1 - t/mu_i) of the family at t."""
+    return [
+        gauge_matrix(surface.lift(i + 1).xi, surface.lift(i).xi, 1.0 - t / mu_i)
+        for i, mu_i in enumerate(surface.mu)
+    ]
+
+
 def surface_connection(surface: SemiDiscreteSurface, t: float) -> SurfaceConnection:
     """Edge gauge maps and curve coefficients at parameter t, certified flat."""
     _check_spectral_parameter(surface, t)
@@ -340,16 +353,12 @@ def surface_connection(surface: SemiDiscreteSurface, t: float) -> SurfaceConnect
         connection_matrix(surface.lift(k).xi, surface.lift(k).xiprime, c.m, t)
         for k, c in enumerate(surface.curves)
     ]
-    edge_maps = []
-    flatness = []
-    for i, mu_i in enumerate(surface.mu):
-        r = 1.0 - t / mu_i
-        edge_maps.append(gauge_matrix(surface.lift(i + 1).xi, surface.lift(i).xi, r))
-        flatness.append(
-            verify_gauge_relation(surface.curves[i], surface.curves[i + 1], t, mu_i)
-        )
+    flatness = [
+        verify_gauge_relation(surface.curves[i], surface.curves[i + 1], t, mu_i)
+        for i, mu_i in enumerate(surface.mu)
+    ]
     return SurfaceConnection(
-        t=t, edge_maps=edge_maps, coefficients=coefficients, flatness=flatness
+        t=t, edge_maps=_edge_gauges(surface, t), coefficients=coefficients, flatness=flatness
     )
 
 
@@ -371,23 +380,21 @@ def surface_darboux(
     _check_spectral_parameter(surface, mu)
     section = integrate_parallel_section(surface.curves[0], mu, point, substeps=substeps)
     sections = [section]
-    for i, mu_i in enumerate(surface.mu):
-        r = 1.0 - mu / mu_i
-        carry = gauge_matrix(surface.lift(i + 1).xi, surface.lift(i).xi, 1.0 / r)
-        xi_next = np.einsum("kab,kb->ka", carry, sections[i].xi)
+    for i, gamma in enumerate(_edge_gauges(surface, mu)):
+        xi_next = np.einsum("kab,kb->ka", mk.orthogonal_inverse(gamma), sections[i].xi)
         sections.append(LightConeSection(grid=surface.grid, xi=xi_next))
     curves = [sec.to_curve(surface.m) for sec in sections]
     return SemiDiscreteSurface(curves=curves, mu=list(surface.mu))
 
 
-def _chain_frames(surface: SemiDiscreteSurface, t: float, substeps: int) -> list[np.ndarray]:
+def _chain_frames(
+    surface: SemiDiscreteSurface, t: float, substeps: int
+) -> list[CalapsoFrameField]:
     """Trivializing frames per layer: T_0 integrated, then pushed by edge maps."""
     frames, _ = integrate_calapso(surface.curves[0], t, substeps=substeps)
-    chain = [frames.T]
-    for i, mu_i in enumerate(surface.mu):
-        r = 1.0 - t / mu_i
-        gmap = gauge_matrix(surface.lift(i + 1).xi, surface.lift(i).xi, r)
-        chain.append(np.einsum("kab,kbc->kac", chain[i], gmap))
+    chain = [frames]
+    for gamma in _edge_gauges(surface, t):
+        chain.append(CalapsoFrameField(grid=surface.grid, t=t, T=chain[-1].T @ gamma))
     return chain
 
 
@@ -403,11 +410,7 @@ def surface_calapso(
     for k, curve in enumerate(surface.curves):
         lift = surface.lift(k)
         a_nodes = connection_matrix(lift.xi, lift.xiprime, curve.m, t)
-        covariant = lift.xiprime - np.einsum("kab,kb->ka", a_nodes, lift.xi)
-        xi = np.einsum("kab,kb->ka", chain[k], lift.xi)
-        xiprime = np.einsum("kab,kb->ka", chain[k], covariant)
-        section = LightConeSection(grid=surface.grid, xi=xi, xiprime=xiprime)
-        curves.append(section.to_curve(surface.m))
+        curves.append(chain[k].move(lift, a_nodes).to_curve(surface.m))
     return SemiDiscreteSurface(curves=curves, mu=[v - t for v in surface.mu])
 
 
@@ -428,9 +431,7 @@ def calapso_trivialization_residuals(
     residuals = []
     for j in range(1, surface.num_layers):
         direct, _ = integrate_calapso(surface.curves[j], t, substeps=substeps)
-        m_stack = np.einsum("kab,kbc->kac", chain[j], np.linalg.inv(direct.T))
-        scale = max(float(np.linalg.norm(m_stack[0])), 1e-300)
-        residuals.append(float(np.max(np.linalg.norm(m_stack - m_stack[0], axis=(1, 2)))) / scale)
+        residuals.append(_constancy_residual(chain[j].T @ direct.inverse()))
     return residuals
 
 

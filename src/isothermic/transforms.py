@@ -16,7 +16,9 @@ The Calapso transformation trivializes the connection family: the
 orthogonal frame field T^t solves T' = -T A(s, t), and <T^t xi> is a
 new curve in the conformal sphere.  Since A lies in so(n+1,1), T is
 advanced by fourth-order Magnus steps, exponentials of Lie-algebra
-elements, so it stays in O(n+1,1) without repair.  Composition, the
+elements, so it stays in O(n+1,1) without repair and is inverted in
+closed form, T^{-1} = G T^t G.  Sections move through the frame field,
+y -> T y with the exact derivative T (y' - A y).  Composition, the
 intertwining with the Darboux gauge, and permutability with Darboux
 transforms are all verified as s-constancy of comparison maps (the
 statements hold up to a global Moebius transformation).
@@ -48,7 +50,7 @@ def christoffel_dual(
     anchor: np.ndarray | None = None,
     substeps: int = 1,
 ) -> PolarizedCurve:
-    """Christoffel dual by RK4 integration of (x*)' = x'/(m |x'|^2).
+    """Christoffel dual by Simpson's rule on (x*)' = x'/(m |x'|^2).
 
     The dual is defined up to translation; ``anchor`` fixes x*(s0)
     (default: origin).  The polarization is inherited unchanged.
@@ -65,16 +67,9 @@ def christoffel_dual(
     if np.any(np.sign(m_all) != np.sign(m_all[0])):
         raise PolarizationError("polarization changes sign inside the interval")
     rhs_all = inverse_tangent(xp_all, m_all)
-
-    num_steps = (curve.grid.num - 1) * substeps
-    out = np.empty((num_steps + 1, curve.n))
-    out[0] = anchor
-    y = anchor
-    for k in range(num_steps):
-        j = 2 * k
-        # RHS is independent of the state; RK4 degenerates to Simpson.
-        y = y + (h_eff / 6.0) * (rhs_all[j] + 4.0 * rhs_all[j + 1] + rhs_all[j + 2])
-        out[k + 1] = y
+    # RHS is independent of the state; RK4 degenerates to Simpson.
+    increments = (h_eff / 6.0) * (rhs_all[:-2:2] + 4.0 * rhs_all[1::2] + rhs_all[2::2])
+    out = np.cumsum(np.concatenate([anchor[None], increments]), axis=0)
     return PolarizedCurve(
         n=curve.n,
         grid=curve.grid,
@@ -125,7 +120,7 @@ class CalapsoFrameField:
 
     ``T`` holds (num, n+2, n+2) matrices with T(s0) = I; each T(s)
     preserves the Minkowski form up to the rounding reported by
-    ``metric_drift``.
+    ``metric_drift``, so it is inverted in closed form.
     """
 
     grid: Grid
@@ -137,7 +132,28 @@ class CalapsoFrameField:
         return self.T.shape[-1] - 2
 
     def metric_drift(self) -> float:
-        return mk.orthogonality_residual(self.T)
+        """max|T^t G T - G| = max|T^{-1} T - I|, relative to max(1, max|T|^2)."""
+        residual = np.max(np.abs(self.inverse() @ self.T - np.eye(self.n + 2)))
+        return float(residual) / max(1.0, float(np.max(np.abs(self.T))) ** 2)
+
+    def inverse(self) -> np.ndarray:
+        """T(s)^{-1} = G T(s)^t G per sample, exact on O(n+1,1)."""
+        return mk.orthogonal_inverse(self.T)
+
+    def act(self, y: np.ndarray) -> np.ndarray:
+        """T(s) y(s) per sample."""
+        return np.einsum("kij,kj->ki", self.T, y)
+
+    def move(self, section: LightConeSection, a_nodes: np.ndarray) -> LightConeSection:
+        """The section s -> T(s) y(s), with the exact derivative T (y' - A y).
+
+        ``a_nodes`` holds the coefficient A(s, t) of the connection these
+        frames trivialize, at the grid nodes.
+        """
+        covariant = section.derivative() - np.einsum("kij,kj->ki", a_nodes, section.xi)
+        return LightConeSection(
+            grid=self.grid, xi=self.act(section.xi), xiprime=self.act(covariant)
+        )
 
 
 # Steps whose maps are built together: the temporaries stay a few hundred
@@ -213,13 +229,7 @@ def integrate_calapso(
             y = y + y @ e
             out[k] = y
     frames = CalapsoFrameField(grid=grid, t=t, T=out[::substeps].copy())
-    node_idx = 2 * substeps * np.arange(grid.num)
-    xi_new = np.einsum("kij,kj->ki", frames.T, sec.xi)
-    xiprime = sec.derivative()
-    covariant = xiprime - np.einsum("kij,kj->ki", a_all[node_idx], sec.xi)
-    xiprime_new = np.einsum("kij,kj->ki", frames.T, covariant)
-    section = LightConeSection(grid=grid, xi=xi_new, xiprime=xiprime_new)
-    return frames, section
+    return frames, frames.move(sec, a_all[:: 2 * substeps])
 
 
 def calapso_curve(curve: PolarizedCurve, t: float, substeps: int = 1) -> PolarizedCurve:
@@ -241,7 +251,7 @@ def transported_section_drift(
     constant; the returned number is the worst projective gap from the
     initial line.
     """
-    moved = np.einsum("kij,kj->ki", frames.T, section.xi)
+    moved = frames.act(section.xi)
     return mk.projective_gap(moved, np.broadcast_to(moved[0], moved.shape))
 
 
@@ -268,8 +278,7 @@ def verify_calapso_composition(
     frames_tau, section_tau = integrate_calapso(curve, tau, substeps=substeps)
     frames_t, _ = integrate_calapso(section_tau, t, substeps=substeps, m=curve.m)
     frames_sum, _ = integrate_calapso(curve, tau + t, substeps=substeps)
-    prod = frames_t.T @ frames_tau.T @ np.linalg.inv(frames_sum.T)
-    return _constancy_residual(prod)
+    return _constancy_residual(frames_t.T @ frames_tau.T @ frames_sum.inverse())
 
 
 def verify_calapso_intertwine(
@@ -288,13 +297,8 @@ def verify_calapso_intertwine(
         raise GeometryError("t = mu degenerates the pair gauge")
     frames, _ = integrate_calapso(curve, t, substeps=substeps)
     frames_hat, _ = integrate_calapso(transform, t, substeps=substeps)
-    sec = euclidean_section(curve)
-    sec_hat = euclidean_section(transform)
-    gamma = gauge_matrix(
-        sec.xi, sec_hat.xi, np.full(curve.grid.num, 1.0 - t / mu)
-    )
-    prod = frames_hat.T @ gamma @ np.linalg.inv(frames.T)
-    return _constancy_residual(prod)
+    gamma = gauge_matrix(mk.euclidean_lift(curve.x), mk.euclidean_lift(transform.x), 1.0 - t / mu)
+    return _constancy_residual(frames_hat.T @ gamma @ frames.inverse())
 
 
 def calapso_darboux_permute(
@@ -315,14 +319,7 @@ def calapso_darboux_permute(
     if tau == 0.0:
         return curve, transform
     frames, section = integrate_calapso(curve, tau, substeps=substeps)
-    new_base = section.to_curve(curve.m)
-    sec_hat = euclidean_section(transform)
-    moved = np.einsum("kij,kj->ki", frames.T, sec_hat.xi)
-    # (T xihat)' = T (xihat' - A xihat) with A the base-curve coefficient.
     sec = euclidean_section(curve)
     a_nodes = connection_matrix(sec.xi, sec.xiprime, curve.m, tau)
-    covariant = sec_hat.xiprime - np.einsum("kij,kj->ki", a_nodes, sec_hat.xi)
-    moved_prime = np.einsum("kij,kj->ki", frames.T, covariant)
-    hat_section = LightConeSection(grid=curve.grid, xi=moved, xiprime=moved_prime)
-    new_hat = hat_section.to_curve(transform.m)
-    return new_base, new_hat
+    moved_hat = frames.move(euclidean_section(transform), a_nodes)
+    return section.to_curve(curve.m), moved_hat.to_curve(transform.m)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through main()."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,28 @@ def test_bianchi_cube_routes(tmp_path, capsys):
     rc = main(["bianchi", "--in", str(src), "--mu", "-2,1,3"])
     assert rc == 0
     assert "route" in capsys.readouterr().out
+
+
+def test_bianchi_pads_default_points_to_curve_dimension(tmp_path, capsys):
+    src = tmp_path / "helix.json"
+    argv = ["curve", "--family", "helix", "--pitch", "0.2", "--grid", "0:1:1001"]
+    assert main(argv + ["--out", str(src)]) == 0
+    assert main(["bianchi", "--in", str(src), "--mu", "-2,1,3"]) == 0
+    gap = re.search(r"^max gap: (\S+)$", capsys.readouterr().out, re.M)
+    assert float(gap.group(1)) < 1e-10
+
+
+def test_darboux_rejects_zero_mu_with_one_error_line(tmp_path, capsys):
+    src = _curve_file(tmp_path)
+    capsys.readouterr()
+    for route in ("parallel", "riccati"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["darboux", "--in", str(src), "--mu", "0", "--init", "2,0", "--route", route])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "--mu" in err
 
 
 def test_surface_build_check_moutard(tmp_path, capsys):

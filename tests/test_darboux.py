@@ -33,9 +33,13 @@ from isothermic.errors import DimensionError, GeometryError
 from isothermic.fixtures import concentric_pair, tractrix_circle_pair, unit_circle
 
 
-def _route_agreement(num: int) -> float:
+# Polarizations of either sign that the Darboux routes must agree for.
+POLARIZATIONS = (1.0, -1.0, -0.5)
+
+
+def _route_agreement(num: int, m: float) -> float:
     grid = Grid(0.0, 1.0, num)
-    c = make_circle(1.0, grid)
+    c = make_circle(1.0, grid).with_polarization(m)
     p0 = np.array([2.0, 0.0])
     riccati = integrate_riccati(c, -2.0, p0)
     section = integrate_parallel_section(c, -2.0, mk.euclidean_lift(p0))
@@ -44,12 +48,14 @@ def _route_agreement(num: int) -> float:
 
 
 def test_riccati_matches_parallel_section():
-    assert _route_agreement(1001) < 1e-10
+    for m in POLARIZATIONS:
+        assert _route_agreement(1001, m) < 1e-10
 
 
 def test_route_agreement_fourth_order():
-    ratio = _route_agreement(101) / _route_agreement(201)
-    assert 12.0 < ratio < 20.0
+    for m in POLARIZATIONS:
+        ratio = _route_agreement(101, m) / _route_agreement(201, m)
+        assert 12.0 < ratio < 20.0
 
 
 def test_concentric_circles_cross_ratio():

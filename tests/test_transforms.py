@@ -32,6 +32,9 @@ from isothermic.transforms import (
     verify_calapso_intertwine,
 )
 
+# Polarizations of either sign that the Calapso certificates must hold for.
+POLARIZATIONS = (1.0, -1.0, -0.5)
+
 
 def test_metric_drift_small():
     c = unit_circle()
@@ -39,6 +42,7 @@ def test_metric_drift_small():
     G = mk.metric_matrix(c.n)
     gram = np.einsum("kia,ij,kjb->kab", frames.T, G, frames.T)
     assert np.max(np.abs(gram - G)) < 1e-10
+    assert np.max(np.abs(frames.T @ frames.inverse() - np.eye(c.n + 2))) < 1e-10
 
 
 def test_calapso_frame_converges_at_fourth_order():
@@ -59,6 +63,14 @@ def test_metric_drift_stays_at_rounding_without_repair(substeps):
     assert frames.metric_drift() < TOLERANCES["calapso-metric-drift"]
 
 
+def test_metric_drift_is_relative_to_frame_size():
+    # Frame entries reach 5.4e7 here; the absolute defect max|T^t G T - G|
+    # reads 3e2, which is rounding relative to |T|^2.
+    frames, _ = integrate_calapso(make_helix(1.0, 0.2, Grid(0.0, 20.0, 20001)), 0.4)
+    assert np.max(np.abs(frames.T)) > 1e7
+    assert frames.metric_drift() < TOLERANCES["calapso-metric-drift"]
+
+
 def test_transported_darboux_section_is_constant():
     c = unit_circle()
     section = integrate_parallel_section(c, -2.0, mk.euclidean_lift(np.array([2.0, 0.0])))
@@ -74,14 +86,19 @@ def test_transported_drift_flags_wrong_parameter():
 
 
 def test_calapso_composition():
-    c = unit_circle()
-    assert verify_calapso_composition(c, 0.4, 0.3) < 1e-10
+    for m in POLARIZATIONS:
+        c = unit_circle().with_polarization(m)
+        assert verify_calapso_composition(c, 0.4, 0.3) < 1e-10
 
 
 def test_calapso_intertwine():
-    c = unit_circle()
-    hat = integrate_riccati(c, -2.0, np.array([2.0, 0.0]))
-    assert verify_calapso_intertwine(c, hat, -2.0, 0.5) < 1e-10
+    # At m = -0.5 the residual is an h^4 truncation of 1.4e-10 on this
+    # grid (16x smaller per halving), so the check's tolerance applies.
+    for m in POLARIZATIONS:
+        c = unit_circle().with_polarization(m)
+        hat = integrate_riccati(c, -2.0, np.array([2.0, 0.0]))
+        residual = verify_calapso_intertwine(c, hat, -2.0, 0.5)
+        assert residual < TOLERANCES["calapso-intertwine"]
 
 
 def test_calapso_parameter_shift():
