@@ -31,11 +31,8 @@ def describe(fix, title):
     print(f"  |z|^2 = 1 drift: {cert.z_norm_spread:.2e}")
 
     fields, nu = cmc.koenigs_dual(surface)
-    x_fields = [
-        cmc.SampledField(values=surface.lift(k).xi, prime=surface.lift(k).xiprime)
-        for k in range(surface.num_layers)
-    ]
-    kreport = cmc.verify_koenigs(x_fields, fields, nu, surface.grid)
+    x_fields = [surface.lift(k) for k in range(surface.num_layers)]
+    kreport = cmc.verify_koenigs(x_fields, fields, nu)
     print(f"  koenigs duality residual: {kreport.max_residual:.2e}, "
           f"recovered mu {np.round(kreport.recovered_mu, 9)}")
 

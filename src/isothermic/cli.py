@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bianchi, clifford, cmc, fileio, fixtures, minkowski as mk, transforms
-from .curves import Grid, PolarizedCurve, make_circle, make_curve
+from .curves import Grid, PolarizedCurve, from_samples, make_circle, make_curve
 from .darboux import (
     euclidean_section,
     integrate_parallel_section,
@@ -291,13 +291,6 @@ class FixturePool:
 # ----------------------------------------------------------------- suites
 
 
-def _lift_fields(surface: SemiDiscreteSurface) -> list[cmc.SampledField]:
-    return [
-        cmc.SampledField(surface.lift(i).xi, surface.lift(i).xiprime)
-        for i in range(surface.num_layers)
-    ]
-
-
 def _darboux_agreement(N: int) -> float:
     grid = Grid(0.0, 1.0, N)
     c = make_circle(1.0, grid)
@@ -389,10 +382,12 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
 
     checks.run("riccati-parallel-order", "unit-circle", order)
 
+    # The Riccati output's own derivative is the ODE right-hand side, for
+    # which the cross ratio is real by algebra; certify the positions.
     checks.run(
         "darboux-ribaucour-contact",
         "unit-circle",
-        lambda: is_ribaucour(c, riccati)[1],
+        lambda: is_ribaucour(c, from_samples(riccati.x, c.grid, c.m))[1],
     )
 
     a, b = pool.get("concentric")
@@ -563,41 +558,26 @@ def _suite_christoffel(checks: Checks, rng: np.random.Generator, ctx) -> None:
     dual_surface, consistency = surface_christoffel(patch)
     checks.run("dual-edge-smooth", "cylinder-patch", lambda: max(consistency))
 
-    x_fields = _lift_fields(patch)
+    x_fields = [patch.lift(k) for k in range(patch.num_layers)]
     checks.run(
         "mixed-area-dual",
         "cylinder-patch",
-        lambda: cmc.is_christoffel_pair_mixed_area(
-            x_fields, cmc.lifted_christoffel_dual(patch), patch.grid
-        ),
+        lambda: cmc.is_christoffel_pair_mixed_area(x_fields, cmc.lifted_christoffel_dual(patch)),
     )
     checks.run(
         "mixed-area-negative",
         "cylinder-patch",
         lambda: cmc.is_christoffel_pair_mixed_area(
-            x_fields, _lift_fields(dual_surface), patch.grid
+            x_fields, [dual_surface.lift(k) for k in range(dual_surface.num_layers)]
         ),
     )
-
-
-def _edge_residual(edge: EdgeReport) -> float:
-    """Worst certificate residual of one edge.
-
-    nu_residual is None where m (x', x') < 0 makes the factorization check
-    inapplicable; the edge is then judged on the other residuals, as
-    ``EdgeReport.ok`` does.
-    """
-    residuals = [edge.spread, edge.reality, edge.mu_defect]
-    if edge.nu_residual is not None:
-        residuals.append(edge.nu_residual)
-    return max(residuals)
 
 
 def _edge_checks(checks: Checks, surface: SemiDiscreteSurface) -> list[EdgeReport]:
     """One surface-isothermic row per edge, at 'edge k'."""
     edges = check_isothermic(surface).edges
     for k, edge in enumerate(edges):
-        checks.run("surface-isothermic", f"edge {k}", lambda e=edge: _edge_residual(e))
+        checks.run("surface-isothermic", f"edge {k}", lambda e=edge: e.residual)
     return edges
 
 
@@ -605,7 +585,7 @@ def _isothermic_check(checks: Checks, surface: SemiDiscreteSurface, where: str) 
     checks.run(
         "surface-isothermic",
         where,
-        lambda: max(_edge_residual(e) for e in check_isothermic(surface).edges),
+        lambda: max(e.residual for e in check_isothermic(surface).edges),
     )
 
 
@@ -671,7 +651,7 @@ def _cmc_checks(checks: Checks, fx: fixtures.CmcFixture, where: str):
             "cmc-koenigs",
             where,
             lambda: cmc.verify_koenigs(
-                _lift_fields(surface), fields, nu, surface.grid
+                [surface.lift(k) for k in range(surface.num_layers)], fields, nu
             ).max_residual,
         )
     return curvature, certificate
@@ -786,6 +766,8 @@ def cmd_bianchi(args) -> int:
         raise GeometryError("bianchi needs 2 (quad) or 3 (cube) mu values")
     points = args.points
     if points is None:  # planar defaults, zero-padded to the curve's dimension
+        if curve.n < 2:
+            raise GeometryError(f"the default points are planar; give --points in R^{curve.n}")
         points = np.zeros((len(mus), max(curve.n, 2)))
         points[:, :2] = [[2.0, 0.0], [0.3, -0.4], [-1.5, 0.2]][: len(mus)]
     if len(points) != len(mus):

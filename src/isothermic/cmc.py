@@ -1,14 +1,17 @@
 """Mixed areas, Koenigs duality, and linear conserved quantities.
 
-Everything here works on sampled vector fields over the layered curves
-of a semi-discrete surface: mixed-area elements per edge, the lifted
-Christoffel (Koenigs) duality that makes them vanish, tangent plane
-congruences, the mixed-area mean curvature, and the linear conserved
-quantity z t + q whose existence characterizes constant mean curvature.
+Everything here works on ``LightConeSection``s, sampled fields in
+R^{n+1,1} with their grid and an optional exact derivative, one per
+layered curve of a semi-discrete surface (``surface.lift(k)`` for the
+surface itself): mixed-area elements per edge, the lifted Christoffel
+(Koenigs) duality that makes them vanish, tangent plane congruences,
+the mixed-area mean curvature, and the linear conserved quantity
+z t + q whose existence characterizes constant mean curvature.
 
 Mixed-area 2-vectors are represented by their skew action matrices
-M y = (a, y) b - (b, y) a; the induced pairing on 2-vectors is then
-tr(G M_A^T G M_B) / 2, which reproduces (a,c)(b,d) - (a,d)(b,c).
+M y = (a, y) b - (b, y) a, ``minkowski.wedge_matrix(a, b)``; the
+induced pairing on 2-vectors is then tr(G M_A^T G M_B) / 2, which
+reproduces (a,c)(b,d) - (a,d)(b,c).
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import minkowski as mk
-from .curves import Grid, cubic_interp, derivative_samples
+from .curves import derivative_samples
+from .darboux import LightConeSection, half_step_samples, simpson_cumulative
 from .errors import (
     DegenerateEdgeError,
     DimensionError,
@@ -30,7 +34,6 @@ from .surface import SemiDiscreteSurface
 
 __all__ = [
     "PARALLEL_TOL",
-    "SampledField",
     "MixedAreaElement",
     "mixed_area",
     "is_christoffel_pair_mixed_area",
@@ -41,7 +44,6 @@ __all__ = [
     "ConservedQuantity",
     "CqReport",
     "conserved_quantity_residual",
-    "TangentPlaneCongruence",
     "tangent_congruence",
     "mean_curvature",
     "CmcCertificate",
@@ -50,39 +52,6 @@ __all__ = [
 
 PARALLEL_TOL = 1e-6
 CONGRUENCE_TOL = 1e-10
-
-
-@dataclass
-class SampledField:
-    """Vector samples along the grid, with an optional exact derivative."""
-
-    values: np.ndarray
-    prime: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.prime is not None:
-            self.prime = np.asarray(self.prime, dtype=float)
-            if self.prime.shape != self.values.shape:
-                raise DimensionError("field derivative shape does not match values")
-
-    def derivative(self, grid: Grid) -> np.ndarray:
-        if self.prime is not None:
-            return self.prime
-        return derivative_samples(self.values, grid)
-
-
-def _as_field(f) -> SampledField:
-    if isinstance(f, SampledField):
-        return f
-    return SampledField(values=np.asarray(f, dtype=float))
-
-
-def wedge_element(a: np.ndarray, b: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Skew action matrices of a wedge b per sample row."""
-    ga = a @ metric
-    gb = b @ metric
-    return np.einsum("kr,kc->krc", b, ga) - np.einsum("kr,kc->krc", a, gb)
 
 
 def element_pairing(a_vals: np.ndarray, b_vals: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -105,25 +74,27 @@ class MixedAreaElement:
         return element_pairing(self.values, other.values, self.metric)
 
 
-def mixed_area(x0, x1, z0, z1, grid: Grid) -> MixedAreaElement:
+def mixed_area(
+    x0: LightConeSection, x1: LightConeSection, z0: LightConeSection, z1: LightConeSection
+) -> MixedAreaElement:
     """Mixed area element (x'_{ij} wedge d_{ij}z + z'_{ij} wedge d_{ij}x) / 2.
 
     ``x0, x1`` and ``z0, z1`` are the two fields on the edge's pair of
-    curves, lifted to R^{n+1,1}; edge means are f_{ij} = (f_i + f_j)/2
-    and differences d_{ij}f = f_j - f_i.  The wedges use the Minkowski
-    metric of the fields' dimension n + 2.
+    curves; edge means are f_{ij} = (f_i + f_j)/2 and differences
+    d_{ij}f = f_j - f_i.  The wedges use the Minkowski metric of the
+    fields' dimension n + 2.
     """
-    x0, x1, z0, z1 = map(_as_field, (x0, x1, z0, z1))
-    metric = mk.metric_matrix(x0.values.shape[1] - 2)
-    xp = 0.5 * (x0.derivative(grid) + x1.derivative(grid))
-    zp = 0.5 * (z0.derivative(grid) + z1.derivative(grid))
-    dx = x1.values - x0.values
-    dz = z1.values - z0.values
-    values = 0.5 * (wedge_element(xp, dz, metric) + wedge_element(zp, dx, metric))
-    return MixedAreaElement(values=values, metric=metric)
+    xp = 0.5 * (x0.derivative() + x1.derivative())
+    zp = 0.5 * (z0.derivative() + z1.derivative())
+    dx = x1.xi - x0.xi
+    dz = z1.xi - z0.xi
+    values = 0.5 * (mk.wedge_matrix(xp, dz) + mk.wedge_matrix(zp, dx))
+    return MixedAreaElement(values=values, metric=mk.metric_matrix(x0.n))
 
 
-def is_christoffel_pair_mixed_area(x_fields: list, z_fields: list, grid: Grid) -> float:
+def is_christoffel_pair_mixed_area(
+    x_fields: list[LightConeSection], z_fields: list[LightConeSection]
+) -> float:
     """Worst per-edge mixed-area magnitude of two lifted nets.
 
     The nets are Christoffel partners where it vanishes.
@@ -134,22 +105,12 @@ def is_christoffel_pair_mixed_area(x_fields: list, z_fields: list, grid: Grid) -
         raise DimensionError("a mixed-area test needs at least one edge")
     residual = 0.0
     for i in range(len(x_fields) - 1):
-        elem = mixed_area(x_fields[i], x_fields[i + 1], z_fields[i], z_fields[i + 1], grid)
+        elem = mixed_area(x_fields[i], x_fields[i + 1], z_fields[i], z_fields[i + 1])
         residual = max(residual, float(np.max(elem.frobenius())))
     return residual
 
 
-def _cumulative_simpson(f_nodes: np.ndarray, grid: Grid) -> np.ndarray:
-    """Antiderivative samples of a smooth integrand, starting at zero."""
-    s_half = grid.s0 + grid.h * (np.arange(grid.num - 1) + 0.5)
-    f_half = cubic_interp(f_nodes, grid, s_half)
-    steps = (grid.h / 6.0) * (f_nodes[:-1] + 4.0 * f_half + f_nodes[1:])
-    out = np.zeros_like(f_nodes)
-    np.cumsum(steps, axis=0, out=out[1:])
-    return out
-
-
-def lifted_christoffel_dual(surface: SemiDiscreteSurface) -> list[SampledField]:
+def lifted_christoffel_dual(surface: SemiDiscreteSurface) -> list[LightConeSection]:
     """Christoffel duality at the lift level, z' = xi'/(m (xi',xi')).
 
     Layer 0 is integrated; each next layer is positioned by inverting
@@ -159,7 +120,6 @@ def lifted_christoffel_dual(surface: SemiDiscreteSurface) -> list[SampledField]:
     """
     m = surface.m
     grid = surface.grid
-    fields: list[SampledField] = []
     primes = []
     for k in range(surface.num_layers):
         lift = surface.lift(k)
@@ -167,21 +127,22 @@ def lifted_christoffel_dual(surface: SemiDiscreteSurface) -> list[SampledField]:
         if np.min(np.abs(w)) <= 1e-300:
             raise GeometryError(f"curve {k}: lift derivative is null; dual undefined")
         primes.append(lift.xiprime / w[:, None])
-    z = _cumulative_simpson(primes[0], grid) + surface.lift(0).xi[0]
-    fields.append(SampledField(values=z, prime=primes[0]))
+    h, (f_all,) = half_step_samples(grid, 1, primes[0])
+    z = simpson_cumulative(f_all, h, surface.lift(0).xi[0])
+    fields = [LightConeSection(grid=grid, xi=z, xiprime=primes[0])]
     for i, mu_i in enumerate(surface.mu):
         dxi = surface.lift(i + 1).xi - surface.lift(i).xi
         dd = mk.norm2(dxi)
         if np.min(np.abs(dd)) <= 1e-300:
             raise DegenerateEdgeError(f"edge {i}: null secant; dual edge rule undefined")
-        z = fields[i].values + dxi / (mu_i * dd)[:, None]
-        fields.append(SampledField(values=z, prime=primes[i + 1]))
+        z = fields[i].xi + dxi / (mu_i * dd)[:, None]
+        fields.append(LightConeSection(grid=grid, xi=z, xiprime=primes[i + 1]))
     return fields
 
 
 def koenigs_dual(
     surface: SemiDiscreteSurface,
-) -> tuple[list[SampledField], list[np.ndarray]]:
+) -> tuple[list[LightConeSection], list[np.ndarray]]:
     """Koenigs dual of the surface's lifts, with its weights nu.
 
     Uses nu = sqrt(m (x', x')), so the polarization times the squared
@@ -202,11 +163,13 @@ def koenigs_dual(
             )
         nu.append(np.sqrt(w))
         primes.append(-surface.lift(k).xiprime / w[:, None])
-    fields = [SampledField(values=_cumulative_simpson(primes[0], grid), prime=primes[0])]
+    h, (f_all,) = half_step_samples(grid, 1, primes[0])
+    z = simpson_cumulative(f_all, h, np.zeros(surface.n + 2))
+    fields = [LightConeSection(grid=grid, xi=z, xiprime=primes[0])]
     for i in range(surface.num_layers - 1):
         dxi = surface.lift(i + 1).xi - surface.lift(i).xi
-        z = fields[i].values + dxi / (nu[i] * nu[i + 1])[:, None]
-        fields.append(SampledField(values=z, prime=primes[i + 1]))
+        z = fields[i].xi + dxi / (nu[i] * nu[i + 1])[:, None]
+        fields.append(LightConeSection(grid=grid, xi=z, xiprime=primes[i + 1]))
     return fields, nu
 
 
@@ -245,10 +208,9 @@ class KoenigsReport:
 
 
 def verify_koenigs(
-    x_fields: list,
-    z_fields: list,
+    x_fields: list[LightConeSection],
+    z_fields: list[LightConeSection],
     nu: list[np.ndarray],
-    grid: Grid,
 ) -> KoenigsReport:
     """Certify that z is the Koenigs dual of x with the weights nu.
 
@@ -257,18 +219,17 @@ def verify_koenigs(
     """
     if not (len(x_fields) == len(z_fields) == len(nu)):
         raise DimensionError("x, z, and nu must have one entry per curve")
-    x_fields = [_as_field(f) for f in x_fields]
-    z_fields = [_as_field(f) for f in z_fields]
     nu = [np.asarray(v, dtype=float) for v in nu]
-    metric = mk.metric_matrix(x_fields[0].values.shape[1] - 2)
+    grid = x_fields[0].grid
+    metric = mk.metric_matrix(x_fields[0].n)
 
     smooth = []
     xprimes = []
     zprimes = []
     a_coeff = []
     for xf, zf, nu_i in zip(x_fields, z_fields, nu):
-        xp = xf.derivative(grid)
-        zp = zf.derivative(grid)
+        xp = xf.derivative()
+        zp = zf.derivative()
         xprimes.append(xp)
         zprimes.append(zp)
         target = -xp / (nu_i**2)[:, None]
@@ -287,8 +248,8 @@ def verify_koenigs(
         for xp, nu_i in zip(xprimes, nu)
     ]
     for i in range(len(x_fields) - 1):
-        xi, xj = x_fields[i].values, x_fields[i + 1].values
-        zi, zj = z_fields[i].values, z_fields[i + 1].values
+        xi, xj = x_fields[i].xi, x_fields[i + 1].xi
+        zi, zj = z_fields[i].xi, z_fields[i + 1].xi
         dx = xj - xi
         dz = zj - zi
         weight = nu[i] * nu[i + 1]
@@ -340,13 +301,10 @@ class ConservedQuantity:
 
     ``z`` holds one sampled vector field per curve; ``q`` is a constant
     vector (a per-sample field is accepted and checked for constancy).
-    The degree field is fixed to 1; higher degrees are rejected by the
-    operations.
     """
 
     z: list[np.ndarray]
     q: np.ndarray
-    degree: int = 1
 
     def __post_init__(self):
         self.z = [np.asarray(v, dtype=float) for v in self.z]
@@ -383,8 +341,6 @@ def conserved_quantity_residual(
     z' = 2 ((q,xi) xi' - (q,xi') xi) / (m (xi',xi')).  The spreads of
     the |z t + q|^2 coefficients (z,z), (z,q), (q,q) come on top.
     """
-    if cq.degree != 1:
-        raise GeometryError("only degree-1 conserved quantities are implemented")
     if len(cq.z) != surface.num_layers:
         raise DimensionError("conserved quantity needs one z field per curve")
     d = surface.n + 2
@@ -453,20 +409,14 @@ def conserved_quantity_residual(
     )
 
 
-@dataclass
-class TangentPlaneCongruence:
-    """Unit normal fields lifted so that n is orthogonal to q and the lift."""
-
-    fields: list[np.ndarray]
-
-
 def tangent_congruence(
     surface: SemiDiscreteSurface, normals: list[np.ndarray]
-) -> TangentPlaneCongruence:
+) -> list[LightConeSection]:
     """Lift affine unit normals to the congruence n + (x . n) q.
 
-    The lift keeps (n, n) = 1 and makes n orthogonal to both the frame
-    vector q and the curve lifts; all three are validated.
+    One section per curve.  The lift keeps (n, n) = 1 and makes n
+    orthogonal to both the frame vector q and the curve lifts; all three
+    are validated.  Derivatives come from the stencil on demand.
     """
     if len(normals) != surface.num_layers:
         raise DimensionError("one normal field per curve is required")
@@ -490,12 +440,12 @@ def tangent_congruence(
         )
         if defect > CONGRUENCE_TOL:
             raise GeometryError(f"congruence invariants fail on curve {k} ({defect:.2e})")
-        fields.append(lifted)
-    return TangentPlaneCongruence(fields=fields)
+        fields.append(LightConeSection(grid=surface.grid, xi=lifted))
+    return fields
 
 
 def mean_curvature(
-    surface: SemiDiscreteSurface, congruence: TangentPlaneCongruence
+    surface: SemiDiscreteSurface, congruence: list[LightConeSection]
 ) -> np.ndarray:
     """Mixed-area mean curvature H = -A(x,n)/A(x,x), per edge and sample.
 
@@ -504,18 +454,13 @@ def mean_curvature(
     parallel within PARALLEL_TOL are rejected, as are degenerate
     edges.
     """
-    if len(congruence.fields) != surface.num_layers:
+    if len(congruence) != surface.num_layers:
         raise DimensionError("congruence does not match the surface layers")
-    grid = surface.grid
-    out = np.empty((len(surface.mu), grid.num))
+    out = np.empty((len(surface.mu), surface.grid.num))
     for i in range(len(surface.mu)):
-        la, lb = surface.lift(i), surface.lift(i + 1)
-        x0 = SampledField(values=la.xi, prime=la.xiprime)
-        x1 = SampledField(values=lb.xi, prime=lb.xiprime)
-        n0 = _as_field(congruence.fields[i])
-        n1 = _as_field(congruence.fields[i + 1])
-        a_xx = mixed_area(x0, x1, x0, x1, grid)
-        a_xn = mixed_area(x0, x1, n0, n1, grid)
+        x0, x1 = surface.lift(i), surface.lift(i + 1)
+        a_xx = mixed_area(x0, x1, x0, x1)
+        a_xn = mixed_area(x0, x1, congruence[i], congruence[i + 1])
         den = a_xx.pairing(a_xx)
         fro = a_xx.frobenius()
         if np.min(np.abs(den)) <= 1e-14 * max(float(np.max(fro)) ** 2, 1.0):
@@ -546,7 +491,7 @@ class CmcCertificate:
 
 def cmc_linear_cq(
     surface: SemiDiscreteSurface,
-    congruence: TangentPlaneCongruence,
+    congruence: list[LightConeSection],
     h: float,
 ) -> CmcCertificate:
     """Linear conserved quantity of a CMC surface, z = n + H x.
@@ -555,13 +500,10 @@ def cmc_linear_cq(
     the edge equation as the median of mu_{ij} (z_i, xi_j); the full
     conserved-quantity residuals then certify the construction.
     """
-    if len(congruence.fields) != surface.num_layers:
+    if len(congruence) != surface.num_layers:
         raise DimensionError("congruence does not match the surface layers")
     frame = mk.canonical_frame(surface.n)
-    z = [
-        congruence.fields[k] + h * surface.lift(k).xi
-        for k in range(surface.num_layers)
-    ]
+    z = [congruence[k].xi + h * surface.lift(k).xi for k in range(surface.num_layers)]
     c_samples = []
     for i, mu_i in enumerate(surface.mu):
         c_samples.append(mu_i * mk.inner(z[i], surface.lift(i + 1).xi))
@@ -571,7 +513,7 @@ def cmc_linear_cq(
         c_spread = float(np.max(np.abs(stacked - c))) / max(abs(c), 1.0)
     else:
         c, c_spread = 0.0, 0.0
-    cq = ConservedQuantity(z=z, q=c * frame.q, degree=1)
+    cq = ConservedQuantity(z=z, q=c * frame.q)
     report = conserved_quantity_residual(surface, cq)
     z_norm_spread = max(
         float(np.max(np.abs(mk.norm2(z_i) - 1.0))) for z_i in z

@@ -49,11 +49,12 @@ CERTIFICATE_TOL = 1e-8
 
 @dataclass
 class LightConeSection:
-    """A sampled map into the light cone of R^{n+1,1} along a grid.
+    """A sampled field in R^{n+1,1} along a grid.
 
     ``xi`` holds the (N, n+2) samples, ``xiprime`` their derivative when
     a closed form is available (else finite differences are used on
-    demand).
+    demand).  Light-cone lifts are the main use, but only ``to_curve``
+    needs the field to be null.
     """
 
     grid: Grid
@@ -195,6 +196,16 @@ def half_step_samples(
         v_all[:: 2 * substeps] = v
         sampled.append(v_all)
     return h_eff, sampled
+
+
+def simpson_cumulative(f_all: np.ndarray, h: float, anchor: np.ndarray) -> np.ndarray:
+    """Antiderivative from ``anchor`` at the step nodes, by Simpson's rule.
+
+    ``f_all`` holds the integrand at every step node and midpoint, as
+    ``half_step_samples`` returns it with step ``h``.
+    """
+    increments = (h / 6.0) * (f_all[:-2:2] + 4.0 * f_all[1::2] + f_all[2::2])
+    return np.cumsum(np.concatenate([anchor[None], increments]), axis=0)
 
 
 def inverse_tangent(xprime: np.ndarray, m: np.ndarray) -> np.ndarray:

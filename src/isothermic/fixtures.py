@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmc
+from .darboux import LightConeSection
 from .curves import Grid, PolarizedCurve, derivative_samples, make_circle, tractrix_pair
 from .errors import GeometryError
 from .surface import SemiDiscreteSurface, build_surface
@@ -87,9 +88,9 @@ class CmcFixture:
     h: float
     mu: float
     nu: list[np.ndarray] | None
-    koenigs_fields: list[cmc.SampledField] | None
+    koenigs_fields: list[LightConeSection] | None
 
-    def congruence(self) -> cmc.TangentPlaneCongruence:
+    def congruence(self) -> list[LightConeSection]:
         return cmc.tangent_congruence(self.surface, self.normals)
 
 

@@ -22,7 +22,6 @@ from .darboux import (
     euclidean_section,
     gauge_matrix,
     integrate_parallel_section,
-    inverse_tangent,
     is_darboux_pair,
     verify_gauge_relation,
 )
@@ -39,6 +38,7 @@ from .errors import (
 from .transforms import (
     CalapsoFrameField,
     _constancy_residual,
+    christoffel_darboux_permute,
     christoffel_dual,
     integrate_calapso,
 )
@@ -162,7 +162,11 @@ def build_surface(
 
 @dataclass
 class EdgeReport:
-    """Certificate for one edge: recovered mu and its defects."""
+    """Certificate for one edge: recovered mu and its defects.
+
+    ``nu_residual`` is None where m (x', x') < 0 on a layer makes the
+    factorization check inapplicable.
+    """
 
     mu: float
     declared_mu: float
@@ -170,7 +174,19 @@ class EdgeReport:
     reality: float
     mu_defect: float
     nu_residual: float | None
-    ok: bool
+    tol: float
+
+    @property
+    def residual(self) -> float:
+        """Worst applicable residual; NaN propagates, so it never passes."""
+        parts = [self.spread, self.reality, self.mu_defect]
+        if self.nu_residual is not None:
+            parts.append(self.nu_residual)
+        return float(np.max(parts))
+
+    @property
+    def ok(self) -> bool:
+        return self.residual <= self.tol
 
 
 @dataclass
@@ -215,12 +231,6 @@ def check_isothermic(surface: SemiDiscreteSurface, tol: float = 1e-6) -> Isother
                 raise DegenerateSecantError(f"edge {i}: coincident samples")
             phi = np.sqrt(wa * wb) / dd
             nu_residual = float(np.max(np.abs(phi - abs(fit.mu))) / denom)
-        ok = (
-            fit.spread <= tol
-            and fit.reality <= tol
-            and mu_defect <= tol
-            and (nu_residual is None or nu_residual <= tol)
-        )
         edges.append(
             EdgeReport(
                 mu=fit.mu,
@@ -229,7 +239,7 @@ def check_isothermic(surface: SemiDiscreteSurface, tol: float = 1e-6) -> Isother
                 reality=fit.reality,
                 mu_defect=mu_defect,
                 nu_residual=nu_residual,
-                ok=ok,
+                tol=tol,
             )
         )
     return IsothermicReport(edges=edges, tol=tol)
@@ -251,13 +261,6 @@ class MoutardLift:
     normalization_residual: list[float]
     pairing_residual: list[float]
     area_residual: list[float]
-
-
-def _wedge_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius norm of a wedge b per sample row."""
-    outer = np.einsum("ki,kj->kij", a, b)
-    elem = outer - outer.transpose(0, 2, 1)
-    return np.linalg.norm(elem, axis=(1, 2))
 
 
 def moutard_lift(surface: SemiDiscreteSurface) -> MoutardLift:
@@ -302,7 +305,8 @@ def moutard_lift(surface: SemiDiscreteSurface) -> MoutardLift:
             )
         pairing.append(float(np.max(np.abs(vals + 1.0 / (2.0 * mu_i)))))
         mean_prime = 0.5 * (sections[i].xiprime + sections[i + 1].xiprime)
-        area.append(float(np.max(_wedge_norm(mean_prime, xi_b - xi_a))))
+        wedge = mk.wedge_matrix(mean_prime, xi_b - xi_a)
+        area.append(float(np.max(np.linalg.norm(wedge, axis=(1, 2)))))
     return MoutardLift(
         sections=sections,
         signs=signs,
@@ -393,8 +397,10 @@ def _chain_frames(
     """Trivializing frames per layer: T_0 integrated, then pushed by edge maps."""
     frames, _ = integrate_calapso(surface.curves[0], t, substeps=substeps)
     chain = [frames]
-    for gamma in _edge_gauges(surface, t):
-        chain.append(CalapsoFrameField(grid=surface.grid, t=t, T=chain[-1].T @ gamma))
+    for k, gamma in enumerate(_edge_gauges(surface, t), start=1):
+        lift = surface.lift(k)
+        a = connection_matrix(lift.xi, lift.xiprime, surface.curves[k].m, t)
+        chain.append(CalapsoFrameField(grid=surface.grid, t=t, T=chain[-1].T @ gamma, a=a))
     return chain
 
 
@@ -406,11 +412,7 @@ def surface_calapso(
         return SemiDiscreteSurface(curves=list(surface.curves), mu=list(surface.mu))
     _check_spectral_parameter(surface, t)
     chain = _chain_frames(surface, t, substeps)
-    curves = []
-    for k, curve in enumerate(surface.curves):
-        lift = surface.lift(k)
-        a_nodes = connection_matrix(lift.xi, lift.xiprime, curve.m, t)
-        curves.append(chain[k].move(lift, a_nodes).to_curve(surface.m))
+    curves = [frames.move(surface.lift(k)).to_curve(surface.m) for k, frames in enumerate(chain)]
     return SemiDiscreteSurface(curves=curves, mu=[v - t for v in surface.mu])
 
 
@@ -441,27 +443,22 @@ def surface_christoffel(
 ) -> tuple[SemiDiscreteSurface, list[float]]:
     """Christoffel dual surface and its edge/smooth consistency residuals.
 
-    Curve 0 is dualized by integration; every next layer is positioned
-    pointwise by inverting the edge secant, d z = d x / (mu (dx, dx)).
-    Dual derivatives come from the smooth equation, so integrating them
-    from the same start must reproduce the edge positions; the maximum
-    gap per edge is returned alongside the dual surface.
+    Curve 0 is dualized by integration; every next layer follows the
+    Christoffel edge rule z_j = z_i + (x_j - x_i)^{-1} / mu of
+    ``christoffel_darboux_permute``.  Dual derivatives come from the
+    smooth equation, so integrating them from the same start must
+    reproduce the edge positions; the maximum gap per edge is returned
+    alongside the dual surface.
     """
-    m = surface.m
     duals = [christoffel_dual(surface.curves[0], substeps=substeps)]
     consistency = []
     for i, mu_i in enumerate(surface.mu):
         a, b = surface.curves[i], surface.curves[i + 1]
-        d = b.x - a.x
-        dd = np.sum(d * d, axis=1)
-        scale = float(np.max(dd))
-        if np.min(dd) <= 1e-24 * max(scale, 1.0):
-            raise DegenerateSecantError(f"edge {i}: secant vanishes; dual edge rule undefined")
-        z = duals[i].x + d / (mu_i * dd)[:, None]
-        zprime = inverse_tangent(b.xprime, m)
-        duals.append(
-            PolarizedCurve(n=surface.n, grid=surface.grid, x=z, xprime=zprime, m=m.copy())
-        )
-        smooth = christoffel_dual(b, anchor=z[0], substeps=substeps)
-        consistency.append(float(np.max(np.linalg.norm(smooth.x - z, axis=1))))
+        try:
+            dual = christoffel_darboux_permute(a, duals[i], b, mu_i)
+        except DegenerateSecantError as exc:
+            raise DegenerateSecantError(f"edge {i}: {exc}; dual edge rule undefined") from exc
+        duals.append(dual)
+        smooth = christoffel_dual(b, anchor=dual.x[0], substeps=substeps)
+        consistency.append(float(np.max(np.linalg.norm(smooth.x - dual.x, axis=1))))
     return SemiDiscreteSurface(curves=duals, mu=list(surface.mu)), consistency

@@ -35,12 +35,12 @@ from . import minkowski as mk
 from .curves import Grid, PolarizedCurve
 from .darboux import (
     LightConeSection,
-    connection_matrix,
     connection_samples,
     euclidean_section,
     gauge_matrix,
     half_step_samples,
     inverse_tangent,
+    simpson_cumulative,
 )
 from .errors import DimensionError, GeometryError, PolarizationError
 
@@ -67,9 +67,7 @@ def christoffel_dual(
     if np.any(np.sign(m_all) != np.sign(m_all[0])):
         raise PolarizationError("polarization changes sign inside the interval")
     rhs_all = inverse_tangent(xp_all, m_all)
-    # RHS is independent of the state; RK4 degenerates to Simpson.
-    increments = (h_eff / 6.0) * (rhs_all[:-2:2] + 4.0 * rhs_all[1::2] + rhs_all[2::2])
-    out = np.cumsum(np.concatenate([anchor[None], increments]), axis=0)
+    out = simpson_cumulative(rhs_all, h_eff, anchor)
     return PolarizedCurve(
         n=curve.n,
         grid=curve.grid,
@@ -118,14 +116,17 @@ def christoffel_darboux_permute(
 class CalapsoFrameField:
     """Sampled trivializing gauge T^t(s) of the connection family.
 
-    ``T`` holds (num, n+2, n+2) matrices with T(s0) = I; each T(s)
-    preserves the Minkowski form up to the rounding reported by
-    ``metric_drift``, so it is inverted in closed form.
+    ``T`` holds (num, n+2, n+2) matrices; each T(s) preserves the
+    Minkowski form up to the rounding reported by ``metric_drift``, so
+    it is inverted in closed form.  ``a`` holds the coefficient A(s, t)
+    of the connection the frames trivialize, T' = -T A, at the grid
+    nodes.
     """
 
     grid: Grid
     t: float
     T: np.ndarray
+    a: np.ndarray
 
     @property
     def n(self) -> int:
@@ -144,13 +145,9 @@ class CalapsoFrameField:
         """T(s) y(s) per sample."""
         return np.einsum("kij,kj->ki", self.T, y)
 
-    def move(self, section: LightConeSection, a_nodes: np.ndarray) -> LightConeSection:
-        """The section s -> T(s) y(s), with the exact derivative T (y' - A y).
-
-        ``a_nodes`` holds the coefficient A(s, t) of the connection these
-        frames trivialize, at the grid nodes.
-        """
-        covariant = section.derivative() - np.einsum("kij,kj->ki", a_nodes, section.xi)
+    def move(self, section: LightConeSection) -> LightConeSection:
+        """The section s -> T(s) y(s), with the exact derivative T (y' - A y)."""
+        covariant = section.derivative() - np.einsum("kij,kj->ki", self.a, section.xi)
         return LightConeSection(
             grid=self.grid, xi=self.act(section.xi), xiprime=self.act(covariant)
         )
@@ -228,8 +225,8 @@ def integrate_calapso(
         for k, e in enumerate(_expm1_matrices(-omega), start=k0 + 1):
             y = y + y @ e
             out[k] = y
-    frames = CalapsoFrameField(grid=grid, t=t, T=out[::substeps].copy())
-    return frames, frames.move(sec, a_all[:: 2 * substeps])
+    frames = CalapsoFrameField(grid=grid, t=t, T=out[::substeps].copy(), a=a_all[:: 2 * substeps])
+    return frames, frames.move(sec)
 
 
 def calapso_curve(curve: PolarizedCurve, t: float, substeps: int = 1) -> PolarizedCurve:
@@ -319,7 +316,5 @@ def calapso_darboux_permute(
     if tau == 0.0:
         return curve, transform
     frames, section = integrate_calapso(curve, tau, substeps=substeps)
-    sec = euclidean_section(curve)
-    a_nodes = connection_matrix(sec.xi, sec.xiprime, curve.m, tau)
-    moved_hat = frames.move(euclidean_section(transform), a_nodes)
+    moved_hat = frames.move(euclidean_section(transform))
     return section.to_curve(curve.m), moved_hat.to_curve(transform.m)

@@ -283,19 +283,11 @@ def test_criterion_07_christoffel():
     _, consistency = surface_christoffel(patch)
     edge_smooth = max(consistency)
 
-    x_fields = [
-        cmc.SampledField(values=patch.lift(k).xi, prime=patch.lift(k).xiprime)
-        for k in range(patch.num_layers)
-    ]
-    on_dual = cmc.is_christoffel_pair_mixed_area(
-        x_fields, cmc.lifted_christoffel_dual(patch), patch.grid
-    )
+    x_fields = [patch.lift(k) for k in range(patch.num_layers)]
+    on_dual = cmc.is_christoffel_pair_mixed_area(x_fields, cmc.lifted_christoffel_dual(patch))
     affine_dual, _ = surface_christoffel(patch)
-    z_fields = [
-        cmc.SampledField(values=affine_dual.lift(k).xi, prime=affine_dual.lift(k).xiprime)
-        for k in range(affine_dual.num_layers)
-    ]
-    negative = cmc.is_christoffel_pair_mixed_area(x_fields, z_fields, patch.grid)
+    z_fields = [affine_dual.lift(k) for k in range(affine_dual.num_layers)]
+    negative = cmc.is_christoffel_pair_mixed_area(x_fields, z_fields)
 
     ok = dd < 1e-9 and double < 1e-7 and edge_smooth < 1e-7 and on_dual < 1e-7 and negative > 1e-3
     _verdict(7, "Christoffel duality", ok,
@@ -326,11 +318,8 @@ def test_criterion_09_cmc():
         worst["cq"] = max(worst["cq"], four)
         worst["unit"] = max(worst["unit"], cert.z_norm_spread)
         fields, nu = cmc.koenigs_dual(surface)
-        x_fields = [
-            cmc.SampledField(values=surface.lift(k).xi, prime=surface.lift(k).xiprime)
-            for k in range(surface.num_layers)
-        ]
-        kreport = cmc.verify_koenigs(x_fields, fields, nu, surface.grid)
+        x_fields = [surface.lift(k) for k in range(surface.num_layers)]
+        kreport = cmc.verify_koenigs(x_fields, fields, nu)
         worst["koenigs"] = max(worst["koenigs"], kreport.max_residual)
     ok = (
         worst["spread"] < 1e-8

@@ -92,6 +92,14 @@ def test_bianchi_pads_default_points_to_curve_dimension(tmp_path, capsys):
     assert float(gap.group(1)) < 1e-10
 
 
+def test_bianchi_default_points_need_a_plane(tmp_path, capsys):
+    src = tmp_path / "line.json"
+    assert main(["curve", "--family", "line", "--n", "1", "--out", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["bianchi", "--in", str(src), "--mu", "-2,1"]) == 2
+    assert "--points" in capsys.readouterr().err
+
+
 def test_darboux_rejects_zero_mu_with_one_error_line(tmp_path, capsys):
     src = _curve_file(tmp_path)
     capsys.readouterr()
@@ -206,6 +214,15 @@ def test_verify_corrupt_names_offending_check(capsys):
     out = capsys.readouterr().out
     assert "failed checks" in out
     assert "concentric-cross-ratio" in out
+
+
+def test_verify_corrupt_circle_fails_ribaucour_contact(capsys):
+    # The contact check must read the transform's positions, not only the
+    # derivative its own ODE supplies, which is real by construction.
+    rc = main(["verify", "--suite", "darboux", "--corrupt", "unit-circle"])
+    assert rc == 1
+    failed = re.search(r"^failed checks: (.*)$", capsys.readouterr().out, re.M)
+    assert "darboux-ribaucour-contact" in failed.group(1).split(", ")
 
 
 def test_verify_corrupt_surface_fixture(capsys):

@@ -184,6 +184,13 @@ def test_surface_christoffel_consistency():
     assert check_isothermic(dual).ok
 
 
+def test_surface_christoffel_rejects_degenerate_edge():
+    circle = unit_circle()
+    surface = SemiDiscreteSurface(curves=[circle, circle], mu=[-2.0])
+    with pytest.raises(DegenerateSecantError, match="edge 0"):
+        surface_christoffel(surface)
+
+
 def test_surface_christoffel_dual_derivatives():
     # m = 1 throughout: z' = x'/|x'|^2, so the unit circle dualizes to a
     # unit-speed circle and the radius-2 layer to speed 1/2.
