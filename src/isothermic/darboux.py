@@ -235,25 +235,49 @@ def integrate_riccati(
     )
     w_all = inverse_tangent(xp_all, m_all)
     scale = max(float(np.max(np.abs(curve.x))), float(np.linalg.norm(xhat0)), 1.0)
+    # The RK4 state lives in Python floats: for n <= 4 numpy's per-call
+    # cost is the whole step.  Each operation is the one the array form
+    # applies, in the same order (numpy sums n < 8 terms left to right),
+    # so the result is bit-identical to it.  Samples sit in flat lists,
+    # row j at [j n, (j + 1) n), since a list per row costs a list object
+    # per sample.
+    n = curve.n
+    mu = float(mu)
+    x_flat = x_all.ravel().tolist()
+    w_flat = w_all.ravel().tolist()
+    secant_tol2 = (SECANT_TOL * scale) ** 2
+    s0 = curve.grid.s0
 
-    def rhs(j: int, y: np.ndarray) -> np.ndarray:
-        v = y - x_all[j]
-        if np.linalg.norm(v) <= SECANT_TOL * scale:
-            raise SingularEncounterError(curve.grid.s0 + 0.5 * h * j)
-        return mu * cl.sandwich(v, w_all[j])
+    def rhs(j: int, y: list[float]) -> list[float]:
+        # mu cl.sandwich(v, w) = mu (2 (v.w) v - (v.v) w) with v = y - x.
+        v = [a - b for a, b in zip(y, x_flat[j * n : (j + 1) * n])]
+        w = w_flat[j * n : (j + 1) * n]
+        vw = v[0] * w[0]
+        vv = v[0] * v[0]
+        for i in range(1, n):
+            vw += v[i] * w[i]
+            vv += v[i] * v[i]
+        if vv <= secant_tol2:
+            raise SingularEncounterError(s0 + 0.5 * h * j)
+        vw2 = 2.0 * vw
+        return [mu * (vw2 * a - vv * b) for a, b in zip(v, w)]
 
     num_steps = (len(x_all) - 1) // 2
-    out = np.empty((num_steps + 1, curve.n))
-    out[0] = xhat0
-    y = xhat0
+    half, sixth = 0.5 * h, h / 6.0
+    y = xhat0.tolist()
+    flat = list(y)
     for k in range(num_steps):
         j = 2 * k
         k1 = rhs(j, y)
-        k2 = rhs(j + 1, y + 0.5 * h * k1)
-        k3 = rhs(j + 1, y + 0.5 * h * k2)
-        k4 = rhs(j + 2, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
+        k2 = rhs(j + 1, [a + half * b for a, b in zip(y, k1)])
+        k3 = rhs(j + 1, [a + half * b for a, b in zip(y, k2)])
+        k4 = rhs(j + 2, [a + h * b for a, b in zip(y, k3)])
+        y = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+        flat.extend(y)
+    out = np.array(flat).reshape(num_steps + 1, n)
     samples = out[::substeps]
     # The ODE itself provides the derivative at the retained nodes.
     node_idx = 2 * substeps * np.arange(curve.grid.num)

@@ -1,5 +1,8 @@
 """JSON curve/surface formats, OBJ mesh export, and CSV reports.
 
+Curves and surfaces are written as compact JSON (no indentation), which
+CPython serializes with its C encoder; files in the older indented
+layout still load, since the reader does not care about whitespace.
 JSON numbers must be finite; files round-trip byte-identically because
 floats are printed in Python's shortest-roundtrip form and keys keep a
 fixed order.
@@ -91,7 +94,7 @@ def _reject_constant(text: str):
 
 def _dump(payload: dict, path: str | Path) -> None:
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = json.dumps(payload, allow_nan=False)
     except ValueError as exc:
         raise GeometryError(f"refusing to write non-finite numbers: {exc}") from exc
     Path(path).write_text(text + "\n", encoding="utf-8")

@@ -6,8 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from isothermic import fileio, minkowski
+from isothermic import cli, fileio, minkowski
 from isothermic.cli import TOLERANCES, main
+from isothermic.clifford import sandwich
+from isothermic.curves import PolarizedCurve
+from isothermic.darboux import integrate_riccati, inverse_tangent
 from isothermic.surface import SemiDiscreteSurface
 
 # Output lines that scripts parse; their format is part of the interface.
@@ -59,6 +62,27 @@ def test_darboux_routes_agree(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "mu" in report
     assert np.max(np.abs(outs[0].x - outs[1].x)) < 1e-9
+
+
+def test_darboux_report_certifies_positions_not_ode_derivative(tmp_path, capsys, monkeypatch):
+    # A Riccati output with wrong positions whose derivative is the ODE
+    # right-hand side at those positions: its cross ratio with that
+    # derivative is mu/m by algebra, so only the positions can expose it.
+    def shifted(curve, mu, xhat0, substeps=1):
+        hat = integrate_riccati(curve, mu, xhat0, substeps=substeps)
+        x = hat.x + 1e-3 * np.sin(3.0 * curve.grid.nodes())[:, None]
+        xprime = mu * sandwich(x - curve.x, inverse_tangent(curve.xprime, curve.m))
+        return PolarizedCurve(n=hat.n, grid=hat.grid, x=x, xprime=xprime, m=hat.m)
+
+    monkeypatch.setattr(cli, "integrate_riccati", shifted)
+    src = _curve_file(tmp_path)
+    args = ["darboux", "--in", str(src), "--mu", "-2", "--init", "2,0", "--route", "riccati"]
+    assert main(args + ["--report"]) == 0
+    report = capsys.readouterr().out
+    spread = float(re.search(r"^cross ratio spread: (\S+)$", report, re.M).group(1))
+    contact = float(re.search(r"^ribaucour contact residual: (\S+)$", report, re.M).group(1))
+    assert spread > 1e-4
+    assert contact > 1e-4
 
 
 def test_darboux_rejects_start_point_on_curve(tmp_path, capsys):

@@ -14,22 +14,25 @@ import numpy as np
 import pytest
 
 import isothermic.minkowski as mk
-from isothermic.clifford import nonscalar_norm, scalar_part
-from isothermic.curves import Grid, make_circle
+from isothermic.clifford import nonscalar_norm, sandwich, scalar_part
+from isothermic.curves import Grid, PolarizedCurve, make_circle, make_helix
 from isothermic.darboux import (
+    SECANT_TOL,
     connection_matrix,
     connection_samples,
     euclidean_section,
     gauge_matrix,
+    half_step_samples,
     integrate_parallel_section,
     integrate_riccati,
     is_darboux_pair,
+    inverse_tangent,
     is_ribaucour,
     parallel_residual,
     tangent_cross_ratio,
     verify_gauge_relation,
 )
-from isothermic.errors import DimensionError, GeometryError
+from isothermic.errors import DimensionError, GeometryError, SingularEncounterError
 from isothermic.fixtures import concentric_pair, tractrix_circle_pair, unit_circle
 
 
@@ -56,6 +59,77 @@ def test_route_agreement_fourth_order():
     for m in POLARIZATIONS:
         ratio = _route_agreement(101, m) / _route_agreement(201, m)
         assert 12.0 < ratio < 20.0
+
+
+def _riccati_reference(curve, mu, xhat0, substeps):
+    """RK4 on the Riccati equation with numpy arrays as state, one step at a time.
+
+    The vectorized form that integrate_riccati must reproduce bit for bit.
+    """
+    h, (x_all, xp_all, m_all) = half_step_samples(
+        curve.grid, substeps, curve.x, curve.xprime, curve.m
+    )
+    w_all = inverse_tangent(xp_all, m_all)
+    scale = max(float(np.max(np.abs(curve.x))), float(np.linalg.norm(xhat0)), 1.0)
+
+    def rhs(j, y):
+        v = y - x_all[j]
+        if np.linalg.norm(v) <= SECANT_TOL * scale:
+            raise SingularEncounterError(curve.grid.s0 + 0.5 * h * j)
+        return mu * sandwich(v, w_all[j])
+
+    num_steps = (len(x_all) - 1) // 2
+    out = np.empty((num_steps + 1, curve.n))
+    out[0] = y = xhat0
+    for k in range(num_steps):
+        j = 2 * k
+        k1 = rhs(j, y)
+        k2 = rhs(j + 1, y + 0.5 * h * k1)
+        k3 = rhs(j + 1, y + 0.5 * h * k2)
+        k4 = rhs(j + 2, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = y
+    samples = out[::substeps]
+    node_idx = 2 * substeps * np.arange(curve.grid.num)
+    secants = samples - x_all[node_idx]
+    return samples, mu * sandwich(secants, w_all[node_idx])
+
+
+def _space_curve(n: int, m: float) -> PolarizedCurve:
+    """A circle in R^2, a helix in R^3, or a circle with two harmonics in R^4."""
+    grid = Grid(0.5, 2.0, 151)
+    if n == 2:
+        return make_circle(1.0, grid).with_polarization(m)
+    if n == 3:
+        return make_helix(1.0, 0.3, grid).with_polarization(m)
+    s = grid.nodes()
+    x = np.stack([np.cos(s), np.sin(s), 0.3 * np.cos(2 * s), 0.2 * np.sin(3 * s)], axis=1)
+    xp = np.stack(
+        [-np.sin(s), np.cos(s), -0.6 * np.sin(2 * s), 0.6 * np.cos(3 * s)], axis=1
+    )
+    return PolarizedCurve(n=4, grid=grid, x=x, xprime=xp, m=np.full(grid.num, m))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_riccati_is_bit_identical_to_array_reference(n):
+    for m in (1.0, -0.5):
+        c = _space_curve(n, m)
+        p0 = c.x[0] + np.linspace(1.0, 0.3, n)
+        for mu in (-2.0, 0.7):
+            for substeps in (1, 2):
+                x_ref, xprime_ref = _riccati_reference(c, mu, p0, substeps)
+                hat = integrate_riccati(c, mu, p0, substeps=substeps)
+                assert np.all(np.isfinite(x_ref))
+                assert np.array_equal(hat.x, x_ref)
+                assert np.array_equal(hat.xprime, xprime_ref)
+
+
+def test_riccati_start_on_curve_raises_at_grid_start():
+    c = _space_curve(3, 1.0)
+    for integrate in (_riccati_reference, integrate_riccati):
+        with pytest.raises(SingularEncounterError) as info:
+            integrate(c, -2.0, c.x[0].copy(), 1)
+        assert info.value.s == c.grid.s0
 
 
 def test_concentric_circles_cross_ratio():

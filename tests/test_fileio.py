@@ -25,11 +25,25 @@ def test_curve_roundtrip_is_byte_identical(tmp_path):
     assert again.grid == c.grid
 
 
+def test_indented_curve_file_still_loads(tmp_path):
+    # Files written before the compact layout carry indent=2 whitespace.
+    c = unit_circle()
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(fileio.curve_to_dict(c), indent=2) + "\n")
+    again = fileio.load_curve(path)
+    assert np.array_equal(again.x, c.x)
+    assert np.array_equal(again.xprime, c.xprime)
+    assert np.array_equal(again.m, c.m)
+    assert again.grid == c.grid
+
+
 def test_surface_roundtrip(tmp_path):
     surface = cylinder_patch()
-    path = tmp_path / "s.json"
-    fileio.save_surface(path, surface)
-    again = fileio.load_surface(path)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    fileio.save_surface(p1, surface)
+    again = fileio.load_surface(p1)
+    fileio.save_surface(p2, again)
+    assert p1.read_bytes() == p2.read_bytes()
     assert again.mu == surface.mu
     assert all(
         np.array_equal(a.x, b.x) for a, b in zip(again.curves, surface.curves)
