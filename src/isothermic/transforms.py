@@ -41,6 +41,7 @@ from .darboux import (
     half_step_samples,
     inverse_tangent,
     simpson_cumulative,
+    step_maps,
 )
 from .errors import DimensionError, GeometryError, PolarizationError
 
@@ -153,9 +154,6 @@ class CalapsoFrameField:
         )
 
 
-# Steps whose maps are built together: the temporaries stay a few hundred
-# kB whatever the grid length.
-_BLOCK_STEPS = 1024
 # Row-sum norm up to which the degree-8 Taylor series of exp(X) - I is
 # used unscaled; its relative truncation term theta^8/9! is near rounding.
 _EXP_THETA = 2.0 ** -4
@@ -179,6 +177,14 @@ def _expm1_matrices(x: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         e = e @ e + 2.0 * e
     return e
+
+
+def _magnus_increments(left: np.ndarray, mid: np.ndarray, right: np.ndarray, h: float) -> np.ndarray:
+    """exp(-Omega) - I of the fourth-order Magnus step, for a stack of steps."""
+    omega = (h / 6.0) * (left + 4.0 * mid + right) + (h * h / 12.0) * (
+        right @ left - left @ right
+    )
+    return _expm1_matrices(-omega)
 
 
 def integrate_calapso(
@@ -210,21 +216,12 @@ def integrate_calapso(
         sec = source
     grid, d = sec.grid, sec.n + 2
     a_all, h = connection_samples(sec, m, t, substeps)
-    num_steps = (len(a_all) - 1) // 2
-    out = np.empty((num_steps + 1, d, d))
+    out = np.empty(((len(a_all) - 1) // 2 + 1, d, d))
     y = np.eye(d)
     out[0] = y
-    for k0 in range(0, num_steps, _BLOCK_STEPS):
-        k1 = min(k0 + _BLOCK_STEPS, num_steps)
-        left = a_all[2 * k0 : 2 * k1 : 2]
-        mid = a_all[2 * k0 + 1 : 2 * k1 : 2]
-        right = a_all[2 * k0 + 2 : 2 * k1 + 1 : 2]
-        omega = (h / 6.0) * (left + 4.0 * mid + right) + (h * h / 12.0) * (
-            right @ left - left @ right
-        )
-        for k, e in enumerate(_expm1_matrices(-omega), start=k0 + 1):
-            y = y + y @ e
-            out[k] = y
+    for k, e in enumerate(step_maps(a_all, h, _magnus_increments), start=1):
+        y = y + y @ e
+        out[k] = y
     frames = CalapsoFrameField(grid=grid, t=t, T=out[::substeps].copy(), a=a_all[:: 2 * substeps])
     return frames, frames.move(sec)
 

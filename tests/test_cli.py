@@ -249,6 +249,64 @@ def test_verify_corrupt_circle_fails_ribaucour_contact(capsys):
     assert "darboux-ribaucour-contact" in failed.group(1).split(", ")
 
 
+# Every check that ``verify --suite all --corrupt FIXTURE`` fails.  The
+# whole set is pinned, so a check that quietly stops seeing a corruption
+# fails here too.
+CORRUPTION_FAILURES = {
+    "unit-circle": {
+        "calapso-intertwine",
+        "calapso-transported-constancy",
+        "darboux-ribaucour-contact",
+        "quad-parallel-defining",
+        "quad-parallel-other",
+        "riccati-parallel-agreement",
+    },
+    "concentric": {"concentric-cross-ratio"},
+    "tractrix": {"tractrix-cross-ratio", "tractrix-polarization"},
+    "cylinder-patch": {
+        "dual-edge-smooth",
+        "mixed-area-dual",
+        "moutard-area",
+        "moutard-normalization",
+        "moutard-pairing",
+        "surface-calapso-parameter",
+        "surface-darboux-vertical",
+        "surface-flatness",
+        "surface-isothermic",
+        "surface-trivialization",
+    },
+    "three-layer": {"surface-isothermic"},
+    "cmc-cylinder": {
+        "cmc-conserved-quantity",
+        "cmc-koenigs",
+        "cmc-mean-curvature-spread",
+        "cmc-mean-curvature-value",
+        "moutard-area",
+        "moutard-normalization",
+        "moutard-pairing",
+    },
+    "flat-strip": {
+        "cmc-conserved-quantity",
+        "cmc-koenigs",
+        "cmc-mean-curvature-spread",
+        "cmc-mean-curvature-value",
+    },
+}
+
+
+def test_corruption_failures_cover_every_fixture():
+    assert set(CORRUPTION_FAILURES) == set(cli.CORRUPTIBLE)
+
+
+@pytest.mark.parametrize("fixture", sorted(CORRUPTION_FAILURES))
+def test_verify_all_corrupt_fails_exactly_its_checks(fixture, capsys):
+    rc = main(["verify", "--suite", "all", "--corrupt", fixture])
+    assert rc == 1
+    failed = re.search(r"^failed checks: (.*)$", capsys.readouterr().out, re.M)
+    assert failed is not None
+    assert set(failed.group(1).split(", ")) == CORRUPTION_FAILURES[fixture]
+
+
 def test_verify_corrupt_surface_fixture(capsys):
     rc = main(["verify", "--suite", "surface", "--corrupt", "cylinder-patch"])
     assert rc == 1

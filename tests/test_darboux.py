@@ -28,6 +28,7 @@ from isothermic.darboux import (
     is_darboux_pair,
     inverse_tangent,
     is_ribaucour,
+    lightcone_restore,
     parallel_residual,
     tangent_cross_ratio,
     verify_gauge_relation,
@@ -95,9 +96,8 @@ def _riccati_reference(curve, mu, xhat0, substeps):
     return samples, mu * sandwich(secants, w_all[node_idx])
 
 
-def _space_curve(n: int, m: float) -> PolarizedCurve:
+def _space_curve(n: int, m: float, grid: Grid = Grid(0.5, 2.0, 151)) -> PolarizedCurve:
     """A circle in R^2, a helix in R^3, or a circle with two harmonics in R^4."""
-    grid = Grid(0.5, 2.0, 151)
     if n == 2:
         return make_circle(1.0, grid).with_polarization(m)
     if n == 3:
@@ -168,11 +168,95 @@ def test_is_ribaucour():
     assert abs(fit.mu - 1.0) < 1e-12
 
 
+def _staged_restore(y, frame):
+    """The light-cone projection written with the Minkowski helpers."""
+    defect = mk.norm2(y)
+    wq = mk.inner(y, frame.q)
+    if abs(wq) > 1e-8 * np.linalg.norm(y):
+        return y - (defect / (2.0 * wq)) * frame.q
+    wo = mk.inner(y, frame.o)
+    return y - (defect / (2.0 * wo)) * frame.o
+
+
+def _parallel_reference(source, t, xihat0, substeps):
+    """RK4 on xi' = A xi with the four stages staged per step, then a cone projection.
+
+    The form that integrate_parallel_section's precomputed step maps
+    reproduce up to rounding.
+    """
+    frame = mk.canonical_frame(source.n)
+    a_all, h = connection_samples(euclidean_section(source), source.m, t, substeps)
+    num_steps = (len(a_all) - 1) // 2
+    out = np.empty((num_steps + 1, source.n + 2))
+    out[0] = y = mk.euclidean_lift(xihat0)
+    for k in range(num_steps):
+        j = 2 * k
+        k1 = a_all[j] @ y
+        k2 = a_all[j + 1] @ (y + 0.5 * h * k1)
+        k3 = a_all[j + 1] @ (y + 0.5 * h * k2)
+        k4 = a_all[j + 2] @ (y + h * k3)
+        y = _staged_restore(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), frame)
+        out[k + 1] = y
+    samples = out[::substeps]
+    node_idx = 2 * substeps * np.arange(source.grid.num)
+    return samples, np.einsum("kij,kj->ki", a_all[node_idx], samples)
+
+
+def _relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_parallel_section_matches_staged_reference(n):
+    for m in (1.0, -0.5):
+        c = _space_curve(n, m)
+        p0 = c.x[0] + np.linspace(1.0, 0.3, n)
+        for mu in (-2.0, 0.7):
+            for substeps in (1, 2):
+                xi_ref, xiprime_ref = _parallel_reference(c, mu, p0, substeps)
+                sec = integrate_parallel_section(c, mu, p0, substeps=substeps)
+                assert np.all(np.isfinite(xi_ref))
+                assert _relative_gap(sec.xi, xi_ref) <= 1e-12
+                assert _relative_gap(sec.xiprime, xiprime_ref) <= 1e-12
+
+
 def test_parallel_section_stays_null():
     c = unit_circle()
     sec = integrate_parallel_section(c, -2.0, np.array([2.0, 0.0]))
     assert np.max(np.abs(mk.norm2(sec.xi))) < 1e-10
     assert parallel_residual(sec, c, -2.0) < 1e-10
+    grid = c.grid
+    for n in (3, 4):
+        c = _space_curve(n, 1.0, grid)
+        sec = integrate_parallel_section(c, -2.0, c.x[0] + np.linspace(1.0, 0.3, n))
+        assert np.max(np.abs(mk.norm2(sec.xi)) / np.sum(sec.xi * sec.xi, axis=1)) < 1e-14
+        assert parallel_residual(sec, c, -2.0) < 1e-10
+
+
+def _along(correction, direction):
+    """Size of the part of ``correction`` off the line of ``direction``."""
+    unit = direction / np.linalg.norm(direction)
+    return float(np.linalg.norm(correction - (correction @ unit) * unit))
+
+
+def test_lightcone_restore_projects_along_q_or_o():
+    frame = mk.canonical_frame(3)
+    # A lift pushed off the cone pairs with q and is corrected along q.
+    y = mk.euclidean_lift(np.array([0.4, -1.2, 0.7])) + 1e-6 * np.array([1.0, -2.0, 0.5, 0.3, 0.2])
+    restored = lightcone_restore(y, frame)
+    correction = restored - y
+    assert abs(mk.norm2(y)) > 1e-7
+    assert abs(mk.norm2(restored)) < 1e-15 * np.sum(y * y)
+    assert np.linalg.norm(correction) > 1e-7
+    assert _along(correction, frame.q) < 1e-15 * np.linalg.norm(y)
+    # Near the point at infinity, (y, q) / |y| falls below 1e-8 and o is used.
+    y = frame.q + 1e-3 * np.array([1.0, 0.0, 0.0, 0.0, 0.0]) + 1e-12 * frame.o
+    assert abs(mk.inner(y, frame.q)) < 1e-8 * np.linalg.norm(y)
+    restored = lightcone_restore(y, frame)
+    correction = restored - y
+    assert abs(mk.norm2(restored)) < 1e-15 * np.sum(y * y)
+    assert np.linalg.norm(correction) > 1e-7
+    assert _along(correction, frame.o) < 1e-15 * np.linalg.norm(y)
 
 
 def test_parallel_residual_flags_wrong_parameter():

@@ -14,8 +14,15 @@ import numpy as np
 import pytest
 
 import isothermic.minkowski as mk
+import isothermic.surface as surface_module
 from isothermic.curves import Grid, make_circle
-from isothermic.darboux import is_darboux_pair
+from isothermic.darboux import (
+    LightConeSection,
+    connection_matrix,
+    euclidean_section,
+    integrate_parallel_section,
+    is_darboux_pair,
+)
 from isothermic.errors import (
     DegenerateSecantError,
     DimensionError,
@@ -87,6 +94,24 @@ def test_check_isothermic_flags_broken_stack():
 def test_build_surface_enforces_tolerance():
     with pytest.raises(VerificationError):
         build_surface(unit_circle(), [(-2.0, np.array([2.0, 0.0]))], tol=1e-30)
+
+
+def test_build_surface_guard_sees_position_errors(monkeypatch):
+    # The layer is shifted by 1e-3 sin(3s) and keeps the derivative that
+    # xi' = A xi assigns to its new positions; with that derivative the
+    # cross ratio is mu/m by algebra, so only a derivative taken from the
+    # positions exposes the shift.
+    def shifted(source, t, point, substeps=1):
+        x = mk.affine_point(integrate_parallel_section(source, t, point, substeps).xi)
+        x[:, 0] += 1e-3 * np.sin(3.0 * source.grid.nodes())
+        xi = mk.euclidean_lift(x)
+        lift = euclidean_section(source)
+        a = connection_matrix(lift.xi, lift.xiprime, source.m, t)
+        return LightConeSection(grid=source.grid, xi=xi, xiprime=np.einsum("kij,kj->ki", a, xi))
+
+    monkeypatch.setattr(surface_module, "integrate_parallel_section", shifted)
+    with pytest.raises(VerificationError, match=r"edges \[0\]"):
+        build_surface(unit_circle(), [(-2.0, np.array([2.0, 0.0]))])
 
 
 def test_check_isothermic_on_patch():
