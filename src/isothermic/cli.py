@@ -805,7 +805,10 @@ def cmd_surface(args) -> int:
     checks = Checks(args.tol_override)
     if args.mode == "build":
         seed = fileio.load_curve(args.infile)
-        surface = build_surface(seed, args.layers, substeps=args.step_policy)
+        surface = build_surface(
+            seed, args.layers, substeps=args.step_policy,
+            tol=checks.tolerances["surface-isothermic"],
+        )
         fileio.save_surface(args.out, surface)
         print(f"wrote surface with {surface.num_layers} layers -> {args.out}")
         return 0

@@ -3,7 +3,8 @@
 A polarized curve is an immersion x: [s0, s1] -> R^n together with the
 polarization ds^2/m, stored as samples of x, x' and m on a uniform
 grid.  Derivatives are either supplied in closed form by the curve
-families or reconstructed by fourth-order finite differences, and all
+families or reconstructed by fourth-order finite differences (sixth
+order where a certificate must see errors in the samples), and all
 downstream integrators interpolate these samples cubically, keeping
 every numerical route at O(h^4).
 """
@@ -16,9 +17,23 @@ import numpy as np
 
 from .errors import DimensionError, GeometryError, PolarizationError
 
-# Fourth-order one-sided first-derivative stencils (times 12 h).
-_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
-_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
+# First-derivative stencils: the denominator (times h), the central
+# weights and the one-sided weights of the first nodes, which the last
+# nodes mirror with a sign flip.
+_STENCIL4 = (
+    12.0,
+    np.array([1.0, -8.0, 0.0, 8.0, -1.0]),
+    (np.array([-25.0, 48.0, -36.0, 16.0, -3.0]), np.array([-3.0, -10.0, 18.0, -6.0, 1.0])),
+)
+_STENCIL6 = (
+    60.0,
+    np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]),
+    (
+        np.array([-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0]),
+        np.array([-10.0, -77.0, 150.0, -100.0, 50.0, -15.0, 2.0]),
+        np.array([2.0, -24.0, -35.0, 80.0, -30.0, 8.0, -1.0]),
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -43,19 +58,39 @@ class Grid:
         return np.linspace(self.s0, self.s1, self.num)
 
 
-def derivative_samples(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fourth-order finite-difference derivative along axis 0."""
+def _stencil_derivative(values: np.ndarray, grid: Grid, stencil) -> np.ndarray:
+    denom, central, edges = stencil
     f = np.asarray(values, dtype=float)
     if f.shape[0] != grid.num:
         raise DimensionError("sample count does not match grid")
-    h = grid.h
+    scale = denom * grid.h
+    width = len(central)
+    r, inner = width // 2, grid.num - width + 1
+    acc = central[0] * f[:inner]
+    for j in range(1, width):
+        if central[j]:
+            acc = acc + central[j] * f[j : j + inner]
     df = np.empty_like(f)
-    df[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    df[0] = np.tensordot(_EDGE0, f[:5], axes=(0, 0)) / (12.0 * h)
-    df[1] = np.tensordot(_EDGE1, f[:5], axes=(0, 0)) / (12.0 * h)
-    df[-1] = -np.tensordot(_EDGE0, f[-1:-6:-1], axes=(0, 0)) / (12.0 * h)
-    df[-2] = -np.tensordot(_EDGE1, f[-1:-6:-1], axes=(0, 0)) / (12.0 * h)
+    df[r:-r] = acc / scale
+    for j, w in enumerate(edges):
+        df[j] = np.tensordot(w, f[:width], axes=(0, 0)) / scale
+        df[-1 - j] = -np.tensordot(w, f[-1 : -width - 1 : -1], axes=(0, 0)) / scale
     return df
+
+
+def derivative_samples(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Fourth-order finite-difference derivative along axis 0."""
+    return _stencil_derivative(values, grid, _STENCIL4)
+
+
+def sixth_order_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Sixth-order finite-difference derivative along axis 0.
+
+    Its truncation falls as h^6, so on coarse grids it exposes errors in
+    the samples that the fourth-order stencil's own truncation would
+    hide.  Grids of fewer than seven nodes get the fourth-order stencil.
+    """
+    return _stencil_derivative(values, grid, _STENCIL6 if grid.num >= 7 else _STENCIL4)
 
 
 def cubic_interp(values: np.ndarray, grid: Grid, s: np.ndarray) -> np.ndarray:

@@ -192,14 +192,19 @@ def half_step_samples(
     samples; every other point is cubic interpolation.
     """
     h_eff = grid.h / substeps
-    num_steps = (grid.num - 1) * substeps
-    s_all = grid.s0 + 0.5 * h_eff * np.arange(2 * num_steps + 1)
+    steps = (grid.num - 1) * substeps
+    s_all = grid.s0 + 0.5 * h_eff * np.arange(2 * steps + 1)
     sampled = []
     for v in values:
         v_all = cubic_interp(v, grid, s_all)
         v_all[:: 2 * substeps] = v
         sampled.append(v_all)
     return h_eff, sampled
+
+
+def num_steps(samples: np.ndarray) -> int:
+    """RK4 steps covered by samples at every step node and midpoint."""
+    return (len(samples) - 1) // 2
 
 
 def simpson_cumulative(f_all: np.ndarray, h: float, anchor: np.ndarray) -> np.ndarray:
@@ -266,11 +271,11 @@ def integrate_riccati(
         vw2 = 2.0 * vw
         return [mu * (vw2 * a - vv * b) for a, b in zip(v, w)]
 
-    num_steps = (len(x_all) - 1) // 2
+    steps = num_steps(x_all)
     half, sixth = 0.5 * h, h / 6.0
     y = xhat0.tolist()
     flat = list(y)
-    for k in range(num_steps):
+    for k in range(steps):
         j = 2 * k
         k1 = rhs(j, y)
         k2 = rhs(j + 1, [a + half * b for a, b in zip(y, k1)])
@@ -281,7 +286,7 @@ def integrate_riccati(
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
         ]
         flat.extend(y)
-    out = np.array(flat).reshape(num_steps + 1, n)
+    out = np.array(flat).reshape(steps + 1, n)
     samples = out[::substeps]
     # The ODE itself provides the derivative at the retained nodes.
     node_idx = 2 * substeps * np.arange(curve.grid.num)
@@ -343,9 +348,9 @@ def step_maps(a_all: np.ndarray, h: float, rule):
     which receives the coefficients at the steps' left nodes, midpoints
     and right nodes and returns the stacked increments.
     """
-    num_steps = (len(a_all) - 1) // 2
-    for k0 in range(0, num_steps, _BLOCK_STEPS):
-        k1 = min(k0 + _BLOCK_STEPS, num_steps)
+    total = num_steps(a_all)
+    for k0 in range(0, total, _BLOCK_STEPS):
+        k1 = min(k0 + _BLOCK_STEPS, total)
         yield from rule(
             a_all[2 * k0 : 2 * k1 : 2],
             a_all[2 * k0 + 1 : 2 * k1 : 2],
@@ -416,7 +421,7 @@ def integrate_parallel_section(
     else:
         raise DimensionError("initial point must be affine (n,) or a null vector (n+2,)")
     a_all, h = connection_samples(euclidean_section(source), source.m, t, substeps)
-    out = np.empty(((len(a_all) - 1) // 2 + 1, n + 2))
+    out = np.empty((num_steps(a_all) + 1, n + 2))
     out[0] = y
     for k, e in enumerate(step_maps(a_all, h, _rk4_increments), start=1):
         y = lightcone_restore(y + e.dot(y), frame)

@@ -40,6 +40,7 @@ from .darboux import (
     gauge_matrix,
     half_step_samples,
     inverse_tangent,
+    num_steps,
     simpson_cumulative,
     step_maps,
 )
@@ -216,7 +217,7 @@ def integrate_calapso(
         sec = source
     grid, d = sec.grid, sec.n + 2
     a_all, h = connection_samples(sec, m, t, substeps)
-    out = np.empty(((len(a_all) - 1) // 2 + 1, d, d))
+    out = np.empty((num_steps(a_all) + 1, d, d))
     y = np.eye(d)
     out[0] = y
     for k, e in enumerate(step_maps(a_all, h, _magnus_increments), start=1):

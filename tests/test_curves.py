@@ -2,7 +2,8 @@
 
 Core claims:
     - Grid validates its bounds and exposes nodes with exact spacing
-    - derivative_samples converges at fourth order on smooth data
+    - derivative_samples converges at fourth order on smooth data, and
+      sixth_order_derivative is exact on sextics
     - cubic_interp reproduces cubics exactly
     - curve constructors validate shapes, finiteness and immersion
     - arc_length_polarization gives m = |x'|^2 and tractrix_pair returns
@@ -23,6 +24,7 @@ from isothermic.curves import (
     make_curve,
     make_helix,
     make_line,
+    sixth_order_derivative,
     tractrix_pair,
 )
 from isothermic.errors import DimensionError, GeometryError, PolarizationError
@@ -51,6 +53,20 @@ def test_derivative_fourth_order():
         errs.append(np.max(np.abs(derivative_samples(x, g) - xp)))
     assert errs[0] / errs[1] > 12.0
     assert errs[1] / errs[2] > 12.0
+
+
+@pytest.mark.parametrize("num", [7, 8, 31])
+def test_sixth_order_derivative_exact_on_sextics(num):
+    # Seven nodes put every node under a one-sided stencil.
+    g = Grid(-0.5, 1.5, num)
+    s = g.nodes()
+    coeffs = np.array([0.3, -1.1, 0.7, -0.2, 0.05, -0.3, 0.1])
+    x = np.polynomial.polynomial.polyval(s, coeffs)
+    xp = np.polynomial.polynomial.polyval(s, np.polynomial.polynomial.polyder(coeffs))
+    assert np.max(np.abs(sixth_order_derivative(x, g) - xp)) < 1e-12
+    # Below seven nodes the fourth-order stencil stands in.
+    g5 = Grid(0.0, 1.0, 5)
+    assert np.array_equal(sixth_order_derivative(x[:5], g5), derivative_samples(x[:5], g5))
 
 
 def test_cubic_interp_exact_on_cubics():

@@ -15,7 +15,7 @@ import pytest
 
 import isothermic.minkowski as mk
 import isothermic.surface as surface_module
-from isothermic.curves import Grid, make_circle
+from isothermic.curves import Grid, make_circle, make_helix
 from isothermic.darboux import (
     LightConeSection,
     connection_matrix,
@@ -112,6 +112,22 @@ def test_build_surface_guard_sees_position_errors(monkeypatch):
     monkeypatch.setattr(surface_module, "integrate_parallel_section", shifted)
     with pytest.raises(VerificationError, match=r"edges \[0\]"):
         build_surface(unit_circle(), [(-2.0, np.array([2.0, 0.0]))])
+
+
+@pytest.mark.parametrize(
+    "seed, points",
+    [
+        (make_circle(1.0, Grid(0.0, 6.0, 201)), [(2.0, 0.0), (0.3, -0.4)]),
+        (make_helix(1.0, 0.2, Grid(0.0, 6.0, 201)), [(2.0, 0.0, 0.0), (0.3, -0.4, 0.0)]),
+    ],
+    ids=["circle", "helix"],
+)
+def test_build_surface_guard_accepts_accurate_coarse_grid(seed, points):
+    # h = 0.03: the layers' positions are within 1.5e-7 of a 20x finer
+    # solution, but the fourth-order stencil's truncation alone put edge 1
+    # at 1.3e-5; the guard's stencil must not reject them.
+    surface = build_surface(seed, [(-2.0, np.array(points[0])), (1.0, np.array(points[1]))])
+    assert surface.num_layers == 3
 
 
 def test_check_isothermic_on_patch():
