@@ -3,7 +3,7 @@ surfaces in the conformal n-sphere.
 
 Submodules
 ----------
-clifford : dense Clifford algebra Cl(n) kernels and cross ratios.
+clifford : Clifford algebra Cl(n) by blade tables, and cross ratios.
 minkowski : light-cone model of the conformal n-sphere.
 curves : polarized curves on uniform grids.
 darboux : Darboux transforms, flat connections, parallel sections.

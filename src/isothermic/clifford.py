@@ -1,17 +1,16 @@
-"""Dense Clifford algebra of Euclidean R^n for small n.
+"""Clifford algebra of Euclidean R^n for small n.
 
 Multivectors are arrays of 2^n coefficients indexed by basis blades
 e_S = e_{i_1} .. e_{i_k} (i_1 < .. < i_k), where the index of S is its
 bitmask.  The generators square to +1 and anticommute, so the geometric
-product of blades is a signed XOR of bitmasks; the full product is a
-bilinear contraction against a precomputed 2^n x 2^n x 2^n tensor.
+product of blades is a signed XOR of bitmasks, and the full product is
+a sum over the blades of one factor against cached sign tables.
 
 Products of vectors, inverses of vectors and the cross ratio
 
     cr(p1, p2, p3, p4) = (p1-p2)(p2-p3)^{-1}(p3-p4)(p4-p1)^{-1}
 
-are all that the geometry needs; n is capped at 4 so the dense tensor
-stays trivially small.
+are all that the geometry needs; n is capped at 4.
 """
 
 from __future__ import annotations
@@ -39,16 +38,20 @@ def _reorder_sign(a: int, b: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def product_tensor(n: int) -> np.ndarray:
-    """M[i, j, k] with (x y)_k = sum_ij M[i, j, k] x_i y_j."""
+def _blade_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Per blade i: the axes to flip so b_{k ^ i} lands at k, and sign(i, k ^ i).
+
+    Both refer to coefficients viewed as (..., 2, .., 2), one axis per
+    generator, e_0 last: XOR with i reverses the axes of i's generators,
+    so the permuted factor is a view, not a copy.
+    """
     if not 1 <= n <= MAX_DIM:
         raise DimensionError(f"Clifford algebra supported for 1 <= n <= {MAX_DIM}, got {n}")
     dim = 1 << n
-    m = np.zeros((dim, dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            m[a, b, a ^ b] = _reorder_sign(a, b)
-    return m
+    flips = tuple(tuple(-1 - g for g in range(n) if i >> g & 1) for i in range(dim))
+    signs = np.array([[_reorder_sign(i, i ^ k) for k in range(dim)] for i in range(dim)])
+    signs.setflags(write=False)
+    return flips, signs.reshape((dim,) + (2,) * n)
 
 
 @lru_cache(maxsize=None)
@@ -58,8 +61,20 @@ def grade_masks(n: int) -> tuple[np.ndarray, ...]:
 
 
 def geometric_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Geometric product on coefficient arrays of shape (..., 2^n)."""
-    return np.einsum("...i,...j,ijk->...k", a, b, product_tensor(n))
+    """Geometric product on coefficient arrays of shape (..., 2^n).
+
+    (a b)_k = sum_i a_i sign(i, k ^ i) b_{k ^ i}, accumulated from zero
+    in blade order i with output-sized temporaries: the dense product
+    tensor contraction without its zero terms, equal to it bit for bit.
+    """
+    flips, signs = _blade_tables(n)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    b = b.reshape(b.shape[:-1] + (2,) * n)
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-n]) + (2,) * n)
+    for i in range(1 << n):
+        out += (a[(..., i) + (None,) * n] * signs[i]) * np.flip(b, flips[i])
+    return out.reshape(out.shape[:-n] + (1 << n,))
 
 
 def vector_coeffs(x: np.ndarray) -> np.ndarray:
@@ -91,8 +106,8 @@ def vector_inverse(x: np.ndarray, ref_scale: float | np.ndarray = 1.0) -> np.nda
 def sandwich(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Grade-1 product v w v = 2 (v.w) v - (v.v) w of R^n vectors.
 
-    Equals the geometric product; kept closed-form because integrators
-    call it per step.
+    Equals the geometric product; kept closed-form because it needs no
+    2^n coefficients.
     """
     vw = np.sum(v * w, axis=-1)[..., None]
     vv = np.sum(v * v, axis=-1)[..., None]

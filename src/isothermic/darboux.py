@@ -17,7 +17,8 @@ of connections
 
 in R^{n+1,1}.  Both routes are fourth order on the stored grid and are
 cross-validated against each other by the test-suite and the verify
-command.  The Riccati route runs RK4 on Python floats.  The section
+command.  The Riccati route runs RK4 in a kernel generated per n, on
+Python floats.  The section
 route builds the RK4 step map of xi' = A xi as a matrix, in blocks
 (``step_maps``, which also serves the Magnus steps of the Calapso
 frames), and projects back onto the light cone after every step.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .curves import Grid, PolarizedCurve, cubic_interp, derivative_samples
 from .errors import (
     DimensionError,
     GeometryError,
+    PointAtInfinityError,
     SingularEncounterError,
 )
 
@@ -222,6 +225,49 @@ def inverse_tangent(xprime: np.ndarray, m: np.ndarray) -> np.ndarray:
     return xprime / (m * np.sum(xprime * xprime, axis=1))[:, None]
 
 
+@lru_cache(maxsize=None)
+def _riccati_kernel(n: int):
+    """The Riccati RK4 loop written out for R^n, compiled once per n.
+
+    riccati_rk4(x, w, y, steps, h, mu, tol2, s0) reads x and (m x')^{-1}
+    at every step node and midpoint from flat lists, row j at
+    [j n, (j + 1) n), and returns the states after 0, .., steps steps,
+    flat.  The state lives in float locals y0..y{n-1}; each operation is
+    the array form's, in its order (numpy sums n < 8 terms left to
+    right), so the output is bit-identical to it.
+    """
+    idx = range(n)
+    state = ", ".join(f"y{i}" for i in idx)
+    body = []
+    # Stage k is mu sandwich(v, w), v = start - x, at sample row 2 step + row.
+    for k, start, row in (
+        (1, "y{i}", 0),
+        (2, "y{i} + half * k1_{i}", 1),
+        (3, "y{i} + half * k2_{i}", 1),
+        (4, "y{i} + h * k3_{i}", 2),
+    ):
+        body += [f"w{i} = w[j + {row * n + i}]" for i in idx]
+        body += [f"v{i} = {start.format(i=i)} - x[j + {row * n + i}]" for i in idx]
+        body += [
+            "vw = " + " + ".join(f"v{i} * w{i}" for i in idx),
+            "vv = " + " + ".join(f"v{i} * v{i}" for i in idx),
+            "if vv <= tol2:",
+            f"    raise SingularEncounterError(s0 + half * (2 * step + {row}))",
+            "vw2 = 2.0 * vw",
+        ] + [f"k{k}_{i} = mu * (vw2 * v{i} - vv * w{i})" for i in idx]
+    body += [f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in idx]
+    source = "\n".join(
+        ["def riccati_rk4(x, w, y, steps, h, mu, tol2, s0):", f"    {state}, = y"]
+        + ["    half = 0.5 * h", "    sixth = h / 6.0", f"    out = [{state}]"]
+        + ["    for step in range(steps):", f"        j = {2 * n} * step"]
+        + ["        " + line for line in body + [f"out += ({state},)"]]
+        + ["    return out\n"]
+    )
+    namespace = {"SingularEncounterError": SingularEncounterError}
+    exec(compile(source, f"<riccati-rk4-n{n}>", "exec"), namespace)
+    return namespace["riccati_rk4"]
+
+
 def integrate_riccati(
     curve: PolarizedCurve,
     mu: float,
@@ -232,7 +278,9 @@ def integrate_riccati(
 
     mu = 0 raises GeometryError: the transform degenerates to a constant
     curve, which is not immersed.  A collapsing secant |x^ - x| raises
-    SingularEncounterError carrying the parameter value.
+    SingularEncounterError carrying the parameter value, and a transform
+    that leaves R^n (a sample overflows to inf or nan) raises
+    PointAtInfinityError naming the first such parameter.
     """
     if mu == 0.0:
         raise GeometryError("mu = 0 gives a constant curve, not a Darboux transform")
@@ -244,56 +292,21 @@ def integrate_riccati(
     )
     w_all = inverse_tangent(xp_all, m_all)
     scale = max(float(np.max(np.abs(curve.x))), float(np.linalg.norm(xhat0)), 1.0)
-    # The RK4 state lives in Python floats: for n <= 4 numpy's per-call
-    # cost is the whole step.  Each operation is the one the array form
-    # applies, in the same order (numpy sums n < 8 terms left to right),
-    # so the result is bit-identical to it.  Samples sit in flat lists,
-    # row j at [j n, (j + 1) n), since a list per row costs a list object
-    # per sample.
-    n = curve.n
-    mu = float(mu)
-    x_flat = x_all.ravel().tolist()
-    w_flat = w_all.ravel().tolist()
-    secant_tol2 = (SECANT_TOL * scale) ** 2
-    s0 = curve.grid.s0
-
-    def rhs(j: int, y: list[float]) -> list[float]:
-        # mu cl.sandwich(v, w) = mu (2 (v.w) v - (v.v) w) with v = y - x.
-        v = [a - b for a, b in zip(y, x_flat[j * n : (j + 1) * n])]
-        w = w_flat[j * n : (j + 1) * n]
-        vw = v[0] * w[0]
-        vv = v[0] * v[0]
-        for i in range(1, n):
-            vw += v[i] * w[i]
-            vv += v[i] * v[i]
-        if vv <= secant_tol2:
-            raise SingularEncounterError(s0 + 0.5 * h * j)
-        vw2 = 2.0 * vw
-        return [mu * (vw2 * a - vv * b) for a, b in zip(v, w)]
-
-    steps = num_steps(x_all)
-    half, sixth = 0.5 * h, h / 6.0
-    y = xhat0.tolist()
-    flat = list(y)
-    for k in range(steps):
-        j = 2 * k
-        k1 = rhs(j, y)
-        k2 = rhs(j + 1, [a + half * b for a, b in zip(y, k1)])
-        k3 = rhs(j + 1, [a + half * b for a, b in zip(y, k2)])
-        k4 = rhs(j + 2, [a + h * b for a, b in zip(y, k3)])
-        y = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
-        flat.extend(y)
-    out = np.array(flat).reshape(steps + 1, n)
-    samples = out[::substeps]
+    flat = _riccati_kernel(curve.n)(
+        x_all.ravel().tolist(), w_all.ravel().tolist(), xhat0.tolist(), num_steps(x_all),
+        h, float(mu), (SECANT_TOL * scale) ** 2, curve.grid.s0,
+    )
+    samples = np.array(flat).reshape(-1, curve.n)[::substeps]
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        s = curve.grid.nodes()[int(np.argmin(finite))]
+        raise PointAtInfinityError(f"Riccati transform leaves R^{curve.n} near s = {s:.6g}")
     # The ODE itself provides the derivative at the retained nodes.
     node_idx = 2 * substeps * np.arange(curve.grid.num)
     secants = samples - x_all[node_idx]
-    if np.any(np.linalg.norm(secants, axis=1) <= SECANT_TOL * scale):
-        bad = int(np.argmin(np.linalg.norm(secants, axis=1)))
-        raise SingularEncounterError(curve.grid.nodes()[bad])
+    gaps = np.linalg.norm(secants, axis=1)
+    if np.min(gaps) <= SECANT_TOL * scale:
+        raise SingularEncounterError(curve.grid.nodes()[int(np.argmin(gaps))])
     xhat_prime = mu * cl.sandwich(secants, w_all[node_idx])
     return PolarizedCurve(
         n=curve.n, grid=curve.grid, x=samples, xprime=xhat_prime, m=curve.m.copy()

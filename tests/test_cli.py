@@ -137,6 +137,27 @@ def test_darboux_rejects_zero_mu_with_one_error_line(tmp_path, capsys):
         assert err.startswith("error: ") and "--mu" in err
 
 
+def test_riccati_transform_leaving_space_exits_2_with_one_error_line(tmp_path, capsys):
+    src = tmp_path / "line.json"
+    rc = main(["curve", "--family", "line", "--n", "1", "--grid", "0:3:301", "--out", str(src)])
+    assert rc == 0
+    out = tmp_path / "hat.json"
+    capsys.readouterr()
+    for extra in (["--report"], ["--out", str(out)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(
+                ["darboux", "--in", str(src), "--mu", "-2", "--init", "1", "--route", "riccati"]
+                + extra
+            )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "leaves R^1" in captured.err
+    assert not out.exists()
+
+
 def test_surface_build_check_moutard(tmp_path, capsys):
     src = _curve_file(tmp_path)
     surf = tmp_path / "s.json"

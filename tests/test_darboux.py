@@ -15,7 +15,7 @@ import pytest
 
 import isothermic.minkowski as mk
 from isothermic.clifford import nonscalar_norm, sandwich, scalar_part
-from isothermic.curves import Grid, PolarizedCurve, make_circle, make_helix
+from isothermic.curves import Grid, PolarizedCurve, make_circle, make_curve, make_helix
 from isothermic.darboux import (
     SECANT_TOL,
     connection_matrix,
@@ -33,7 +33,12 @@ from isothermic.darboux import (
     tangent_cross_ratio,
     verify_gauge_relation,
 )
-from isothermic.errors import DimensionError, GeometryError, SingularEncounterError
+from isothermic.errors import (
+    DimensionError,
+    GeometryError,
+    PointAtInfinityError,
+    SingularEncounterError,
+)
 from isothermic.fixtures import concentric_pair, tractrix_circle_pair, unit_circle
 
 
@@ -97,20 +102,32 @@ def _riccati_reference(curve, mu, xhat0, substeps):
 
 
 def _space_curve(n: int, m: float, grid: Grid = Grid(0.5, 2.0, 151)) -> PolarizedCurve:
-    """A circle in R^2, a helix in R^3, or a circle with two harmonics in R^4."""
+    """A test curve in R^n, 1 <= n <= 5.
+
+    An exponential in R^1, a circle in R^2, a helix in R^3, and a circle
+    with two or three harmonics in R^4 and R^5.
+    """
     if n == 2:
         return make_circle(1.0, grid).with_polarization(m)
     if n == 3:
         return make_helix(1.0, 0.3, grid).with_polarization(m)
     s = grid.nodes()
-    x = np.stack([np.cos(s), np.sin(s), 0.3 * np.cos(2 * s), 0.2 * np.sin(3 * s)], axis=1)
-    xp = np.stack(
-        [-np.sin(s), np.cos(s), -0.6 * np.sin(2 * s), 0.6 * np.cos(3 * s)], axis=1
-    )
-    return PolarizedCurve(n=4, grid=grid, x=x, xprime=xp, m=np.full(grid.num, m))
+    if n == 1:
+        x = xp = np.exp(s)[:, None]
+    else:
+        columns = [  # (coordinate, its derivative)
+            (np.cos(s), -np.sin(s)),
+            (np.sin(s), np.cos(s)),
+            (0.3 * np.cos(2 * s), -0.6 * np.sin(2 * s)),
+            (0.2 * np.sin(3 * s), 0.6 * np.cos(3 * s)),
+            (0.25 * np.sin(2 * s), 0.5 * np.cos(2 * s)),
+        ][:n]
+        x = np.stack([f for f, _ in columns], axis=1)
+        xp = np.stack([df for _, df in columns], axis=1)
+    return PolarizedCurve(n=n, grid=grid, x=x, xprime=xp, m=np.full(grid.num, m))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_riccati_is_bit_identical_to_array_reference(n):
     for m in (1.0, -0.5):
         c = _space_curve(n, m)
@@ -130,6 +147,20 @@ def test_riccati_start_on_curve_raises_at_grid_start():
         with pytest.raises(SingularEncounterError) as info:
             integrate(c, -2.0, c.x[0].copy(), 1)
         assert info.value.s == c.grid.s0
+
+
+def test_riccati_leaving_space_raises_at_first_nonfinite_node():
+    # On a line in R^1 with mu = -2 the transform runs off to infinity
+    # near s = 1.8, where the array form's samples turn inf and nan.
+    c = make_curve("line", Grid(0.0, 3.0, 301), n=1)
+    p0 = np.array([1.0])
+    with np.errstate(all="ignore"):
+        x_ref, _ = _riccati_reference(c, -2.0, p0, 1)
+    first = int(np.argmin(np.isfinite(x_ref[:, 0])))
+    assert first > 0
+    with pytest.raises(PointAtInfinityError) as info:
+        integrate_riccati(c, -2.0, p0)
+    assert f"s = {c.grid.nodes()[first]:.6g}" in str(info.value)
 
 
 def test_concentric_circles_cross_ratio():
