@@ -3,7 +3,7 @@ surfaces in the conformal n-sphere.
 
 Submodules
 ----------
-clifford : Clifford algebra Cl(n) by blade tables, and cross ratios.
+clifford : products of vectors in Cl(n), and cross ratios.
 minkowski : light-cone model of the conformal n-sphere.
 curves : polarized curves on uniform grids.
 darboux : Darboux transforms, flat connections, parallel sections.

@@ -30,7 +30,7 @@ from .darboux import (
 )
 from .errors import DimensionError, GeometryError, NonConcircularError
 
-# Relative non-scalar tolerance above which four points are rejected
+# Relative 2-vector tolerance above which four points are rejected
 # as non-concircular rather than silently projected.
 CONCIRCULARITY_TOL = 1e-7
 
@@ -44,20 +44,19 @@ def moebius_cross_ratio(
     """Cross ratio of four concircular null directions.
 
     Computed as the Clifford cross ratio of stereographic images in a
-    chart avoiding all four points; the value is chart-independent.
+    chart avoiding all four points (``clifford.cross_ratio`` then
+    inverts the chart at the fourth); the value is chart-independent.
     Convention: for zeta = Gamma_{<xi>}^{<xihat>}(r) eta the quadruple
-    (xihat, eta, xi, zeta) returns r.  A relative non-scalar part above
-    CONCIRCULARITY_TOL raises NonConcircularError.
+    (xihat, eta, xi, zeta) returns r.  A 2-vector part larger than
+    CONCIRCULARITY_TOL times the scalar raises NonConcircularError.
     """
     pts = [np.asarray(p, dtype=float) for p in (p1, p2, p3, p4)]
     shape = np.broadcast_shapes(*(p.shape for p in pts))
     pts = [np.broadcast_to(p, shape) for p in pts]
     frame, basis = mk.chart_avoiding(np.concatenate([p.reshape(-1, shape[-1]) for p in pts]))
     coords = [mk.chart_coordinates(p, frame, basis) for p in pts]
-    cr = cl.cross_ratio(*coords)
-    scalar = cl.scalar_part(cr)
-    rest = cl.nonscalar_norm(cr)
-    residual = float(np.max(rest / np.maximum(np.abs(scalar), 1e-300)))
+    scalar, wedge = cl.cross_ratio(*coords)
+    residual = cl.reality_residual(scalar, wedge)
     if residual > CONCIRCULARITY_TOL:
         raise NonConcircularError(
             f"points are not concircular: relative residual {residual:.3e}"

@@ -16,7 +16,14 @@ import sys
 import numpy as np
 
 from . import bianchi, clifford, cmc, fileio, fixtures, minkowski as mk, transforms
-from .curves import Grid, PolarizedCurve, from_samples, make_circle, make_curve
+from .curves import (
+    Grid,
+    PolarizedCurve,
+    from_samples,
+    make_circle,
+    make_curve,
+    sixth_order_derivative,
+)
 from .darboux import (
     euclidean_section,
     integrate_parallel_section,
@@ -54,7 +61,7 @@ TOLERANCES = {
     "calapso-metric-drift": 1e-8,
     "calapso-permute-parameter": 1e-5,
     "calapso-transported-constancy": 1e-6,
-    "clifford-associativity": 1e-12,
+    "clifford-complex-cross-ratio": 1e-12,
     "clifford-cross-ratio-invariance": 1e-10,
     "clifford-vector-inverse": 1e-12,
     "cmc-conserved-quantity": 1e-6,
@@ -208,6 +215,10 @@ class Checks:
     def ok(self) -> bool:
         return all(row[4] for row in self.rows)
 
+    def failing(self) -> list[str]:
+        """Sorted names of the checks with a failed row."""
+        return sorted({row[0] for row in self.rows if not row[4]})
+
     def sorted_rows(self):
         return sorted(self.rows, key=lambda row: (row[0], row[1]))
 
@@ -228,7 +239,7 @@ class Checks:
             print(f"{name:<{wc}}  {where:<{ww}}  {residual:>12.4e}  {tol:>12.4e}  {status}")
         for note in self.notes:
             print(f"note: {note}")
-        failing = sorted({r[0] for r in rows if not r[4]})
+        failing = self.failing()
         if failing:
             print("failed checks: " + ", ".join(failing))
         else:
@@ -302,35 +313,48 @@ def _darboux_agreement(N: int) -> float:
 
 
 def _suite_clifford(checks: Checks, rng: np.random.Generator, ctx) -> None:
-    def associativity():
+    def complex_route():
+        # Points in the (e_i, e_j) plane of R^n against complex arithmetic,
+        # e_i e_j acting as i: the product a b is conj(a) b, and the cross
+        # ratio's scalar part and 2-vector norm are the real part and |imaginary
+        # part| of (z1-z2)(z3-z4)/((z2-z3)(z4-z1)).
         worst = 0.0
-        for n in (2, 3, 4):
-            a, b, c = (clifford.vector_coeffs(rng.standard_normal(n)) for _ in range(3))
-            left = clifford.geometric_product(clifford.geometric_product(a, b, n), c, n)
-            right = clifford.geometric_product(a, clifford.geometric_product(b, c, n), n)
-            worst = max(worst, float(np.max(np.abs(left - right))))
+        for n, i, j in ((2, 0, 1), (3, 0, 2), (5, 2, 4)):
+            z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            pts = np.zeros((4, n))
+            pts[:, i], pts[:, j] = z.real, z.imag
+            real, wedge = clifford.vector_product(pts[0], pts[1])
+            ab = np.conj(z[0]) * z[1]
+            expected = np.zeros_like(wedge)
+            expected[j * (j - 1) // 2 + i] = ab.imag  # e_i e_j's place in blade order
+            gap = max(abs(real - ab.real), float(np.max(np.abs(wedge - expected))))
+            worst = max(worst, gap / abs(ab))
+            real, wedge = clifford.cross_ratio(*pts)
+            cr = (z[0] - z[1]) * (z[2] - z[3]) / ((z[1] - z[2]) * (z[3] - z[0]))
+            gap = max(abs(real - cr.real), abs(clifford.wedge_norm(wedge) - abs(cr.imag)))
+            worst = max(worst, gap / abs(cr))
         return worst
 
     def inverse():
         worst = 0.0
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             x = rng.standard_normal(n) + 0.5
-            xi = clifford.vector_inverse(x)
-            prod = clifford.geometric_product(
-                clifford.vector_coeffs(x), clifford.vector_coeffs(xi), n
-            )
-            prod[0] -= 1.0
-            worst = max(worst, float(np.max(np.abs(prod))))
+            real, wedge = clifford.vector_product(x, clifford.vector_inverse(x))
+            worst = max(worst, abs(float(real) - 1.0), float(np.max(np.abs(wedge))))
         return worst
 
     def cross_ratio_invariance():
+        # Inversion in the sphere |x - c| = 1.7 conjugates the cross ratio:
+        # its scalar part and the norm of its 2-vector are invariant.
         pts = rng.standard_normal((4, 3)) * 2.0
-        cr0 = clifford.cross_ratio(*pts)
-        shift = rng.standard_normal(3)
-        cr1 = clifford.cross_ratio(*(1.7 * p + shift for p in pts))
-        return float(np.max(np.abs(cr0 - cr1)))
+        c = rng.standard_normal(3)
+        d = pts - c
+        images = c + 1.7**2 * d / np.sum(d * d, axis=1)[:, None]
+        (r0, w0), (r1, w1) = (clifford.cross_ratio(*p) for p in (pts, images))
+        n0, n1 = clifford.wedge_norm(w0), clifford.wedge_norm(w1)
+        return float(max(abs(r0 - r1), abs(n0 - n1)) / np.hypot(r0, n0))
 
-    checks.run("clifford-associativity", "random-vectors", associativity)
+    checks.run("clifford-complex-cross-ratio", "random-planar-points", complex_route)
     checks.run("clifford-vector-inverse", "random-vectors", inverse)
     checks.run("clifford-cross-ratio-invariance", "random-points", cross_ratio_invariance)
 
@@ -393,17 +417,16 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
     a, b = pool.get("concentric")
 
     def concentric():
-        cr = tangent_cross_ratio(a, b)
-        real = clifford.scalar_part(cr)
+        real, wedge = tangent_cross_ratio(a, b)
         return max(
             float(np.max(np.abs(real + 2.0))),
-            float(np.max(clifford.nonscalar_norm(cr))),
+            float(np.max(clifford.wedge_norm(wedge))),
         )
 
     checks.run("concentric-cross-ratio", "concentric", concentric)
 
     y, yhat = pool.get("tractrix")
-    cr = clifford.scalar_part(tangent_cross_ratio(y, yhat))
+    cr = tangent_cross_ratio(y, yhat)[0]
     checks.run(
         "tractrix-cross-ratio",
         "tractrix",
@@ -728,6 +751,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_darboux(args) -> int:
+    checks = Checks(args.tol_override)
     if args.mu == 0.0:
         raise GeometryError("--mu must be nonzero: mu = 0 gives a constant curve")
     curve = fileio.load_curve(args.infile)
@@ -744,18 +768,27 @@ def cmd_darboux(args) -> int:
             curve, args.mu, mk.euclidean_lift(point), substeps=args.step_policy
         )
         hat = section.to_curve(curve.m)
-    if args.out:
-        fileio.save_curve(args.out, hat)
+    # Certify the positions: hat's own derivative comes from the ODE, for
+    # which the cross ratio is mu/m by algebra.  The sixth-order stencil
+    # keeps its truncation below the positions' error.
+    fit = is_darboux_pair(
+        curve, from_samples(hat.x, curve.grid, curve.m, sixth_order_derivative(hat.x, curve.grid))
+    )
+    checks.run(
+        "quad-cross-ratio",
+        args.route,
+        lambda: max(fit.spread, abs(fit.mu - args.mu) / abs(args.mu)),
+    )
+    checks.run("darboux-ribaucour-contact", args.route, lambda: fit.reality)
     if args.report:
-        # Certify the positions: hat's own derivative comes from the ODE,
-        # for which the cross ratio is mu/m by algebra.
-        fit = is_darboux_pair(curve, from_samples(hat.x, curve.grid, curve.m))
         print(f"route: {args.route}")
         print(f"fitted mu: {fit.mu:.12g} (requested {args.mu:g})")
         print(f"cross ratio spread: {fit.spread:.4e}")
-        print(f"imaginary part: {fit.reality:.4e}")
         print(f"ribaucour contact residual: {fit.reality:.4e}")
+    if not checks.ok:
+        raise VerificationError("failed checks: " + ", ".join(checks.failing()))
     if args.out:
+        fileio.save_curve(args.out, hat)
         print(f"wrote transform -> {args.out}")
     return 0
 

@@ -1,92 +1,58 @@
-"""Clifford algebra of Euclidean R^n for small n.
+"""Products of vectors in the Clifford algebra of Euclidean R^n, any n.
 
-Multivectors are arrays of 2^n coefficients indexed by basis blades
-e_S = e_{i_1} .. e_{i_k} (i_1 < .. < i_k), where the index of S is its
-bitmask.  The generators square to +1 and anticommute, so the geometric
-product of blades is a signed XOR of bitmasks, and the full product is
-a sum over the blades of one factor against cached sign tables.
+The geometry only ever multiplies vectors.  A sandwich v w v is again a
+vector, so every Clifford product it needs reduces to a product of two
+vectors,
 
-Products of vectors, inverses of vectors and the cross ratio
+    a b = a.b + a^b,
+
+a scalar plus a 2-vector.  The 2-vector is returned by its n(n-1)/2
+coefficients a_i b_j - a_j b_i on e_i e_j (i < j), in the blade order of
+the bitmask basis: (0,1), (0,2), (1,2), (0,3), ...  For n = 1 it is
+empty.  The four-point cross ratio
 
     cr(p1, p2, p3, p4) = (p1-p2)(p2-p3)^{-1}(p3-p4)(p4-p1)^{-1}
 
-are all that the geometry needs; n is capped at 4.
+is a product of four vectors.  An inversion sending p4 to infinity
+turns it into a conjugate of one product of two vectors, which has the
+same scalar part and the same 2-vector norm; only these two numbers of
+``cross_ratio``'s value are defined, the direction of its 2-vector
+depends on the inversion.  ``wedge_norm`` and ``reality_residual`` are
+the one place that reduces a 2-vector to a number.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateSecantError, DimensionError
 
-MAX_DIM = 4
-
 # Relative scale below which a vector is refused inversion.
 DEGENERACY_TOL = 1e-12
 
 
-def _reorder_sign(a: int, b: int) -> float:
-    """Sign from moving the generators of blade b past those of blade a."""
-    a >>= 1
-    total = 0
-    while a:
-        total += bin(a & b).count("1")
-        a >>= 1
-    return -1.0 if total & 1 else 1.0
+def vector_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clifford product a b of R^n vectors as (a.b, a^b), broadcast over leading axes.
 
-
-@lru_cache(maxsize=None)
-def _blade_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Per blade i: the axes to flip so b_{k ^ i} lands at k, and sign(i, k ^ i).
-
-    Both refer to coefficients viewed as (..., 2, .., 2), one axis per
-    generator, e_0 last: XOR with i reverses the axes of i's generators,
-    so the permuted factor is a view, not a copy.
+    Returns the scalar part (...) and the 2-vector coefficients
+    (..., n(n-1)/2); both parts are real-valued arrays.
     """
-    if not 1 <= n <= MAX_DIM:
-        raise DimensionError(f"Clifford algebra supported for 1 <= n <= {MAX_DIM}, got {n}")
-    dim = 1 << n
-    flips = tuple(tuple(-1 - g for g in range(n) if i >> g & 1) for i in range(dim))
-    signs = np.array([[_reorder_sign(i, i ^ k) for k in range(dim)] for i in range(dim)])
-    signs.setflags(write=False)
-    return flips, signs.reshape((dim,) + (2,) * n)
-
-
-@lru_cache(maxsize=None)
-def grade_masks(n: int) -> tuple[np.ndarray, ...]:
-    grades = np.array([bin(i).count("1") for i in range(1 << n)])
-    return tuple(grades == k for k in range(n + 1))
-
-
-def geometric_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Geometric product on coefficient arrays of shape (..., 2^n).
-
-    (a b)_k = sum_i a_i sign(i, k ^ i) b_{k ^ i}, accumulated from zero
-    in blade order i with output-sized temporaries: the dense product
-    tensor contraction without its zero terms, equal to it bit for bit.
-    """
-    flips, signs = _blade_tables(n)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    b = b.reshape(b.shape[:-1] + (2,) * n)
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-n]) + (2,) * n)
-    for i in range(1 << n):
-        out += (a[(..., i) + (None,) * n] * signs[i]) * np.flip(b, flips[i])
-    return out.reshape(out.shape[:-n] + (1 << n,))
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionError(f"vectors of R^{a.shape[-1]} and R^{b.shape[-1]}")
+    j, i = np.tril_indices(a.shape[-1], -1)  # i < j, in blade order
+    return np.sum(a * b, axis=-1), a[..., i] * b[..., j] - a[..., j] * b[..., i]
 
 
-def vector_coeffs(x: np.ndarray) -> np.ndarray:
-    """Embed R^n vectors (..., n) as grade-1 coefficient arrays (..., 2^n)."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    if not 1 <= n <= MAX_DIM:
-        raise DimensionError(f"Clifford algebra supported for 1 <= n <= {MAX_DIM}, got {n}")
-    out = np.zeros(x.shape[:-1] + (1 << n,))
-    for i in range(n):
-        out[..., 1 << i] = x[..., i]
-    return out
+def wedge_norm(wedge: np.ndarray) -> np.ndarray:
+    """Norm |a^b| of 2-vectors (..., n(n-1)/2); 0 for n = 1."""
+    return np.linalg.norm(wedge, axis=-1)
+
+
+def reality_residual(real: np.ndarray, wedge: np.ndarray) -> float:
+    """Worst |2-vector| / |scalar| of products (real, wedge); 0 for n = 1."""
+    return float(np.max(wedge_norm(wedge) / np.maximum(np.abs(real), 1e-300)))
 
 
 def vector_inverse(x: np.ndarray, ref_scale: float | np.ndarray = 1.0) -> np.ndarray:
@@ -104,11 +70,7 @@ def vector_inverse(x: np.ndarray, ref_scale: float | np.ndarray = 1.0) -> np.nda
 
 
 def sandwich(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Grade-1 product v w v = 2 (v.w) v - (v.v) w of R^n vectors.
-
-    Equals the geometric product; kept closed-form because it needs no
-    2^n coefficients.
-    """
+    """Vector v w v = 2 (v.w) v - (v.v) w of R^n vectors."""
     vw = np.sum(v * w, axis=-1)[..., None]
     vv = np.sum(v * v, axis=-1)[..., None]
     return 2.0 * vw * v - vv * w
@@ -116,37 +78,20 @@ def sandwich(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def cross_ratio(
     p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray
-) -> np.ndarray:
-    """Clifford cross ratio of four points of R^n, as coefficient arrays.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clifford cross ratio of four points of R^n as (scalar, 2-vector).
 
-    Broadcasts over leading axes.  The result is a scalar (grade 0)
-    exactly when the four points are concircular or collinear; the
-    grade-2 part measures the failure.
+    Broadcasts over leading axes.  The inversion x -> (x-p4)/|x-p4|^2
+    sends p4 to infinity and the other points to a, b, c, where the
+    value is -(a-b)(b-c)^{-1}.  This is a conjugate of the product of
+    four vectors: its scalar part and its 2-vector norm are the cross
+    ratio's, the direction of its 2-vector is not (for n = 2 it has the
+    opposite sign, in general it is also rotated).  The 2-vector
+    vanishes exactly when the points are concircular or collinear.
     """
     p1, p2, p3, p4 = (np.asarray(p, dtype=float) for p in (p1, p2, p3, p4))
-    n = p1.shape[-1]
     scale = max(float(np.max(np.abs(p))) for p in (p1, p2, p3, p4))
-    a = p1 - p2
-    b = vector_inverse(p2 - p3, ref_scale=scale)
-    c = p3 - p4
-    d = vector_inverse(p4 - p1, ref_scale=scale)
-    left = geometric_product(vector_coeffs(a), vector_coeffs(b), n)
-    right = geometric_product(vector_coeffs(c), vector_coeffs(d), n)
-    return geometric_product(left, right, n)
-
-
-def scalar_part(coeffs: np.ndarray) -> np.ndarray:
-    return np.asarray(coeffs)[..., 0]
-
-
-def grade_part(coeffs: np.ndarray, k: int, n: int) -> np.ndarray:
-    mask = grade_masks(n)[k]
-    out = np.zeros_like(coeffs)
-    out[..., mask] = coeffs[..., mask]
-    return out
-
-
-def nonscalar_norm(coeffs: np.ndarray) -> np.ndarray:
-    """Euclidean norm of all coefficients above grade 0."""
-    return np.linalg.norm(np.asarray(coeffs)[..., 1:], axis=-1)
-
+    a, b, c = (vector_inverse(p - p4, ref_scale=scale) for p in (p1, p2, p3))
+    scale = max(float(np.max(np.abs(p))) for p in (a, b, c))
+    real, wedge = vector_product(a - b, vector_inverse(b - c, ref_scale=scale))
+    return -real, -wedge

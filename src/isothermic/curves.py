@@ -126,7 +126,7 @@ class PolarizedCurve:
 
     Attributes
     ----------
-    n : ambient dimension (1 <= n <= 4 for the Clifford machinery).
+    n : ambient dimension, n >= 1.
     grid : uniform parameter grid.
     x : (N, n) position samples.
     xprime : (N, n) derivative samples.

@@ -5,8 +5,8 @@ tangent cross ratio against x is constant,
 
     cr = x' (x - x^)^{-1} x^' (x - x^)^{-1} = mu / m,
 
-computed in the Clifford algebra of R^n.  Transforms are produced either
-by integrating the Riccati equation
+a product of two vectors in the Clifford algebra of R^n.  Transforms
+are produced either by integrating the Riccati equation
 
     x^' = mu (x^ - x) (m x')^{-1} (x^ - x)
 
@@ -118,7 +118,7 @@ class DarbouxFit:
 
     ``mu`` is the median of the per-sample products cr * m, ``spread``
     the worst relative deviation from it, and ``reality`` the worst
-    relative non-scalar magnitude of the Clifford cross ratio.
+    relative 2-vector magnitude of the Clifford cross ratio.
     """
 
     mu: float
@@ -131,40 +131,34 @@ class DarbouxFit:
         return bool(self.spread < self.tol and self.reality < self.tol)
 
 
-def tangent_cross_ratio(x: PolarizedCurve, xhat: PolarizedCurve) -> np.ndarray:
+def tangent_cross_ratio(
+    x: PolarizedCurve, xhat: PolarizedCurve
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample Clifford cross ratio x' (x-x^)^{-1} x^' (x-x^)^{-1}.
 
-    Returns the (N, 2^n) coefficient array; the pair is Ribaucour where
-    the value is real and Darboux when additionally cr * m is constant.
+    One product of two vectors, x' u with u = v^{-1} x^' v^{-1} (v the
+    secant), returned as (scalar (N,), 2-vector (N, n(n-1)/2)); the
+    pair is Ribaucour where the 2-vector vanishes and Darboux when
+    additionally scalar * m is constant.
     """
     if x.n != xhat.n:
         raise DimensionError("curves live in different dimensions")
     if x.grid != xhat.grid:
         raise DimensionError("curves are sampled on different grids")
-    n = x.n
     secant = x.x - xhat.x
     scale = max(float(np.max(np.abs(x.x))), float(np.max(np.abs(xhat.x))), 1.0)
     sec_inv = cl.vector_inverse(secant, ref_scale=scale)
-    a = cl.geometric_product(cl.vector_coeffs(x.xprime), cl.vector_coeffs(sec_inv), n)
-    b = cl.geometric_product(cl.vector_coeffs(xhat.xprime), cl.vector_coeffs(sec_inv), n)
-    return cl.geometric_product(a, b, n)
+    return cl.vector_product(x.xprime, cl.sandwich(sec_inv, xhat.xprime))
 
 
 def is_ribaucour(x: PolarizedCurve, xhat: PolarizedCurve) -> tuple[bool, float]:
     """Reality test of the tangent cross ratio.
 
-    Returns (verdict at CERTIFICATE_TOL, worst relative non-scalar
+    Returns (verdict at CERTIFICATE_TOL, worst relative 2-vector
     magnitude).
     """
-    cr = tangent_cross_ratio(x, xhat)
-    residual = _reality_residual(cr)
+    residual = cl.reality_residual(*tangent_cross_ratio(x, xhat))
     return bool(residual < CERTIFICATE_TOL), residual
-
-
-def _reality_residual(cr_coeffs: np.ndarray) -> float:
-    scalars = np.abs(cl.scalar_part(cr_coeffs))
-    rest = cl.nonscalar_norm(cr_coeffs)
-    return float(np.max(rest / np.maximum(scalars, 1e-300)))
 
 
 def is_darboux_pair(
@@ -176,13 +170,12 @@ def is_darboux_pair(
     mu is estimated as the median of the per-sample products, robust
     against a few bad samples.
     """
-    cr = tangent_cross_ratio(x, xhat)
-    reality = _reality_residual(cr)
-    crm = cl.scalar_part(cr) * x.m
+    real, wedge = tangent_cross_ratio(x, xhat)
+    crm = real * x.m
     mu = float(np.median(crm))
     denom = abs(mu) if abs(mu) > 1e-300 else 1.0
     spread = float(np.max(np.abs(crm - mu)) / denom)
-    return DarbouxFit(mu=mu, spread=spread, reality=reality, tol=tol)
+    return DarbouxFit(mu=mu, spread=spread, reality=cl.reality_residual(real, wedge), tol=tol)
 
 
 def half_step_samples(

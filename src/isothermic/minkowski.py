@@ -129,11 +129,6 @@ def affine_point(xi: np.ndarray) -> np.ndarray:
     return (xi / w[..., None])[..., :n]
 
 
-def wedge_action(xi: np.ndarray, eta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Apply the skew map xi ^ eta to y:  (y, xi) eta - (y, eta) xi."""
-    return inner(y, xi)[..., None] * eta - inner(y, eta)[..., None] * xi
-
-
 def wedge_matrix(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Dense matrix of xi ^ eta, skew w.r.t. the Minkowski form."""
     xi = np.asarray(xi, dtype=float)

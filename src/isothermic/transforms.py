@@ -80,15 +80,12 @@ def christoffel_dual(
 
 
 def dual_defect(curve: PolarizedCurve, dual: PolarizedCurve) -> float:
-    """Pointwise defect of the duality relation (x*)' (m x') = 1."""
-    n = curve.n
-    prod = cl.geometric_product(
-        cl.vector_coeffs(dual.xprime),
-        cl.vector_coeffs(curve.m[:, None] * curve.xprime),
-        n,
-    )
-    prod[:, 0] -= 1.0
-    return float(np.max(np.abs(prod)))
+    """Pointwise defect of the duality relation (x*)' (m x') = 1.
+
+    The worst of |scalar - 1| and |2-vector|.
+    """
+    real, wedge = cl.vector_product(dual.xprime, curve.m[:, None] * curve.xprime)
+    return float(max(np.max(np.abs(real - 1.0)), np.max(cl.wedge_norm(wedge))))
 
 
 def christoffel_darboux_permute(

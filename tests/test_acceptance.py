@@ -14,6 +14,7 @@ import pytest
 import isothermic.minkowski as mk
 from isothermic import cmc
 from isothermic.bianchi import bianchi_cube, bianchi_quad, check_bigauge, check_quad
+from isothermic.clifford import wedge_norm
 from isothermic.curves import Grid, PolarizedCurve, make_circle, make_helix
 from isothermic.darboux import (
     euclidean_section,
@@ -23,7 +24,6 @@ from isothermic.darboux import (
     tangent_cross_ratio,
 )
 from isothermic.cli import main as cli_main
-from isothermic.clifford import nonscalar_norm, scalar_part
 from isothermic.fixtures import (
     cmc_round_cylinder,
     concentric_pair,
@@ -47,9 +47,9 @@ from isothermic.transforms import (
 
 START = np.array([2.0, 0.0])
 # Second and third initial points; a curve in R^n takes the first n entries.
-POINT1 = np.array([0.3, -0.4, 0.5, -0.2])
-POINT2 = np.array([-1.5, 0.2, -0.3, 0.4])
-HIGHER = ["helix-n3", "fourier-n4"]
+POINT1 = np.array([0.3, -0.4, 0.5, -0.2, 0.1])
+POINT2 = np.array([-1.5, 0.2, -0.3, 0.4, -0.1])
+HIGHER = ["helix-n3", "fourier-n4", "fourier-n5"]
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -57,28 +57,29 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d} {label}: {detail}"
 
 
-def _fourier_curve_r4(seed: int, grid: Grid) -> PolarizedCurve:
-    """Unit circle in R^4 plus seeded harmonics 2 and 3 in every coordinate."""
-    coef = 0.1 * np.random.default_rng(seed).standard_normal((4, 2, 2))
+def _fourier_curve(n: int, seed: int, grid: Grid) -> PolarizedCurve:
+    """Unit circle in R^n plus seeded harmonics 2 and 3 in every coordinate."""
+    coef = 0.1 * np.random.default_rng(seed).standard_normal((n, 2, 2))
     s = grid.nodes()
-    x = np.zeros((grid.num, 4))
+    x = np.zeros((grid.num, n))
     xp = np.zeros_like(x)
     x[:, 0], x[:, 1] = np.cos(s), np.sin(s)
     xp[:, 0], xp[:, 1] = -np.sin(s), np.cos(s)
-    for d in range(4):
+    for d in range(n):
         for j, k in enumerate((2, 3)):
             a, b = coef[d, j]
             x[:, d] += a * np.cos(k * s) + b * np.sin(k * s)
             xp[:, d] += k * (b * np.cos(k * s) - a * np.sin(k * s))
-    return PolarizedCurve(n=4, grid=grid, x=x, xprime=xp, m=np.ones(grid.num))
+    return PolarizedCurve(n=n, grid=grid, x=x, xprime=xp, m=np.ones(grid.num))
 
 
 def _higher_curve(name: str, num: int = 1001) -> PolarizedCurve:
-    """A helix in R^3 or a seeded Fourier curve in R^4, on [0, 1]."""
+    """A helix in R^3 or a seeded Fourier curve in R^4 or R^5, on [0, 1]."""
     grid = Grid(0.0, 1.0, num)
     if name == "helix-n3":
         return make_helix(1.0, 0.15, grid)
-    return _fourier_curve_r4(4, grid)
+    n = int(name[-1])
+    return _fourier_curve(n, n, grid)
 
 
 def _route_gap(c: PolarizedCurve) -> float:
@@ -111,14 +112,14 @@ def test_criterion_01_riccati_higher_dimensions(name):
 
 def test_criterion_02_closed_form_darboux_pairs():
     a, b = concentric_pair()
-    cr = tangent_cross_ratio(a, b)
-    conc = max(float(np.max(np.abs(scalar_part(cr) + 2.0))),
-               float(np.max(nonscalar_norm(cr))))
+    real, wedge = tangent_cross_ratio(a, b)
+    conc = max(float(np.max(np.abs(real + 2.0))),
+               float(np.max(wedge_norm(wedge))))
 
     ta, tb = tractrix_circle_pair()
-    cr_t = tangent_cross_ratio(ta, tb)
-    trac = max(float(np.max(np.abs(scalar_part(cr_t) - 0.5))),
-               float(np.max(nonscalar_norm(cr_t))))
+    real_t, wedge_t = tangent_cross_ratio(ta, tb)
+    trac = max(float(np.max(np.abs(real_t - 0.5))),
+               float(np.max(wedge_norm(wedge_t))))
     m_gap = max(float(np.max(np.abs(ta.m - 0.5))), float(np.max(np.abs(tb.m - 0.5))))
 
     ok = conc < 1e-12 and trac < 1e-8 and m_gap < 1e-8

@@ -76,13 +76,56 @@ def test_darboux_report_certifies_positions_not_ode_derivative(tmp_path, capsys,
 
     monkeypatch.setattr(cli, "integrate_riccati", shifted)
     src = _curve_file(tmp_path)
+    out = tmp_path / "hat.json"
     args = ["darboux", "--in", str(src), "--mu", "-2", "--init", "2,0", "--route", "riccati"]
-    assert main(args + ["--report"]) == 0
-    report = capsys.readouterr().out
+    assert main(args + ["--report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    report = captured.out
     spread = float(re.search(r"^cross ratio spread: (\S+)$", report, re.M).group(1))
     contact = float(re.search(r"^ribaucour contact residual: (\S+)$", report, re.M).group(1))
     assert spread > 1e-4
     assert contact > 1e-4
+    assert "imaginary part" not in report
+    assert "quad-cross-ratio" in captured.err and "darboux-ribaucour-contact" in captured.err
+    assert not out.exists()
+
+
+def test_darboux_certifies_every_run_with_its_named_checks(tmp_path, capsys):
+    src = _curve_file(tmp_path)
+    out = tmp_path / "hat.json"
+    for route in ("parallel", "riccati"):
+        args = ["darboux", "--in", str(src), "--mu", "-2", "--init", "2,0", "--route", route]
+        for check in ("quad-cross-ratio", "darboux-ribaucour-contact"):
+            capsys.readouterr()
+            rc = main(args + ["--out", str(out), "--tol-override", f"{check}=1e-30"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and check in err
+            assert not out.exists()
+        assert main(args + ["--out", str(out)]) == 0
+        out.unlink()
+
+
+def test_darboux_through_the_chart_infinity_exits_1_without_writing(tmp_path, capsys):
+    # On the line in R^1 with mu = -2 the parallel section passes the
+    # chart's point at infinity near s = 1.8: the positions jump and the
+    # cross ratio is far from constant.
+    src = tmp_path / "line.json"
+    rc = main(["curve", "--family", "line", "--n", "1", "--grid", "0:3:301", "--out", str(src)])
+    assert rc == 0
+    out = tmp_path / "bad.json"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            ["darboux", "--in", str(src), "--mu", "-2", "--init", "1", "--route", "parallel",
+             "--report", "--out", str(out)]
+        )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "ribaucour contact residual: 0.0000e+00" in captured.out
+    assert len(captured.err.splitlines()) == 1 and "quad-cross-ratio" in captured.err
+    assert not out.exists()
 
 
 def test_darboux_rejects_start_point_on_curve(tmp_path, capsys):

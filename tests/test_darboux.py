@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import isothermic.minkowski as mk
-from isothermic.clifford import nonscalar_norm, sandwich, scalar_part
+from isothermic.clifford import sandwich, wedge_norm
 from isothermic.curves import Grid, PolarizedCurve, make_circle, make_curve, make_helix
 from isothermic.darboux import (
     SECANT_TOL,
@@ -165,16 +165,16 @@ def test_riccati_leaving_space_raises_at_first_nonfinite_node():
 
 def test_concentric_circles_cross_ratio():
     a, b = concentric_pair()
-    cr = tangent_cross_ratio(a, b)
-    assert np.max(np.abs(scalar_part(cr) + 2.0)) < 1e-13
-    assert np.max(nonscalar_norm(cr)) < 1e-13
+    real, wedge = tangent_cross_ratio(a, b)
+    assert np.max(np.abs(real + 2.0)) < 1e-13
+    assert np.max(wedge_norm(wedge)) < 1e-13
 
 
 def test_tractrix_pair_cross_ratio():
     y, yhat = tractrix_circle_pair()
-    cr = tangent_cross_ratio(y, yhat)
-    assert np.max(np.abs(scalar_part(cr) - 0.5)) < 1e-10
-    assert np.max(nonscalar_norm(cr)) < 1e-10
+    real, wedge = tangent_cross_ratio(y, yhat)
+    assert np.max(np.abs(real - 0.5)) < 1e-10
+    assert np.max(wedge_norm(wedge)) < 1e-10
 
 
 def test_is_darboux_pair_recovers_mu():

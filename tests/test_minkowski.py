@@ -82,12 +82,17 @@ def test_projection_matrix_action():
     assert np.max(np.abs(P @ P - P)) < 1e-12
 
 
+def wedge_action(xi, eta, y):
+    """Reference for wedge_matrix: the skew map xi ^ eta applied to y."""
+    return mk.inner(y, xi)[..., None] * eta - mk.inner(y, eta)[..., None] * xi
+
+
 def test_wedge_action_matches_matrix():
     rng = np.random.default_rng(31)
     xi = rng.standard_normal(5)
     eta = rng.standard_normal(5)
     y = rng.standard_normal(5)
-    direct = mk.wedge_action(xi, eta, y)
+    direct = wedge_action(xi, eta, y)
     via_matrix = mk.wedge_matrix(xi, eta) @ y
     assert np.max(np.abs(direct - via_matrix)) < 1e-12
     # defining identity (xi ^ eta) y = (xi, y) eta - (eta, y) xi

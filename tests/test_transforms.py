@@ -16,7 +16,7 @@ import pytest
 
 import isothermic.minkowski as mk
 from isothermic.cli import TOLERANCES
-from isothermic.curves import Grid, make_circle, make_helix
+from isothermic.curves import Grid, PolarizedCurve, make_circle, make_helix
 from isothermic.darboux import integrate_parallel_section, integrate_riccati, is_darboux_pair
 from isothermic.errors import GeometryError
 from isothermic.fixtures import unit_circle
@@ -139,6 +139,19 @@ def test_christoffel_dual_defect():
     c = unit_circle()
     dual = christoffel_dual(c)
     assert dual_defect(c, dual) < 1e-12
+    # Any dimension: a space curve in R^5, and the dual of its transform.
+    grid = Grid(0.0, 1.0, 201)
+    s = grid.nodes()
+    x = np.stack([np.cos(s), np.sin(s), 0.3 * np.cos(2 * s), 0.2 * np.sin(3 * s), 0.1 * s], axis=1)
+    xp = np.stack(
+        [-np.sin(s), np.cos(s), -0.6 * np.sin(2 * s), 0.6 * np.cos(3 * s), np.full_like(s, 0.1)],
+        axis=1,
+    )
+    c5 = PolarizedCurve(n=5, grid=grid, x=x, xprime=xp, m=np.ones(grid.num))
+    dual5 = christoffel_dual(c5)
+    assert dual_defect(c5, dual5) < 1e-12
+    hat5 = integrate_riccati(c5, -2.0, 2.0 * x[0])
+    assert dual_defect(hat5, christoffel_darboux_permute(c5, dual5, hat5, -2.0)) < 1e-12
 
 
 def test_christoffel_dual_is_involution():
