@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import re
 import sys
+import zlib
 
 import numpy as np
 
@@ -922,7 +923,6 @@ def cmd_cmc(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = Checks(args.tol_override)
-    rng = np.random.default_rng(args.seed)
     ctx = {"substeps": args.step_policy}
     if args.surface:
         surface = fileio.load_surface(args.surface)
@@ -937,7 +937,8 @@ def cmd_verify(args) -> int:
         ctx["pool"] = FixturePool(corrupt=args.corrupt, seed=args.seed)
         selected = SUITE_NAMES if args.suite == "all" else (args.suite,)
         for name in selected:
-            SUITES[name](checks, rng, ctx)
+            # A generator per suite, so no suite's draws move another's samples.
+            SUITES[name](checks, np.random.default_rng([args.seed, zlib.crc32(name.encode())]), ctx)
 
     checks.print_table()
     if args.csv:

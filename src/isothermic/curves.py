@@ -93,13 +93,12 @@ def sixth_order_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
     return _stencil_derivative(values, grid, _STENCIL6 if grid.num >= 7 else _STENCIL4)
 
 
-def cubic_interp(values: np.ndarray, grid: Grid, s: np.ndarray) -> np.ndarray:
-    """Piecewise-cubic Lagrange interpolation of grid samples at points s.
+def cubic_stencil(grid: Grid, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``cubic_interp`` at points s, each (4, K).
 
-    Uses the 4-node stencil around each query point, clamped at the
-    boundary, so the error is O(h^4) with smooth data.
+    Row i holds the i-th node of the 4-node stencil around each query
+    point, clamped at the boundary, and its Lagrange weight.
     """
-    f = np.asarray(values, dtype=float)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t = (s - grid.s0) / grid.h
     base = np.clip(np.floor(t).astype(int) - 1, 0, grid.num - 4)
@@ -114,10 +113,23 @@ def cubic_interp(values: np.ndarray, grid: Grid, s: np.ndarray) -> np.ndarray:
             u0 * u1 * u2 / 6.0,
         ]
     )
-    idx = base[None, :] + np.arange(4)[:, None]
-    gathered = f[idx]  # (4, K, ...)
+    return base[None, :] + np.arange(4)[:, None], w
+
+
+def stencil_sum(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over the stencil of the weights w times values[idx]."""
+    gathered = np.asarray(values, dtype=float)[idx]  # (4, K, ...)
     w = w.reshape(w.shape + (1,) * (gathered.ndim - 2))
     return np.sum(w * gathered, axis=0)
+
+
+def cubic_interp(values: np.ndarray, grid: Grid, s: np.ndarray) -> np.ndarray:
+    """Piecewise-cubic Lagrange interpolation of grid samples at points s.
+
+    Uses the 4-node stencil around each query point, clamped at the
+    boundary, so the error is O(h^4) with smooth data.
+    """
+    return stencil_sum(values, *cubic_stencil(grid, s))
 
 
 @dataclass

@@ -18,10 +18,13 @@ of connections
 in R^{n+1,1}.  Both routes are fourth order on the stored grid and are
 cross-validated against each other by the test-suite and the verify
 command.  The Riccati route runs RK4 in a kernel generated per n, on
-Python floats.  The section
-route builds the RK4 step map of xi' = A xi as a matrix, in blocks
-(``step_maps``, which also serves the Magnus steps of the Calapso
-frames), and projects back onto the light cone after every step.
+Python floats.  The section route builds the RK4 step map of
+xi' = A xi as a matrix (``step_maps``, which also serves the Magnus
+steps of the Calapso frames) and projects back onto the light cone
+after every step.  Every integrator samples its coefficients and steps
+one ``step_blocks`` block of steps at a time and keeps only the grid
+nodes, so the memory a run needs beyond its result does not grow with
+the grid.
 
 The gauge maps Gamma(r) that scale one null line by r and a transversal
 one by 1/r tie the two pictures together: the connections of a Darboux
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import clifford as cl
 from . import minkowski as mk
-from .curves import Grid, PolarizedCurve, cubic_interp, derivative_samples
+from .curves import Grid, PolarizedCurve, cubic_stencil, derivative_samples, stencil_sum
 from .errors import (
     DimensionError,
     GeometryError,
@@ -178,29 +181,75 @@ def is_darboux_pair(
     return DarbouxFit(mu=mu, spread=spread, reality=cl.reality_residual(real, wedge), tol=tol)
 
 
+# Steps sampled and integrated together: the temporaries stay a few
+# hundred kB whatever the grid length.
+_BLOCK_STEPS = 1024
+
+
+@dataclass(frozen=True)
+class StepBlock:
+    """Steps k0 .. k0 + steps - 1 of an RK4 run over a grid.
+
+    Cubic interpolation at the block's 2 steps + 1 step nodes and
+    midpoints reads the grid nodes ``rows``, with stencil ``idx`` and
+    weights ``w``.  The block's states after k0 .. k0 + steps steps,
+    sliced by ``node_states``, and its samples, sliced by
+    ``node_samples``, are those at the grid nodes ``nodes``.
+    """
+
+    k0: int
+    steps: int
+    h: float
+    rows: slice
+    nodes: slice
+    node_states: slice
+    node_samples: slice
+    idx: np.ndarray
+    w: np.ndarray
+
+    def sample(self, *values: np.ndarray) -> list[np.ndarray]:
+        """Each of ``values``, given at the grid nodes ``rows``, at every
+        evaluation point: grid nodes keep their exact samples, every
+        other point is cubic interpolation."""
+        lo = self.rows.start
+        sampled = []
+        for v in values:
+            v_all = stencil_sum(v, self.idx, self.w)
+            v_all[self.node_samples] = v[self.nodes.start - lo : self.nodes.stop - lo]
+            sampled.append(v_all)
+        return sampled
+
+
+def _step_block(grid: Grid, substeps: int, k0: int, k1: int) -> StepBlock:
+    h = grid.h / substeps
+    idx, w = cubic_stencil(grid, grid.s0 + 0.5 * h * np.arange(2 * k0, 2 * k1 + 1))
+    lo, first = int(idx[0, 0]), -k0 % substeps
+    return StepBlock(
+        k0, k1 - k0, h, slice(lo, int(idx[-1, -1]) + 1),
+        slice((k0 + first) // substeps, k1 // substeps + 1),
+        slice(first, None, substeps), slice(2 * first, None, 2 * substeps), idx - lo, w,
+    )
+
+
+def step_blocks(grid: Grid, substeps: int):
+    """The StepBlocks of an RK4 run over the grid, _BLOCK_STEPS steps each."""
+    total = (grid.num - 1) * substeps
+    for k0 in range(0, total, _BLOCK_STEPS):
+        yield _step_block(grid, substeps, k0, min(k0 + _BLOCK_STEPS, total))
+
+
 def half_step_samples(
     grid: Grid, substeps: int, *values: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
-    """Samples at every RK4 evaluation point, plus the effective step.
+    """Samples at every RK4 evaluation point of the whole grid, plus the step.
 
     With ``substeps`` steps per grid cell the evaluation points are the
     (sub)step nodes and their midpoints.  Grid nodes keep their exact
-    samples; every other point is cubic interpolation.
+    samples; every other point is cubic interpolation.  The integrators
+    sample one ``step_blocks`` block at a time instead.
     """
-    h_eff = grid.h / substeps
-    steps = (grid.num - 1) * substeps
-    s_all = grid.s0 + 0.5 * h_eff * np.arange(2 * steps + 1)
-    sampled = []
-    for v in values:
-        v_all = cubic_interp(v, grid, s_all)
-        v_all[:: 2 * substeps] = v
-        sampled.append(v_all)
-    return h_eff, sampled
-
-
-def num_steps(samples: np.ndarray) -> int:
-    """RK4 steps covered by samples at every step node and midpoint."""
-    return (len(samples) - 1) // 2
+    block = _step_block(grid, substeps, 0, (grid.num - 1) * substeps)
+    return block.h, block.sample(*values)
 
 
 def simpson_cumulative(f_all: np.ndarray, h: float, anchor: np.ndarray) -> np.ndarray:
@@ -222,12 +271,14 @@ def inverse_tangent(xprime: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _riccati_kernel(n: int):
     """The Riccati RK4 loop written out for R^n, compiled once per n.
 
-    riccati_rk4(x, w, y, steps, h, mu, tol2, s0) reads x and (m x')^{-1}
-    at every step node and midpoint from flat lists, row j at
-    [j n, (j + 1) n), and returns the states after 0, .., steps steps,
-    flat.  The state lives in float locals y0..y{n-1}; each operation is
-    the array form's, in its order (numpy sums n < 8 terms left to
-    right), so the output is bit-identical to it.
+    riccati_rk4(x, w, y, k0, steps, h, mu, tol2, s0) reads x and
+    (m x')^{-1} at every step node and midpoint of steps k0 .. k0 +
+    steps - 1 from flat lists, row j at [j n, (j + 1) n), and returns
+    the states after k0, .., k0 + steps steps, flat; a secant collapse
+    is reported at its parameter on the whole grid.  The state lives in
+    float locals y0..y{n-1}; each operation is the array form's, in its
+    order (numpy sums n < 8 terms left to right), so the output is
+    bit-identical to it.
     """
     idx = range(n)
     state = ", ".join(f"y{i}" for i in idx)
@@ -245,12 +296,12 @@ def _riccati_kernel(n: int):
             "vw = " + " + ".join(f"v{i} * w{i}" for i in idx),
             "vv = " + " + ".join(f"v{i} * v{i}" for i in idx),
             "if vv <= tol2:",
-            f"    raise SingularEncounterError(s0 + half * (2 * step + {row}))",
+            f"    raise SingularEncounterError(s0 + half * (2 * (k0 + step) + {row}))",
             "vw2 = 2.0 * vw",
         ] + [f"k{k}_{i} = mu * (vw2 * v{i} - vv * w{i})" for i in idx]
     body += [f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in idx]
     source = "\n".join(
-        ["def riccati_rk4(x, w, y, steps, h, mu, tol2, s0):", f"    {state}, = y"]
+        ["def riccati_rk4(x, w, y, k0, steps, h, mu, tol2, s0):", f"    {state}, = y"]
         + ["    half = 0.5 * h", "    sixth = h / 6.0", f"    out = [{state}]"]
         + ["    for step in range(steps):", f"        j = {2 * n} * step"]
         + ["        " + line for line in body + [f"out += ({state},)"]]
@@ -273,37 +324,47 @@ def integrate_riccati(
     curve, which is not immersed.  A collapsing secant |x^ - x| raises
     SingularEncounterError carrying the parameter value, and a transform
     that leaves R^n (a sample overflows to inf or nan) raises
-    PointAtInfinityError naming the first such parameter.
+    PointAtInfinityError naming the first such parameter.  The run goes
+    block by block (``step_blocks``), keeping only the grid nodes.
     """
     if mu == 0.0:
         raise GeometryError("mu = 0 gives a constant curve, not a Darboux transform")
     xhat0 = np.asarray(xhat0, dtype=float)
-    if xhat0.shape != (curve.n,):
-        raise DimensionError(f"initial point must be in R^{curve.n}")
-    h, (x_all, xp_all, m_all) = half_step_samples(
-        curve.grid, substeps, curve.x, curve.xprime, curve.m
-    )
-    w_all = inverse_tangent(xp_all, m_all)
+    grid, n = curve.grid, curve.n
+    if xhat0.shape != (n,):
+        raise DimensionError(f"initial point must be in R^{n}")
     scale = max(float(np.max(np.abs(curve.x))), float(np.linalg.norm(xhat0)), 1.0)
-    flat = _riccati_kernel(curve.n)(
-        x_all.ravel().tolist(), w_all.ravel().tolist(), xhat0.tolist(), num_steps(x_all),
-        h, float(mu), (SECANT_TOL * scale) ** 2, curve.grid.s0,
-    )
-    samples = np.array(flat).reshape(-1, curve.n)[::substeps]
-    finite = np.isfinite(samples).all(axis=1)
-    if not finite.all():
-        s = curve.grid.nodes()[int(np.argmin(finite))]
-        raise PointAtInfinityError(f"Riccati transform leaves R^{curve.n} near s = {s:.6g}")
-    # The ODE itself provides the derivative at the retained nodes.
-    node_idx = 2 * substeps * np.arange(curve.grid.num)
-    secants = samples - x_all[node_idx]
-    gaps = np.linalg.norm(secants, axis=1)
-    if np.min(gaps) <= SECANT_TOL * scale:
-        raise SingularEncounterError(curve.grid.nodes()[int(np.argmin(gaps))])
-    xhat_prime = mu * cl.sandwich(secants, w_all[node_idx])
-    return PolarizedCurve(
-        n=curve.n, grid=curve.grid, x=samples, xprime=xhat_prime, m=curve.m.copy()
-    )
+    tol = SECANT_TOL * scale
+    kernel = _riccati_kernel(n)
+    x = np.empty((grid.num, n))
+    xprime = np.empty((grid.num, n))
+    y = xhat0.tolist()
+    gap, gap_node = math.inf, 0
+    for block in step_blocks(grid, substeps):
+        rows, nodes = block.rows, block.nodes
+        x_b, xp_b, m_b = block.sample(curve.x[rows], curve.xprime[rows], curve.m[rows])
+        w_b = inverse_tangent(xp_b, m_b)
+        flat = kernel(
+            x_b.ravel().tolist(), w_b.ravel().tolist(), y, block.k0, block.steps,
+            block.h, float(mu), tol**2, grid.s0,
+        )
+        y = flat[-n:]
+        samples = np.array(flat).reshape(-1, n)[block.node_states]
+        finite = np.isfinite(samples).all(axis=1)
+        if not finite.all():
+            s = grid.nodes()[nodes.start + int(np.argmin(finite))]
+            raise PointAtInfinityError(f"Riccati transform leaves R^{n} near s = {s:.6g}")
+        # The ODE itself provides the derivative at the retained nodes.
+        secants = samples - curve.x[nodes]
+        gaps = np.linalg.norm(secants, axis=1)
+        if gaps.size and np.min(gaps) < gap:
+            k = int(np.argmin(gaps))
+            gap, gap_node = float(gaps[k]), nodes.start + k
+        x[nodes] = samples
+        xprime[nodes] = mu * cl.sandwich(secants, w_b[block.node_samples])
+    if gap <= tol:
+        raise SingularEncounterError(grid.nodes()[gap_node])
+    return PolarizedCurve(n=n, grid=grid, x=x, xprime=xprime, m=curve.m.copy())
 
 
 def connection_matrix(
@@ -330,7 +391,9 @@ def connection_samples(
     """A(s, t) along a section at every node and half step, and the step.
 
     Nodes keep their exact samples; half steps (and substep nodes) use
-    cubic interpolation of the lift, its derivative, and m.
+    cubic interpolation of the lift, its derivative, and m.  The
+    integrators take the same samples one block at a time from
+    ``connection_blocks``.
     """
     grid = section.grid
     m = np.broadcast_to(np.asarray(m, dtype=float), (grid.num,))
@@ -340,29 +403,40 @@ def connection_samples(
     return connection_matrix(xi_all, xip_all, m_all, t), h_eff
 
 
-# Steps whose maps are built together: the temporaries stay a few hundred
-# kB whatever the grid length.
-_BLOCK_STEPS = 1024
+def connection_blocks(
+    source: PolarizedCurve | LightConeSection, m: np.ndarray, t: float, substeps: int
+):
+    """Yield (block, xi, xi', A(s, t)) at every evaluation point, block by block.
 
-
-def step_maps(a_all: np.ndarray, h: float, rule):
-    """Yield the increment M_k - I of every step's map, in order.
-
-    ``a_all`` holds a coefficient at every step node and midpoint, as
-    ``connection_samples`` returns it.  The maps are built
-    ``_BLOCK_STEPS`` steps at a time by ``rule(left, mid, right, h)``,
-    which receives the coefficients at the steps' left nodes, midpoints
-    and right nodes and returns the stacked increments.
+    ``source`` is a curve, lifted to its Euclidean section only on each
+    block's ``rows``, or a section.  The samples are those of
+    ``connection_samples``, bit for bit.
     """
-    total = num_steps(a_all)
-    for k0 in range(0, total, _BLOCK_STEPS):
-        k1 = min(k0 + _BLOCK_STEPS, total)
-        yield from rule(
-            a_all[2 * k0 : 2 * k1 : 2],
-            a_all[2 * k0 + 1 : 2 * k1 : 2],
-            a_all[2 * k0 + 2 : 2 * k1 + 1 : 2],
-            h,
-        )
+    grid = source.grid
+    m = np.broadcast_to(np.asarray(m, dtype=float), (grid.num,))
+    if isinstance(source, PolarizedCurve):
+        def lift(rows):
+            x = source.x[rows]
+            return mk.euclidean_lift(x), mk.lift_derivative(x, source.xprime[rows])
+    else:
+        xi, xiprime = source.xi, source.derivative()
+
+        def lift(rows):
+            return xi[rows], xiprime[rows]
+    for block in step_blocks(grid, substeps):
+        xi_b, xip_b, m_b = block.sample(*lift(block.rows), m[block.rows])
+        yield block, xi_b, xip_b, connection_matrix(xi_b, xip_b, m_b, t)
+
+
+def step_maps(a: np.ndarray, h: float, rule) -> np.ndarray:
+    """The increments M_k - I of the maps of one block's steps, stacked.
+
+    ``a`` holds a coefficient at every step node and midpoint of the
+    block, as ``connection_blocks`` yields it, and ``rule(left, mid,
+    right, h)`` receives the coefficients at the steps' left nodes,
+    midpoints and right nodes.
+    """
+    return rule(a[:-2:2], a[1::2], a[2::2], h)
 
 
 def _rk4_increments(left: np.ndarray, mid: np.ndarray, right: np.ndarray, h: float) -> np.ndarray:
@@ -409,10 +483,11 @@ def integrate_parallel_section(
     ``xihat0`` may be an affine point of R^n (lifted automatically) or a
     null vector of R^{n+1,1}.  At t = mu the projected section is the
     Darboux transform with parameter mu.  Each step applies the
-    classical RK4 map of xi' = A xi, built as a matrix in blocks by
-    ``step_maps``, then projects back onto the light cone with
-    ``lightcone_restore``; the parallel scaling of the output is
-    preserved, only the light-cone defect is corrected.
+    classical RK4 map of xi' = A xi, built as a matrix by ``step_maps``
+    for one block of ``connection_blocks`` at a time, then projects
+    back onto the light cone with ``lightcone_restore``; the parallel
+    scaling of the output is preserved, only the light-cone defect is
+    corrected.  Only the grid nodes are kept.
     """
     grid = source.grid
     n = source.n
@@ -426,16 +501,18 @@ def integrate_parallel_section(
             raise GeometryError("initial section vector is not lightlike")
     else:
         raise DimensionError("initial point must be affine (n,) or a null vector (n+2,)")
-    a_all, h = connection_samples(euclidean_section(source), source.m, t, substeps)
-    out = np.empty((num_steps(a_all) + 1, n + 2))
-    out[0] = y
-    for k, e in enumerate(step_maps(a_all, h, _rk4_increments), start=1):
-        y = lightcone_restore(y + e.dot(y), frame)
-        out[k] = y
-    samples = out[::substeps]
-    node_idx = 2 * substeps * np.arange(grid.num)
-    xiprime = np.einsum("kij,kj->ki", a_all[node_idx], samples)
-    return LightConeSection(grid=grid, xi=samples, xiprime=xiprime)
+    xi = np.empty((grid.num, n + 2))
+    xiprime = np.empty((grid.num, n + 2))
+    for block, _, _, a in connection_blocks(source, source.m, t, substeps):
+        states = np.empty((block.steps + 1, n + 2))
+        states[0] = y
+        for k, e in enumerate(step_maps(a, block.h, _rk4_increments), start=1):
+            y = lightcone_restore(y + e.dot(y), frame)
+            states[k] = y
+        nodes = block.nodes
+        xi[nodes] = states[block.node_states]
+        xiprime[nodes] = np.einsum("kij,kj->ki", a[block.node_samples], xi[nodes])
+    return LightConeSection(grid=grid, xi=xi, xiprime=xiprime)
 
 
 def parallel_residual(

@@ -35,13 +35,12 @@ from . import minkowski as mk
 from .curves import Grid, PolarizedCurve
 from .darboux import (
     LightConeSection,
-    connection_samples,
+    connection_blocks,
     euclidean_section,
     gauge_matrix,
-    half_step_samples,
     inverse_tangent,
-    num_steps,
     simpson_cumulative,
+    step_blocks,
     step_maps,
 )
 from .errors import DimensionError, GeometryError, PolarizationError
@@ -55,7 +54,8 @@ def christoffel_dual(
     """Christoffel dual by Simpson's rule on (x*)' = x'/(m |x'|^2).
 
     The dual is defined up to translation; ``anchor`` fixes x*(s0)
-    (default: origin).  The polarization is inherited unchanged.
+    (default: origin).  The polarization is inherited unchanged.  The
+    sum runs block by block (``step_blocks``), carrying its last value.
     """
     if np.any(curve.m == 0.0):
         raise PolarizationError("polarization vanishes; dual derivative undefined")
@@ -65,18 +65,19 @@ def christoffel_dual(
     if anchor.shape != (curve.n,):
         raise DimensionError(f"anchor must be a point of R^{curve.n}")
 
-    h_eff, (xp_all, m_all) = half_step_samples(curve.grid, substeps, curve.xprime, curve.m)
-    if np.any(np.sign(m_all) != np.sign(m_all[0])):
-        raise PolarizationError("polarization changes sign inside the interval")
-    rhs_all = inverse_tangent(xp_all, m_all)
-    out = simpson_cumulative(rhs_all, h_eff, anchor)
-    return PolarizedCurve(
-        n=curve.n,
-        grid=curve.grid,
-        x=out[::substeps],
-        xprime=rhs_all[:: 2 * substeps].copy(),
-        m=curve.m.copy(),
-    )
+    grid, sign = curve.grid, np.sign(curve.m[0])
+    x = np.empty((grid.num, curve.n))
+    xprime = np.empty((grid.num, curve.n))
+    for block in step_blocks(grid, substeps):
+        xp_b, m_b = block.sample(curve.xprime[block.rows], curve.m[block.rows])
+        if np.any(np.sign(m_b) != sign):
+            raise PolarizationError("polarization changes sign inside the interval")
+        rhs = inverse_tangent(xp_b, m_b)
+        out = simpson_cumulative(rhs, block.h, anchor)
+        anchor = out[-1]
+        x[block.nodes] = out[block.node_states]
+        xprime[block.nodes] = rhs[block.node_samples]
+    return PolarizedCurve(n=curve.n, grid=grid, x=x, xprime=xprime, m=curve.m.copy())
 
 
 def dual_defect(curve: PolarizedCurve, dual: PolarizedCurve) -> float:
@@ -146,10 +147,14 @@ class CalapsoFrameField:
 
     def move(self, section: LightConeSection) -> LightConeSection:
         """The section s -> T(s) y(s), with the exact derivative T (y' - A y)."""
-        covariant = section.derivative() - np.einsum("kij,kj->ki", self.a, section.xi)
-        return LightConeSection(
-            grid=self.grid, xi=self.act(section.xi), xiprime=self.act(covariant)
-        )
+        xi, xiprime = _moved(self.T, self.a, section.xi, section.derivative())
+        return LightConeSection(grid=self.grid, xi=xi, xiprime=xiprime)
+
+
+def _moved(T: np.ndarray, a: np.ndarray, y: np.ndarray, yprime: np.ndarray):
+    """T y and T (y' - A y) per sample: a section moved by frames T' = -T A."""
+    covariant = yprime - np.einsum("kij,kj->ki", a, y)
+    return np.einsum("kij,kj->ki", T, y), np.einsum("kij,kj->ki", T, covariant)
 
 
 # Row-sum norm up to which the degree-8 Taylor series of exp(X) - I is
@@ -198,7 +203,8 @@ def integrate_calapso(
     Omega lies in so(n+1,1), so every step map preserves the Minkowski
     form up to rounding and the frames need no repair.  The transformed
     curve is the section s -> T(s) xi(s) with the exact derivative
-    T (xi' - A xi).
+    T (xi' - A xi).  The steps run one block of ``connection_blocks`` at
+    a time, keeping only the grid nodes.
 
     Accepts a raw light-cone section in place of a curve, with ``m``
     supplied (a curve brings its own polarization and ``m`` is not
@@ -207,21 +213,29 @@ def integrate_calapso(
     chart that the intermediate curve may cross at infinity.
     """
     if isinstance(source, PolarizedCurve):
-        sec, m = euclidean_section(source), source.m
+        m = source.m
     elif m is None:
         raise GeometryError("a polarization m is required alongside a bare section")
-    else:
-        sec = source
-    grid, d = sec.grid, sec.n + 2
-    a_all, h = connection_samples(sec, m, t, substeps)
-    out = np.empty((num_steps(a_all) + 1, d, d))
+    grid, d = source.grid, source.n + 2
+    T = np.empty((grid.num, d, d))
+    a_nodes = np.empty((grid.num, d, d))
+    xi = np.empty((grid.num, d))
+    xiprime = np.empty((grid.num, d))
     y = np.eye(d)
-    out[0] = y
-    for k, e in enumerate(step_maps(a_all, h, _magnus_increments), start=1):
-        y = y + y @ e
-        out[k] = y
-    frames = CalapsoFrameField(grid=grid, t=t, T=out[::substeps].copy(), a=a_all[:: 2 * substeps])
-    return frames, frames.move(sec)
+    for block, xi_b, xip_b, a in connection_blocks(source, m, t, substeps):
+        states = np.empty((block.steps + 1, d, d))
+        states[0] = y
+        for k, e in enumerate(step_maps(a, block.h, _magnus_increments), start=1):
+            y = y + y @ e
+            states[k] = y
+        nodes, at_nodes = block.nodes, block.node_samples
+        T[nodes] = states[block.node_states]
+        a_nodes[nodes] = a[at_nodes]
+        xi[nodes], xiprime[nodes] = _moved(
+            T[nodes], a_nodes[nodes], xi_b[at_nodes], xip_b[at_nodes]
+        )
+    frames = CalapsoFrameField(grid=grid, t=t, T=T, a=a_nodes)
+    return frames, LightConeSection(grid=grid, xi=xi, xiprime=xiprime)
 
 
 def calapso_curve(curve: PolarizedCurve, t: float, substeps: int = 1) -> PolarizedCurve:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through main()."""
 
+import json
 import re
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from isothermic import cli, fileio, minkowski
 from isothermic.cli import TOLERANCES, main
 from isothermic.clifford import sandwich
-from isothermic.curves import PolarizedCurve
+from isothermic.curves import Grid, PolarizedCurve, make_circle
 from isothermic.darboux import integrate_riccati, inverse_tangent
 from isothermic.surface import SemiDiscreteSurface
 
@@ -310,6 +311,18 @@ def test_verify_single_suite(capsys):
     assert "minkowski-lift-isotropy" in out
 
 
+def test_verify_suites_draw_independently(tmp_path):
+    def rows(suite):
+        path = tmp_path / f"{suite}.csv"
+        assert main(["verify", "--suite", suite, "--seed", "1", "--csv", str(path)]) == 0
+        return path.read_text().splitlines()[1:]
+
+    every = set(rows("all"))
+    for suite in cli.SUITE_NAMES:
+        alone = rows(suite)
+        assert alone and set(alone) <= every, suite
+
+
 def test_verify_corrupt_names_offending_check(capsys):
     rc = main(["verify", "--suite", "darboux", "--corrupt", "concentric"])
     assert rc == 1
@@ -493,6 +506,51 @@ def test_out_of_range_numbers_exit_2(argv, tmp_path, capsys):
         argv = argv + ["--out", str(tmp_path / "x.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _circle_payload():
+    return fileio.curve_to_dict(make_circle(1.0, Grid(0.0, 1.0, 11)))
+
+
+# Edits that make a curve file malformed, each by a different ValueError.
+MALFORMED_CURVES = {
+    "ragged-x": lambda p: p["x"][3].pop(),
+    "ragged-xprime": lambda p: p["xprime"][3].append(1.0),
+    "x-string": lambda p: p.update(x="abc"),
+    "x-string-entries": lambda p: p["x"][2].__setitem__(0, "abc"),
+    "n-word": lambda p: p.update(n="two"),
+    "grid-s0-word": lambda p: p.update(grid={"s0": "a"}),
+}
+COMMAND_TAILS = {"dual": [], "calapso": ["--t", "0.4"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_TAILS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_CURVES))
+def test_malformed_curve_file_exits_2_without_traceback(case, command, tmp_path, capsys):
+    payload = _circle_payload()
+    MALFORMED_CURVES[case](payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    rc = main([command, "--in", str(path), *COMMAND_TAILS[command], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert err.startswith("error: malformed curve JSON: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["dual"], ["calapso", "--t", "0.4"], ["surface", "check"]], ids=["dual", "calapso", "check"]
+)
+def test_surface_file_with_a_malformed_mu_exits_2_without_traceback(argv, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    curve = _circle_payload()
+    shifted = {**curve, "x": [[v + 3.0 for v in row] for row in curve["x"]]}
+    path.write_text(json.dumps({"curves": [curve, shifted], "mu": ["x"]}))
+    rc = main([*argv, "--in", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert err.startswith("error: malformed surface JSON: ")
 
 
 def _outward_cmc_file(tmp_path):

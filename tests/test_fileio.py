@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isothermic import fileio
-from isothermic.curves import PolarizedCurve
+from isothermic.curves import Grid, PolarizedCurve
 from isothermic.errors import DimensionError, GeometryError
 from isothermic.fixtures import cylinder_patch, default_grid, unit_circle
 from isothermic.surface import SemiDiscreteSurface
@@ -92,6 +92,61 @@ def test_nan_rejected_on_save_and_load(tmp_path):
     path.write_text(text)
     with pytest.raises(GeometryError):
         fileio.load_curve(path)
+
+
+def _json_text(payload: dict) -> bytes:
+    return (json.dumps(payload, allow_nan=False) + "\n").encode("utf-8")
+
+
+def _wavy_curve(n: int, num: int, m: float) -> PolarizedCurve:
+    grid = Grid(-1.0, 2.0, num)
+    s = grid.nodes()
+    k = np.arange(1, n + 1)
+    x = np.sin(np.outer(s, k)) / k
+    x[1] = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308][:n]
+    xprime = np.cos(np.outer(s, k)) + 2.0
+    return PolarizedCurve(n=n, grid=grid, x=x, xprime=xprime, m=m * (1.5 + np.sin(s)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("num", [11, fileio._WRITE_ROWS, fileio._WRITE_ROWS + 1, 2500])
+def test_streamed_curve_file_is_json_dumps_byte_for_byte(n, num, tmp_path):
+    # One row block, exactly one full block, and more than one.
+    c = _wavy_curve(n, num, m=-0.5 if n == 3 else 1.0)
+    path = tmp_path / "c.json"
+    fileio.save_curve(path, c)
+    assert path.read_bytes() == _json_text(fileio.curve_to_dict(c))
+    assert np.array_equal(fileio.load_curve(path).x, c.x)
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_streamed_surface_file_is_json_dumps_byte_for_byte(layers, tmp_path):
+    base = _wavy_curve(2, fileio._WRITE_ROWS + 7, m=-1.0)
+    curves = [
+        PolarizedCurve(n=2, grid=base.grid, x=base.x + k, xprime=base.xprime, m=base.m)
+        for k in range(layers)
+    ]
+    surface = SemiDiscreteSurface(curves=curves, mu=[-2.0, 0.3][: layers - 1])
+    path = tmp_path / "s.json"
+    fileio.save_surface(path, surface)
+    assert path.read_bytes() == _json_text(fileio.surface_to_dict(surface))
+
+
+@pytest.mark.parametrize("field", ["x", "m", "xprime", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_number_is_refused_before_any_byte_is_written(field, value, tmp_path):
+    c = _wavy_curve(2, 11, m=1.0)
+    path = tmp_path / "out.json"
+    if field == "mu":
+        surface = SemiDiscreteSurface(curves=[c, c], mu=[1.0])
+        surface.mu[0] = value
+        with pytest.raises(GeometryError):
+            fileio.save_surface(path, surface)
+    else:
+        getattr(c, field)[-1] = value  # after the constructor's checks
+        with pytest.raises(GeometryError):
+            fileio.save_curve(path, c)
+    assert not path.exists()
 
 
 def test_shape_mismatch_raises(tmp_path):
