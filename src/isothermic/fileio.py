@@ -87,7 +87,10 @@ def dict_to_curve(payload: dict) -> PolarizedCurve:
 
 
 def surface_to_dict(surface: SemiDiscreteSurface) -> dict:
-    return {"curves": [curve_to_dict(c) for c in surface.curves], "mu": list(surface.mu)}
+    return {
+        "curves": [curve_to_dict(c) for c in surface.curves],
+        "mu": list(surface.mu),
+    }
 
 
 def dict_to_surface(payload: dict) -> SemiDiscreteSurface:
