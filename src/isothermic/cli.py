@@ -164,6 +164,13 @@ def _parse_step_policy(text: str) -> int:
     raise argparse.ArgumentTypeError(f"step policy must be grid or substep:k, got {text!r}")
 
 
+def _parse_seed(text: str) -> int:
+    # numpy seeds must be non-negative; a negative one would raise in the run.
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _safe_t(mu: list[float]) -> float:
     # Strictly inside (0, min |mu|) so it collides with no edge parameter.
     return 0.618 * min(abs(v) for v in mu)
@@ -975,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol-override", action="append", metavar="check=value",
         help="replace the tolerance of one named check (repeatable)",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    common.add_argument("--seed", type=_parse_seed, default=0, help="seed for randomized checks")
 
     parser = argparse.ArgumentParser(
         prog="isothermic",

@@ -1,21 +1,26 @@
 """JSON curve/surface formats, OBJ mesh export, and CSV reports.
 
-Curves and surfaces are written as compact JSON (no indentation) and
-streamed to the file a block of rows at a time, so writing never holds
-a copy of the whole file: each block is the ``repr`` of a nested list,
-whose separators and float form are those of ``json.dumps``, and the
-file is byte-identical to ``json.dumps(curve_to_dict(curve))``.  Files
-in the older indented layout still load, since the reader does not
-care about whitespace.  JSON numbers must be finite, and nothing is
-written unless every number is; files round-trip byte-identically
-because floats are printed in Python's shortest-roundtrip form and keys
-keep a fixed order.
+Curve and surface files are compact JSON.  Each numeric array is stored
+as ``{"dtype": "<f8", "shape": [...], "base64": "..."}``: its
+little-endian float64 bytes, base64-encoded, so every bit of every
+number (-0.0, subnormals, the largest double) survives a round trip and
+save -> load -> save is byte-identical.  Scalars (``n``, the grid,
+surface ``mu``) stay JSON numbers.  The writer streams each array a
+chunk of rows at a time, so writing never holds a copy of the whole
+file; chunks are a multiple of three bytes long, so together they read
+exactly as one ``b64encode`` of the array.  The reader also accepts an
+array written as a nested list of numbers, the form of files from
+earlier versions and of ``json.dumps(curve_to_dict(curve))``, with any
+whitespace.  Numbers must be finite in either form, and nothing is
+written unless every number is.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +42,10 @@ __all__ = [
     "export_obj",
     "write_report_csv",
 ]
+
+
+# The one array encoding in files: little-endian float64.
+_DTYPE = "<f8"
 
 
 def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -63,10 +72,30 @@ def _surface_payload(surface: SemiDiscreteSurface) -> dict:
 
 
 def curve_to_dict(curve: PolarizedCurve, include_xprime: bool = True) -> dict:
+    """The curve with arrays as nested lists, a form that ``load_curve`` reads."""
     return {
         key: value.tolist() if isinstance(value, np.ndarray) else value
         for key, value in _curve_payload(curve, include_xprime).items()
     }
+
+
+def _decode(value, what: str) -> np.ndarray:
+    """An array from its encoded-array object or from a nested list."""
+    if isinstance(value, dict):
+        if value["dtype"] != _DTYPE:
+            raise ValueError(f"{what} has dtype {value['dtype']!r}, expected {_DTYPE!r}")
+        shape = value["shape"]
+        if not isinstance(shape, list) or not all(type(k) is int and k >= 0 for k in shape):
+            raise ValueError(f"{what} has shape {shape!r}, expected a list of counts")
+        try:
+            raw = base64.b64decode(value["base64"], validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII string
+            raise ValueError(f"{what} is not valid base64 ({exc})") from exc
+        expected = 8 * math.prod(shape)
+        if len(raw) != expected:
+            raise ValueError(f"{what} holds {len(raw)} bytes, shape {shape} needs {expected}")
+        value = np.frombuffer(raw, dtype=_DTYPE).astype(float).reshape(shape)
+    return _require_finite(value, what)
 
 
 def dict_to_curve(payload: dict) -> PolarizedCurve:
@@ -74,9 +103,9 @@ def dict_to_curve(payload: dict) -> PolarizedCurve:
         n = int(payload["n"])
         g = payload["grid"]
         grid = Grid(float(g["s0"]), float(g["s1"]), int(g["N"]))
-        x = _require_finite(payload["x"], "x")
-        m = _require_finite(payload["m"], "m")
-        xprime = _require_finite(payload["xprime"], "xprime") if "xprime" in payload else None
+        x = _decode(payload["x"], "x")
+        m = _decode(payload["m"], "m")
+        xprime = _decode(payload["xprime"], "xprime") if "xprime" in payload else None
     except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"malformed curve JSON: {exc}") from exc
     if x.shape != (grid.num, n):
@@ -87,6 +116,7 @@ def dict_to_curve(payload: dict) -> PolarizedCurve:
 
 
 def surface_to_dict(surface: SemiDiscreteSurface) -> dict:
+    """The surface with arrays as nested lists, a form that ``load_surface`` reads."""
     return {
         "curves": [curve_to_dict(c) for c in surface.curves],
         "mu": list(surface.mu),
@@ -106,7 +136,10 @@ def _reject_constant(text: str):
     raise GeometryError(f"non-finite JSON number {text!r} is not allowed")
 
 
-# Array rows converted and written together.
+# Array rows encoded and written together, rounded down to a multiple of
+# three: a chunk whose byte count is a multiple of three encodes to base64
+# without padding, so the chunks concatenate to the encoding of the whole
+# array.
 _WRITE_ROWS = 1024
 
 
@@ -122,7 +155,7 @@ def _check_finite(value, where: str) -> None:
 
 
 def _stream(value, write) -> None:
-    """Write ``value`` as ``json.dumps`` would, arrays a block of rows at a time."""
+    """Write ``value`` as ``json.dumps`` would, arrays as encoded-array objects."""
     if isinstance(value, dict):
         write("{")
         for i, (key, item) in enumerate(value.items()):
@@ -137,12 +170,12 @@ def _stream(value, write) -> None:
             _stream(item, write)
         write("]")
     elif isinstance(value, np.ndarray):
-        write("[")
-        for k in range(0, len(value), _WRITE_ROWS):
-            if k:
-                write(", ")
-            write(repr(value[k : k + _WRITE_ROWS].tolist())[1:-1])
-        write("]")
+        write(f'{{"dtype": "{_DTYPE}", "shape": {json.dumps(list(value.shape))}, "base64": "')
+        rows = 3 * max(1, _WRITE_ROWS // 3)
+        for k in range(0, len(value), rows):
+            chunk = value[k : k + rows].astype(_DTYPE, copy=False).tobytes()
+            write(base64.b64encode(chunk).decode("ascii"))
+        write('"}')
     else:
         write(json.dumps(value))
 

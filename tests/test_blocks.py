@@ -229,9 +229,8 @@ def test_sign_change_of_the_polarization_in_a_later_block_raises():
 
 # ------------------------------------------------------------ working set
 
-# tracemalloc records every Python float that the Riccati kernel and the
-# writer create, which makes a traced Riccati run at N = 20001 take
-# seconds.  So blocks (and written row blocks) shrink from 1024 to 32 and
+# tracemalloc records every Python float that the Riccati kernel
+# creates, which makes a traced Riccati run at N = 20001 take seconds.  So blocks (and written row blocks) shrink from 1024 to 32 and
 # the grids from 20001 and 40001 to 1001 and 2001 nodes.  The full-array
 # forms already hold more than the bound at 1001 nodes (0.6-1.1 MB).
 _SMALL_BLOCK = 32

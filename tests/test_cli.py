@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through main()."""
 
+import base64
 import json
 import re
 import warnings
@@ -551,6 +552,64 @@ def test_surface_file_with_a_malformed_mu_exits_2_without_traceback(argv, tmp_pa
     err = capsys.readouterr().err
     assert rc == 2 and "Traceback" not in err
     assert err.startswith("error: malformed surface JSON: ")
+
+
+def _reencoded(values: np.ndarray) -> str:
+    return base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
+
+
+def _with_bits(value: float):
+    def edit(array: dict) -> None:
+        values = np.frombuffer(base64.b64decode(array["base64"]), dtype="<f8").copy()
+        values[3] = value
+        array["base64"] = _reencoded(values)
+
+    return edit
+
+
+# Edits of one encoded array of a file the package wrote.
+CORRUPT_ARRAYS = {
+    "base64-chars": lambda a: a.update(base64="*" + a["base64"][1:]),
+    "byte-count": lambda a: a.update(
+        base64=_reencoded(np.frombuffer(base64.b64decode(a["base64"]), dtype="<f8")[:-1])
+    ),
+    "big-endian": lambda a: a.update(dtype=">f8"),
+    "nan-bits": _with_bits(np.nan),
+    "inf-bits": _with_bits(-np.inf),
+}
+CORRUPT_COMMANDS = {"dual": [], "calapso": ["--t", "0.4"], "surface": ["check"]}
+
+
+@pytest.mark.parametrize("command", sorted(CORRUPT_COMMANDS))
+@pytest.mark.parametrize("case", sorted(CORRUPT_ARRAYS))
+def test_corrupted_encoded_array_exits_2_with_one_error_line(case, command, tmp_path, capsys):
+    curve = make_circle(1.0, Grid(0.0, 1.0, 11))
+    path = tmp_path / "bad.json"
+    if command == "surface":
+        moved = PolarizedCurve(n=2, grid=curve.grid, x=curve.x + 3.0, xprime=curve.xprime, m=curve.m)
+        fileio.save_surface(path, SemiDiscreteSurface(curves=[curve, moved], mu=[1.0]))
+        payload = json.loads(path.read_text())
+        target = payload["curves"][1]
+    else:
+        fileio.save_curve(path, curve)
+        payload = target = json.loads(path.read_text())
+    CORRUPT_ARRAYS[case](target["xprime"])
+    path.write_text(json.dumps(payload))
+    argv = [command, *CORRUPT_COMMANDS[command], "--in", str(path)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_negative_seed_exits_2_without_traceback(capsys):
+    assert main(["verify", "--suite", "clifford", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [
+        "isothermic verify: error: argument --seed: seed must be a non-negative integer, got '-1'"
+    ]
 
 
 def _outward_cmc_file(tmp_path):

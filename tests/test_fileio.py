@@ -1,6 +1,8 @@
 """Serialization tests: JSON curves/surfaces, OBJ meshes, CSV reports."""
 
+import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +96,16 @@ def test_nan_rejected_on_save_and_load(tmp_path):
         fileio.load_curve(path)
 
 
+def _one_shot(rows: list) -> dict:
+    arr = np.array(rows, dtype="<f8")
+    text = base64.b64encode(arr.tobytes()).decode("ascii")
+    return {"dtype": "<f8", "shape": list(arr.shape), "base64": text}
+
+
+def _encoded_curve(payload: dict) -> dict:
+    return {k: _one_shot(v) if k in ("x", "m", "xprime") else v for k, v in payload.items()}
+
+
 def _json_text(payload: dict) -> bytes:
     return (json.dumps(payload, allow_nan=False) + "\n").encode("utf-8")
 
@@ -111,12 +123,14 @@ def _wavy_curve(n: int, num: int, m: float) -> PolarizedCurve:
 @pytest.mark.parametrize("n", [1, 3, 5])
 @pytest.mark.parametrize("num", [11, fileio._WRITE_ROWS, fileio._WRITE_ROWS + 1, 2500])
 def test_streamed_curve_file_is_json_dumps_byte_for_byte(n, num, tmp_path):
-    # One row block, exactly one full block, and more than one.
+    # One chunk of rows, and two or three (chunks hold 1023 rows).
     c = _wavy_curve(n, num, m=-0.5 if n == 3 else 1.0)
     path = tmp_path / "c.json"
     fileio.save_curve(path, c)
-    assert path.read_bytes() == _json_text(fileio.curve_to_dict(c))
-    assert np.array_equal(fileio.load_curve(path).x, c.x)
+    assert path.read_bytes() == _json_text(_encoded_curve(fileio.curve_to_dict(c)))
+    again = fileio.load_curve(path)
+    for field in ("x", "xprime", "m"):
+        assert getattr(again, field).tobytes() == getattr(c, field).tobytes()
 
 
 @pytest.mark.parametrize("layers", [1, 3])
@@ -129,7 +143,52 @@ def test_streamed_surface_file_is_json_dumps_byte_for_byte(layers, tmp_path):
     surface = SemiDiscreteSurface(curves=curves, mu=[-2.0, 0.3][: layers - 1])
     path = tmp_path / "s.json"
     fileio.save_surface(path, surface)
-    assert path.read_bytes() == _json_text(fileio.surface_to_dict(surface))
+    payload = fileio.surface_to_dict(surface)
+    expected = {"curves": [_encoded_curve(c) for c in payload["curves"]], "mu": payload["mu"]}
+    assert path.read_bytes() == _json_text(expected)
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+@pytest.mark.parametrize("kind", ["curve", "surface"])
+def test_list_form_file_loads_exactly_and_resaves_encoded(kind, indent, tmp_path):
+    # Files written before the encoded arrays hold nested lists of numbers.
+    c = _wavy_curve(3, 40, m=-0.5)
+    if kind == "curve":
+        source, curves = c, [c]
+        to_dict, save, load = fileio.curve_to_dict, fileio.save_curve, fileio.load_curve
+    else:
+        moved = PolarizedCurve(n=3, grid=c.grid, x=c.x + 1.0, xprime=c.xprime, m=c.m)
+        source = SemiDiscreteSurface(curves=[c, moved], mu=[-2.0])
+        curves = source.curves
+        to_dict, save, load = fileio.surface_to_dict, fileio.save_surface, fileio.load_surface
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(to_dict(source), indent=indent) + "\n")
+    again = load(old)
+    for a, b in zip(again.curves if kind == "surface" else [again], curves, strict=True):
+        for field in ("x", "xprime", "m"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+    save(new, again)
+    text = new.read_text()
+    assert "[[" not in text and text.count('"base64": ') == 3 * len(curves)
+    save(old, source)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_load_curve_working_set_is_bounded(tmp_path):
+    # Read from nested lists of Python floats, this curve took 0.91 MB
+    # beyond the arrays it returns; from encoded arrays it takes 0.23 MB,
+    # mostly the file's text and the base64 strings parsed from it.
+    c = _wavy_curve(3, 2001, m=1.0)
+    path = tmp_path / "c.json"
+    fileio.save_curve(path, c)
+    tracemalloc.start()
+    try:
+        again = fileio.load_curve(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    excess = peak - again.x.nbytes - again.xprime.nbytes - again.m.nbytes
+    assert excess < 0.35e6, excess
 
 
 @pytest.mark.parametrize("field", ["x", "m", "xprime", "mu"])
