@@ -16,7 +16,6 @@ from isothermic.darboux import (
     integrate_parallel_section,
     integrate_riccati,
     is_darboux_pair,
-    is_ribaucour,
 )
 
 
@@ -36,10 +35,9 @@ def main():
     fit = is_darboux_pair(curve, riccati)
     print(f"fitted mu = {fit.mu:+.12f} (declared {mu:+g})")
     print(f"cross-ratio constancy spread = {fit.spread:.3e}")
-    print(f"cross-ratio reality residual = {fit.reality:.3e}")
-
-    touching, contact = is_ribaucour(curve, riccati)
-    print(f"ribaucour contact (tangent circles): {touching} ({contact:.3e})")
+    # a real cross ratio is Ribaucour contact: the curves touch a common
+    # circle at corresponding points
+    print(f"cross-ratio reality (ribaucour contact) residual = {fit.reality:.3e}")
 
     # halving h divides the route disagreement by ~16: both integrators
     # are fourth order and converge to the same curve

@@ -30,7 +30,6 @@ from .darboux import (
     integrate_parallel_section,
     integrate_riccati,
     is_darboux_pair,
-    is_ribaucour,
     tangent_cross_ratio,
 )
 from .errors import (
@@ -199,9 +198,12 @@ class Checks:
             if name not in TOLERANCES:
                 raise GeometryError(f"tol override names unknown check {name!r}")
             try:
-                self.tolerances[name] = float(value)
+                tol = float(value)
             except ValueError as exc:
                 raise GeometryError(f"bad tolerance {value!r} for {name}") from exc
+            if not 0.0 < tol < float("inf"):
+                raise GeometryError(f"tolerance for {name} must be finite and > 0, got {value!r}")
+            self.tolerances[name] = tol
 
     def run(self, name: str, where: str, fn) -> None:
         """Record the residual fn() returns; a check that raises fails with inf."""
@@ -419,7 +421,7 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
     checks.run(
         "darboux-ribaucour-contact",
         "unit-circle",
-        lambda: is_ribaucour(c, from_samples(riccati.x, c.grid, c.m))[1],
+        lambda: is_darboux_pair(c, from_samples(riccati.x, c.grid, c.m)).reality,
     )
 
     a, b = pool.get("concentric")
@@ -743,15 +745,8 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def cmd_curve(args) -> int:
-    params = {}
-    if args.radius is not None:
-        params["radius"] = args.radius
-    if args.pitch is not None:
-        params["pitch"] = args.pitch
-    if args.n is not None and args.family != "helix":
-        params["n"] = args.n
-    if args.m is not None:
-        params["m"] = args.m
+    given = {name: getattr(args, name) for name in ("radius", "pitch", "n", "m")}
+    params = {name: value for name, value in given.items() if value is not None}
     curve = make_curve(args.family, args.grid, **params)
     fileio.save_curve(args.out, curve)
     print(f"wrote {args.family} curve: n={curve.n} N={curve.grid.num} h={curve.grid.h:.6g} -> {args.out}")
@@ -932,6 +927,12 @@ def cmd_verify(args) -> int:
     checks = Checks(args.tol_override)
     ctx = {"substeps": args.step_policy}
     if args.surface:
+        if args.corrupt is not None:
+            raise GeometryError("--corrupt perturbs a fixture and does not apply to --surface")
+        if args.suite not in ("all", "surface", "moutard"):
+            raise GeometryError(
+                f"suite {args.suite!r} runs on fixtures; --surface takes all, surface or moutard"
+            )
         surface = fileio.load_surface(args.surface)
         if args.suite in ("all", "surface"):
             _surface_checks(checks, surface, args.surface, ctx)
@@ -973,37 +974,38 @@ def cmd_export(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # Each shared option is a parent of exactly the commands that read it.
+    step_policy = argparse.ArgumentParser(add_help=False)
+    step_policy.add_argument(
         "--step-policy", type=_parse_step_policy, default=1, metavar="grid|substep:k",
         help="integration step policy (default: grid)",
     )
-    common.add_argument(
+    tol_override = argparse.ArgumentParser(add_help=False)
+    tol_override.add_argument(
         "--tol-override", action="append", metavar="check=value",
         help="replace the tolerance of one named check (repeatable)",
     )
-    common.add_argument("--seed", type=_parse_seed, default=0, help="seed for randomized checks")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_parse_seed, default=0, help="seed for randomized checks")
 
     parser = argparse.ArgumentParser(
         prog="isothermic",
         description="Darboux transforms of polarized curves and semi-discrete isothermic surfaces.",
     )
-    base_sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     # No option of ours starts with a digit, so any -<digit>... token is a
     # value; the default matcher would reject composites like -2,1 or -2:2,0.
     negative_value = re.compile(r"^-\d")
     parser._negative_number_matcher = negative_value
 
-    class _Sub:
-        def add_parser(self, *a, **kw):
-            p = base_sub.add_parser(*a, **kw)
-            p._negative_number_matcher = negative_value
-            return p
+    def add(sub, name, *parents, **kw):
+        p = sub.add_parser(name, parents=list(parents), **kw)
+        p._negative_number_matcher = negative_value
+        return p
 
-    sub = _Sub()
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("curve", parents=[common], help="write a named curve family to JSON")
+    p = add(sub, "curve", help="write a named curve family to JSON")
     p.add_argument("--family", choices=("circle", "helix", "line"), required=True)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--pitch", type=float, default=None)
@@ -1013,7 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("darboux", parents=[common], help="Darboux transform of a curve")
+    p = add(sub, "darboux", step_policy, tol_override, help="Darboux transform of a curve")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--init", type=_parse_point, required=True, metavar="x,y[,z]")
@@ -1022,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true")
     p.set_defaults(func=cmd_darboux)
 
-    p = sub.add_parser("bianchi", parents=[common], help="permutability quad or cube")
+    p = add(sub, "bianchi", step_policy, help="permutability quad or cube")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mu", type=_parse_mu_list, required=True, metavar="mu0,mu1[,mu2]")
     p.add_argument(
@@ -1032,25 +1034,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bianchi)
 
-    p = sub.add_parser("surface", parents=[common], help="build or check a layered surface")
-    p.add_argument("mode", choices=("build", "check", "moutard"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--layers", type=_parse_layers, default=None, metavar="mu:x,y;mu:x,y")
-    p.add_argument("--out", default=None)
+    p = add(sub, "surface", help="build or check a layered surface")
     p.set_defaults(func=cmd_surface)
+    modes = p.add_subparsers(dest="mode", required=True, metavar="mode")
+    p = add(modes, "build", step_policy, tol_override, help="stack Darboux layers on a curve")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--layers", type=_parse_layers, required=True, metavar="mu:x,y;mu:x,y")
+    p.add_argument("--out", required=True)
+    for mode, text in (("check", "certify every edge"), ("moutard", "certify the Moutard lift")):
+        p = add(modes, mode, tol_override, help=text)
+        p.add_argument("--in", dest="infile", required=True)
 
-    p = sub.add_parser("dual", parents=[common], help="Christoffel dual of a curve or surface")
+    p = add(sub, "dual", step_policy, help="Christoffel dual of a curve or surface")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dual)
 
-    p = sub.add_parser("calapso", parents=[common], help="Calapso transform of a curve or surface")
+    p = add(sub, "calapso", step_policy, help="Calapso transform of a curve or surface")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_calapso)
 
-    p = sub.add_parser("cmc", parents=[common], help="mean curvature and conserved quantities")
+    p = add(sub, "cmc", tol_override, help="mean curvature and conserved quantities")
     p.add_argument("--fixture", choices=("cylinder", "strip"), default="cylinder")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
@@ -1059,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cmc)
 
-    p = sub.add_parser("verify", parents=[common], help="run invariant suites")
+    p = add(sub, "verify", step_policy, tol_override, seed, help="run invariant suites")
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--surface", default=None, help="check a surface JSON file instead of fixtures")
     p.add_argument("--corrupt", choices=CORRUPTIBLE, default=None,
@@ -1067,7 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write the table as CSV")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export", parents=[common], help="write OBJ mesh or CSV report")
+    p = add(sub, "export", tol_override, help="write OBJ mesh or CSV report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--obj", default=None)
     p.add_argument("--csv", default=None)
@@ -1082,13 +1088,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "surface" and args.mode == "build":
-        if args.layers is None:
-            print("surface build requires --layers", file=sys.stderr)
-            return 2
-        if args.out is None:
-            print("surface build requires --out", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except VerificationError as exc:

@@ -241,15 +241,31 @@ def make_line(
     return PolarizedCurve(n=n, grid=grid, x=x, xprime=xp, m=mm)
 
 
+# The keyword parameters each curve family takes through make_curve.
+_FAMILY_PARAMS = {
+    "circle": ("radius", "n", "m"),
+    "helix": ("radius", "pitch", "m"),
+    "line": ("direction", "origin", "n", "m"),
+}
+
+
 def make_curve(family: str, grid: Grid, **params) -> PolarizedCurve:
-    """Dispatch constructor used by the command line interface."""
+    """Dispatch constructor used by the command line interface.
+
+    A parameter that the family does not take raises GeometryError.
+    """
+    if family not in _FAMILY_PARAMS:
+        raise GeometryError(f"unknown curve family {family!r}")
+    extra = sorted(set(params) - set(_FAMILY_PARAMS[family]))
+    if extra:
+        raise GeometryError(
+            f"a {family} takes no {', '.join(extra)}; it takes {', '.join(_FAMILY_PARAMS[family])}"
+        )
     if family == "circle":
         return make_circle(params.pop("radius", 1.0), grid, **params)
     if family == "helix":
         return make_helix(params.pop("radius", 1.0), params.pop("pitch", 0.0), grid, **params)
-    if family == "line":
-        return make_line(grid, **params)
-    raise GeometryError(f"unknown curve family {family!r}")
+    return make_line(grid, **params)
 
 
 def arc_length_polarization(curve: PolarizedCurve) -> PolarizedCurve:

@@ -52,10 +52,6 @@ from .errors import (
 # Relative secant threshold for the Riccati right hand side.
 SECANT_TOL = 1e-12
 
-# Default bound on the relative cross-ratio residuals of a Darboux or
-# Ribaucour certificate.
-CERTIFICATE_TOL = 1e-8
-
 
 @dataclass
 class LightConeSection:
@@ -117,21 +113,17 @@ def euclidean_section(curve: PolarizedCurve) -> LightConeSection:
 
 @dataclass
 class DarbouxFit:
-    """Certificate for a candidate Darboux pair.
+    """Residuals of a candidate Darboux pair.
 
     ``mu`` is the median of the per-sample products cr * m, ``spread``
     the worst relative deviation from it, and ``reality`` the worst
-    relative 2-vector magnitude of the Clifford cross ratio.
+    relative 2-vector magnitude of the Clifford cross ratio, which
+    vanishes exactly when the pair is Ribaucour (tangent circle contact).
     """
 
     mu: float
     spread: float
     reality: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.spread < self.tol and self.reality < self.tol)
 
 
 def tangent_cross_ratio(
@@ -154,31 +146,20 @@ def tangent_cross_ratio(
     return cl.vector_product(x.xprime, cl.sandwich(sec_inv, xhat.xprime))
 
 
-def is_ribaucour(x: PolarizedCurve, xhat: PolarizedCurve) -> tuple[bool, float]:
-    """Reality test of the tangent cross ratio.
+def is_darboux_pair(x: PolarizedCurve, xhat: PolarizedCurve) -> DarbouxFit:
+    """Fit the parameter mu of a candidate Darboux pair, with its residuals.
 
-    Returns (verdict at CERTIFICATE_TOL, worst relative 2-vector
-    magnitude).
-    """
-    residual = cl.reality_residual(*tangent_cross_ratio(x, xhat))
-    return bool(residual < CERTIFICATE_TOL), residual
-
-
-def is_darboux_pair(
-    x: PolarizedCurve, xhat: PolarizedCurve, tol: float = CERTIFICATE_TOL
-) -> DarbouxFit:
-    """Fit the parameter mu of a candidate Darboux pair.
-
-    cr * m, with the polarization m of ``x``, must be real and constant;
-    mu is estimated as the median of the per-sample products, robust
-    against a few bad samples.
+    cr * m, with the polarization m of ``x``, is real and constant for a
+    Darboux pair; mu is estimated as the median of the per-sample
+    products, robust against a few bad samples.  The caller holds the
+    residuals against a tolerance.
     """
     real, wedge = tangent_cross_ratio(x, xhat)
     crm = real * x.m
     mu = float(np.median(crm))
     denom = abs(mu) if abs(mu) > 1e-300 else 1.0
     spread = float(np.max(np.abs(crm - mu)) / denom)
-    return DarbouxFit(mu=mu, spread=spread, reality=cl.reality_residual(real, wedge), tol=tol)
+    return DarbouxFit(mu=mu, spread=spread, reality=cl.reality_residual(real, wedge))
 
 
 # Steps sampled and integrated together: the temporaries stay a few

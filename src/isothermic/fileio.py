@@ -123,9 +123,16 @@ def surface_to_dict(surface: SemiDiscreteSurface) -> dict:
     }
 
 
+def _layer(k: int, payload: dict) -> PolarizedCurve:
+    try:
+        return dict_to_curve(payload)
+    except GeometryError as exc:
+        raise type(exc)(f"curve {k}: {exc}") from exc
+
+
 def dict_to_surface(payload: dict) -> SemiDiscreteSurface:
     try:
-        curves = [dict_to_curve(c) for c in payload["curves"]]
+        curves = [_layer(k, c) for k, c in enumerate(payload["curves"])]
         mu = [float(v) for v in payload["mu"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"malformed surface JSON: {exc}") from exc

@@ -2,10 +2,12 @@
 
 A surface here is an ordered stack of polarized curves on one shared
 grid with one shared polarization, consecutive layers forming Darboux
-pairs with constant edge parameters mu.  The module certifies that
+pairs with constant edge parameters mu.  The module measures that
 structure, produces Moutard lifts, materializes the family of flat
 connections attached to the surface, and applies the surface-level
 Darboux, Calapso, and Christoffel transforms layer by layer.
+``check_isothermic`` returns residuals; ``build_surface``'s guard is
+the one place here that holds them against a tolerance.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class SemiDiscreteSurface:
 
     All curves share one grid and one polarization m; the mu list has
     one constant per adjacent pair.  Geometric isothermicity (each pair
-    actually being Darboux) is certified by ``check_isothermic``, not
+    actually being Darboux) is measured by ``check_isothermic``, not
     enforced here, so deliberately broken data can still be built and
     diagnosed.
     """
@@ -129,11 +131,12 @@ def build_surface(
     """Stack Darboux transforms of ``seed`` into a surface.
 
     Each layer is given by (mu, initial point); the next curve is the
-    parallel-section transform of the previous one.  The result is
-    certified isothermic at ``tol`` before being returned, with the new
-    layers' derivatives taken from their positions by sixth-order finite
-    differences; a failing edge raises VerificationError.  The returned
-    layers keep the derivatives their ODE supplies.
+    parallel-section transform of the previous one.  Before the result
+    is returned every edge's ``residual`` must be ``<= tol`` (so NaN
+    fails), with the new layers' derivatives taken from their positions
+    by sixth-order finite differences; a failing edge raises
+    VerificationError.  The returned layers keep the derivatives their
+    ODE supplies.
     """
     curves = [seed]
     mu: list[float] = []
@@ -163,17 +166,16 @@ def build_surface(
     sampled = [seed] + [
         from_samples(c.x, c.grid, c.m, sixth_order_derivative(c.x, c.grid)) for c in curves[1:]
     ]
-    report = check_isothermic(SemiDiscreteSurface(curves=sampled, mu=mu), tol=tol)
-    if not report.ok:
-        raise VerificationError(
-            f"built surface fails the isothermicity check on edges {report.offending}"
-        )
+    edges = check_isothermic(SemiDiscreteSurface(curves=sampled, mu=mu)).edges
+    offending = [k for k, edge in enumerate(edges) if not edge.residual <= tol]
+    if offending:
+        raise VerificationError(f"built surface fails the isothermicity check on edges {offending}")
     return surface
 
 
 @dataclass
 class EdgeReport:
-    """Certificate for one edge: recovered mu and its defects.
+    """Residuals of one edge: recovered mu and its defects.
 
     ``nu_residual`` is None where m (x', x') < 0 on a layer makes the
     factorization check inapplicable.
@@ -185,41 +187,23 @@ class EdgeReport:
     reality: float
     mu_defect: float
     nu_residual: float | None
-    tol: float
 
     @property
     def residual(self) -> float:
-        """Worst applicable residual; NaN propagates, so it never passes."""
+        """Worst applicable residual; NaN propagates, so no ``<=`` passes it."""
         parts = [self.spread, self.reality, self.mu_defect]
         if self.nu_residual is not None:
             parts.append(self.nu_residual)
         return float(np.max(parts))
 
-    @property
-    def ok(self) -> bool:
-        return self.residual <= self.tol
-
 
 @dataclass
 class IsothermicReport:
     edges: list[EdgeReport]
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.edges)
-
-    @property
-    def recovered_mu(self) -> list[float]:
-        return [e.mu for e in self.edges]
-
-    @property
-    def offending(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if not e.ok]
 
 
-def check_isothermic(surface: SemiDiscreteSurface, tol: float = 1e-6) -> IsothermicReport:
-    """Per-edge Darboux certificates for the whole stack.
+def check_isothermic(surface: SemiDiscreteSurface) -> IsothermicReport:
+    """Per-edge Darboux residuals for the whole stack.
 
     Each edge reports the reality and constancy residuals of the
     tangent cross ratio times m, the recovered mu against the declared
@@ -230,7 +214,7 @@ def check_isothermic(surface: SemiDiscreteSurface, tol: float = 1e-6) -> Isother
     edges = []
     for i, declared in enumerate(surface.mu):
         a, b = surface.curves[i], surface.curves[i + 1]
-        fit = is_darboux_pair(a, b, tol=tol)
+        fit = is_darboux_pair(a, b)
         denom = max(1.0, abs(fit.mu))
         mu_defect = abs(fit.mu - declared) / denom
         wa, wb = m * a.speed2, m * b.speed2
@@ -250,10 +234,9 @@ def check_isothermic(surface: SemiDiscreteSurface, tol: float = 1e-6) -> Isother
                 reality=fit.reality,
                 mu_defect=mu_defect,
                 nu_residual=nu_residual,
-                tol=tol,
             )
         )
-    return IsothermicReport(edges=edges, tol=tol)
+    return IsothermicReport(edges=edges)
 
 
 @dataclass

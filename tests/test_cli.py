@@ -600,6 +600,8 @@ def test_corrupted_encoded_array_exits_2_with_one_error_line(case, command, tmp_
     err = capsys.readouterr().err
     assert rc == 2 and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    if command == "surface":
+        assert err.startswith("error: curve 1: "), err
 
 
 def test_negative_seed_exits_2_without_traceback(capsys):
@@ -663,6 +665,93 @@ def test_tolerance_names_are_validated(tmp_path, capsys):
     assert main(["surface", "check", "--in", str(surf), "--tol", "1e-3"]) == 2
     curve = _curve_file(tmp_path)
     assert main(["calapso", "--in", str(curve), "--t", "0.4", "--metric-correction", "off"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_tol_override_must_be_finite_and_positive(value, capsys):
+    rc = main(["verify", "--suite", "all", "--tol-override", f"surface-isothermic={value}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: tolerance for surface-isothermic must be finite and > 0, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "extra", [["--suite", "darboux"], ["--suite", "cmc"], ["--corrupt", "unit-circle"]],
+    ids=["suite-darboux", "suite-cmc", "corrupt"],
+)
+def test_verify_surface_rejects_fixture_options(extra, tmp_path, capsys):
+    path = _outward_cmc_file(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--surface", str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("files")
+    curve, surf = root / "c.json", root / "s.json"
+    assert main(["curve", "--family", "circle", "--grid", "0:1:201", "--out", str(curve)]) == 0
+    assert main(["surface", "build", "--in", str(curve), "--layers", "-2:2,0", "--out", str(surf)]) == 0
+    return root
+
+
+# Each command with the arguments it needs; {c} is a curve file, {s} a surface.
+COMMAND_ARGS = {
+    "curve": ["curve", "--family", "circle", "--out", "{out}"],
+    "darboux": ["darboux", "--in", "{c}", "--mu", "-2", "--init", "2,0"],
+    "bianchi": ["bianchi", "--in", "{c}", "--mu", "-2,1"],
+    "surface-build": ["surface", "build", "--in", "{c}", "--layers", "-2:2,0", "--out", "{out}"],
+    "surface-check": ["surface", "check", "--in", "{s}"],
+    "surface-moutard": ["surface", "moutard", "--in", "{s}"],
+    "dual": ["dual", "--in", "{c}"],
+    "calapso": ["calapso", "--in", "{c}", "--t", "0.4"],
+    "cmc": ["cmc"],
+    "verify": ["verify", "--suite", "clifford"],
+    "export": ["export", "--in", "{s}", "--csv", "{out}"],
+}
+SHARED_OPTIONS = {
+    "--step-policy": ["--step-policy", "grid"],
+    "--tol-override": ["--tol-override", "quad-cross-ratio=1e-30"],
+    "--seed": ["--seed", "1"],
+}
+READERS = {
+    "--step-policy": {"darboux", "bianchi", "surface-build", "dual", "calapso", "verify"},
+    "--tol-override": {"darboux", "surface-build", "surface-check", "surface-moutard", "cmc",
+                       "verify", "export"},
+    "--seed": {"verify"},
+}
+UNREAD = {
+    f"{command}{option}": COMMAND_ARGS[command] + SHARED_OPTIONS[option]
+    for option in SHARED_OPTIONS
+    for command in COMMAND_ARGS
+    if command not in READERS[option]
+}
+UNREAD.update({
+    f"surface-{mode}{option}": COMMAND_ARGS[f"surface-{mode}"] + tail
+    for mode in ("check", "moutard")
+    for option, tail in (("--layers", ["--layers", "-2:2,0"]), ("--out", ["--out", "{out}"]))
+})
+UNREAD.update({
+    f"curve-{family}-{flag}": ["curve", "--family", family, f"--{flag}", value, "--out", "{out}"]
+    for family, flag, value in (("line", "radius", "2"), ("circle", "pitch", "0.3"), ("helix", "n", "4"))
+})
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_option_the_command_does_not_read_exits_2(case, cli_files, tmp_path, capsys):
+    out = tmp_path / "out"
+    files = {"c": cli_files / "c.json", "s": cli_files / "s.json", "out": out}
+    argv = [arg.format(**files) for arg in UNREAD[case]]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert not out.exists()
 
 
 def test_export_honours_tol_override(tmp_path):

@@ -5,8 +5,8 @@ Core claims:
       transform, with fourth-order agreement in the step size
     - closed-form pairs (concentric circles, tractrix companion) are
       certified by a constant real tangent cross ratio
-    - is_darboux_pair recovers mu, is_ribaucour certifies tangent circle
-      contact, and the gauge relation ties the two flat connections
+    - is_darboux_pair recovers mu, its reality residual certifies tangent
+      circle contact, and the gauge relation ties the two flat connections
     - parallel sections stay on the light cone and detect degenerate data
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import isothermic.minkowski as mk
-from isothermic.clifford import sandwich, wedge_norm
+from isothermic.clifford import reality_residual, sandwich, wedge_norm
 from isothermic.curves import Grid, PolarizedCurve, make_circle, make_curve, make_helix
 from isothermic.darboux import (
     SECANT_TOL,
@@ -27,7 +27,6 @@ from isothermic.darboux import (
     integrate_riccati,
     is_darboux_pair,
     inverse_tangent,
-    is_ribaucour,
     lightcone_restore,
     parallel_residual,
     tangent_cross_ratio,
@@ -186,11 +185,12 @@ def test_is_darboux_pair_recovers_mu():
     assert fit.reality < 1e-12
 
 
-def test_is_ribaucour():
+def test_ribaucour_contact_is_the_fit_reality():
     c = unit_circle()
     hat = integrate_riccati(c, -2.0, np.array([2.0, 0.0]))
-    ok, contact = is_ribaucour(c, hat)
-    assert ok
+    contact = is_darboux_pair(c, hat).reality
+    assert contact == reality_residual(*tangent_cross_ratio(c, hat))
+    assert contact < 1e-8
     assert contact < 1e-12
     # a shifted copy shares tangent directions at equal parameters but the
     # contact circle degenerates only when the curves actually touch

@@ -87,8 +87,7 @@ def test_check_isothermic_flags_broken_stack():
     seed = unit_circle()
     bad = perturb_curve(three_layer().curves[1], scale=1e-3, seed=5)
     report = check_isothermic(SemiDiscreteSurface(curves=[seed, bad], mu=[-2.0]))
-    assert not report.ok
-    assert report.offending == [0]
+    assert [k for k, e in enumerate(report.edges) if not e.residual <= 1e-6] == [0]
 
 
 def test_build_surface_enforces_tolerance():
@@ -132,7 +131,7 @@ def test_build_surface_guard_accepts_accurate_coarse_grid(seed, points):
 
 def test_check_isothermic_on_patch():
     report = check_isothermic(cylinder_patch())
-    assert report.ok
+    assert all(e.residual <= 1e-6 for e in report.edges)
     edge = report.edges[0]
     assert abs(edge.mu + 2.0) < 1e-12
     assert edge.spread < 1e-12
@@ -143,10 +142,10 @@ def test_check_isothermic_on_patch():
 
 def test_check_isothermic_three_layer():
     report = check_isothermic(three_layer())
-    assert report.ok
+    assert all(e.residual <= 1e-6 for e in report.edges)
     assert len(report.edges) == 2
-    assert abs(report.recovered_mu[0] + 2.0) < 1e-10
-    assert abs(report.recovered_mu[1] - 1.0) < 1e-10
+    assert abs(report.edges[0].mu + 2.0) < 1e-10
+    assert abs(report.edges[1].mu - 1.0) < 1e-10
 
 
 def test_moutard_lift_three_layer():
@@ -191,7 +190,7 @@ def test_surface_darboux_verticals():
         fit = is_darboux_pair(surface.curves[i], hat.curves[i])
         assert abs(fit.mu + 3.0) < 1e-9
         assert fit.spread < 1e-9
-    assert check_isothermic(hat).ok
+    assert all(e.residual <= 1e-6 for e in check_isothermic(hat).edges)
 
 
 def test_surface_darboux_rejects_edge_parameter():
@@ -204,8 +203,8 @@ def test_surface_calapso_shifts_every_edge():
     moved = surface_calapso(surface, 0.4)
     assert moved.mu == [-2.4]
     report = check_isothermic(moved)
-    assert report.ok
-    assert abs(report.recovered_mu[0] + 2.4) < 1e-10
+    assert all(e.residual <= 1e-6 for e in report.edges)
+    assert abs(report.edges[0].mu + 2.4) < 1e-10
 
 
 def test_surface_calapso_at_zero_is_identity():
@@ -222,7 +221,7 @@ def test_calapso_trivialization():
 def test_surface_christoffel_consistency():
     dual, consistency = surface_christoffel(cylinder_patch())
     assert max(consistency) < 1e-10
-    assert check_isothermic(dual).ok
+    assert all(e.residual <= 1e-6 for e in check_isothermic(dual).edges)
 
 
 def test_surface_christoffel_rejects_degenerate_edge():
