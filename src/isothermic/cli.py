@@ -103,21 +103,32 @@ MIN_CHECKS = {"mixed-area-negative"}
 # ---------------------------------------------------------------- parsing
 
 
+def _finite_float(text: str) -> float:
+    """A float option value; nan and inf would only fail deep in a transform."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> Grid:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be s0:s1:N, got {text!r}")
     try:
-        return Grid(float(parts[0]), float(parts[1]), int(parts[2]))
+        return Grid(_finite_float(parts[0]), _finite_float(parts[1]), int(parts[2]))
     except (ValueError, GeometryError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad point {text!r}") from exc
+        vals = [_finite_float(v) for v in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"bad point {text!r}: {exc}") from exc
     if not vals:
         raise argparse.ArgumentTypeError("empty point")
     return np.asarray(vals)
@@ -125,9 +136,9 @@ def _parse_point(text: str) -> np.ndarray:
 
 def _parse_mu_list(text: str) -> list[float]:
     try:
-        vals = [float(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad mu list {text!r}") from exc
+        vals = [_finite_float(v) for v in text.split(",") if v]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"bad mu list {text!r}: {exc}") from exc
     if not vals:
         raise argparse.ArgumentTypeError("empty mu list")
     return vals
@@ -140,9 +151,9 @@ def _parse_layers(text: str) -> list[tuple[float, np.ndarray]]:
             continue
         head, _, tail = chunk.partition(":")
         try:
-            mu = float(head)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad layer {chunk!r}") from exc
+            mu = _finite_float(head)
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"bad layer {chunk!r}: {exc}") from exc
         layers.append((mu, _parse_point(tail)))
     if not layers:
         raise argparse.ArgumentTypeError("empty layer list")
@@ -929,6 +940,8 @@ def cmd_verify(args) -> int:
     if args.surface:
         if args.corrupt is not None:
             raise GeometryError("--corrupt perturbs a fixture and does not apply to --surface")
+        if args.seed is not None:
+            raise GeometryError("--seed draws fixture samples and does not apply to --surface")
         if args.suite not in ("all", "surface", "moutard"):
             raise GeometryError(
                 f"suite {args.suite!r} runs on fixtures; --surface takes all, surface or moutard"
@@ -942,11 +955,12 @@ def cmd_verify(args) -> int:
             except PolarizationError as exc:
                 checks.notes.append(f"moutard lift skipped: {exc}")
     else:
-        ctx["pool"] = FixturePool(corrupt=args.corrupt, seed=args.seed)
+        seed = args.seed or 0
+        ctx["pool"] = FixturePool(corrupt=args.corrupt, seed=seed)
         selected = SUITE_NAMES if args.suite == "all" else (args.suite,)
         for name in selected:
             # A generator per suite, so no suite's draws move another's samples.
-            SUITES[name](checks, np.random.default_rng([args.seed, zlib.crc32(name.encode())]), ctx)
+            SUITES[name](checks, np.random.default_rng([seed, zlib.crc32(name.encode())]), ctx)
 
     checks.print_table()
     if args.csv:
@@ -986,7 +1000,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="replace the tolerance of one named check (repeatable)",
     )
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=_parse_seed, default=0, help="seed for randomized checks")
+    seed.add_argument(
+        "--seed", type=_parse_seed, default=None, help="seed for randomized checks (default 0)"
+    )
 
     parser = argparse.ArgumentParser(
         prog="isothermic",
@@ -1007,22 +1023,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add(sub, "curve", help="write a named curve family to JSON")
     p.add_argument("--family", choices=("circle", "helix", "line"), required=True)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--pitch", type=float, default=None)
+    p.add_argument("--radius", type=_finite_float, default=None)
+    p.add_argument("--pitch", type=_finite_float, default=None)
     p.add_argument("--n", type=int, default=None, help="ambient dimension")
-    p.add_argument("--m", type=float, default=None, help="constant polarization")
+    p.add_argument("--m", type=_finite_float, default=None, help="constant polarization")
     p.add_argument("--grid", type=_parse_grid, default=Grid(0.0, 1.0, 1001), metavar="s0:s1:N")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_curve)
 
     p = add(sub, "darboux", step_policy, tol_override, help="Darboux transform of a curve")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--mu", type=_finite_float, required=True)
     p.add_argument("--init", type=_parse_point, required=True, metavar="x,y[,z]")
     p.add_argument("--route", choices=("parallel", "riccati"), default="parallel")
     p.add_argument("--out", default=None)
     p.add_argument("--report", action="store_true")
-    p.set_defaults(func=cmd_darboux)
 
     p = add(sub, "bianchi", step_policy, help="permutability quad or cube")
     p.add_argument("--in", dest="infile", required=True)
@@ -1032,10 +1046,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, metavar="x,y;x,y[;x,y]",
     )
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bianchi)
 
     p = add(sub, "surface", help="build or check a layered surface")
-    p.set_defaults(func=cmd_surface)
     modes = p.add_subparsers(dest="mode", required=True, metavar="mode")
     p = add(modes, "build", step_policy, tol_override, help="stack Darboux layers on a curve")
     p.add_argument("--in", dest="infile", required=True)
@@ -1048,22 +1060,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(sub, "dual", step_policy, help="Christoffel dual of a curve or surface")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dual)
 
     p = add(sub, "calapso", step_policy, help="Calapso transform of a curve or surface")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_calapso)
 
     p = add(sub, "cmc", tol_override, help="mean curvature and conserved quantities")
     p.add_argument("--fixture", choices=("cylinder", "strip"), default="cylinder")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--radius", type=_finite_float, default=1.0)
+    p.add_argument("--delta", type=_finite_float, default=0.5)
     p.add_argument("--layers", type=int, default=3)
     p.add_argument("--orientation", choices=("inward", "outward"), default="inward")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cmc)
 
     p = add(sub, "verify", step_policy, tol_override, seed, help="run invariant suites")
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
@@ -1071,25 +1080,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt", choices=CORRUPTIBLE, default=None,
                    help="perturb one generated fixture to exercise failure paths")
     p.add_argument("--csv", default=None, help="also write the table as CSV")
-    p.set_defaults(func=cmd_verify)
 
     p = add(sub, "export", tol_override, help="write OBJ mesh or CSV report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--obj", default=None)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_export)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        # Looked up at call time, so a command rebound after the first
+        # call (as a tracer or test does) is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -20,11 +20,11 @@ cross-validated against each other by the test-suite and the verify
 command.  The Riccati route runs RK4 in a kernel generated per n, on
 Python floats.  The section route builds the RK4 step map of
 xi' = A xi as a matrix (``step_maps``, which also serves the Magnus
-steps of the Calapso frames) and projects back onto the light cone
-after every step.  Every integrator samples its coefficients and steps
-one ``step_blocks`` block of steps at a time and keeps only the grid
-nodes, so the memory a run needs beyond its result does not grow with
-the grid.
+steps of the Calapso frames, composed by ``prefix_increments``) and
+projects back onto the light cone after every step.  Every integrator
+samples its coefficients and steps one ``step_blocks`` block of steps
+at a time and keeps only the grid nodes, so the memory a run needs
+beyond its result does not grow with the grid.
 
 The gauge maps Gamma(r) that scale one null line by r and a transversal
 one by 1/r tie the two pictures together: the connections of a Darboux
@@ -165,6 +165,8 @@ def is_darboux_pair(x: PolarizedCurve, xhat: PolarizedCurve) -> DarbouxFit:
 # Steps sampled and integrated together: the temporaries stay a few
 # hundred kB whatever the grid length.
 _BLOCK_STEPS = 1024
+# Steps whose running products ``prefix_increments`` forms side by side.
+_CHUNK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -418,6 +420,35 @@ def step_maps(a: np.ndarray, h: float, rule) -> np.ndarray:
     midpoints and right nodes.
     """
     return rule(a[:-2:2], a[1::2], a[2::2], h)
+
+
+def prefix_increments(e: np.ndarray) -> np.ndarray:
+    """The increments P_k = (I + E_1) ... (I + E_k) - I, k = 0 .. K, stacked.
+
+    ``e`` holds the K increments E_k = M_k - I of a block's step maps, as
+    ``step_maps`` returns them; P_0 = 0 is the empty product.  A
+    two-level scan (Blelloch 1990) replaces the K sequential products:
+    the steps are padded with zero increments, which compose as the
+    exact identity, to chunks of _CHUNK_STEPS; every chunk's running
+    products are formed side by side, one step position at a time; the
+    chunk totals are scanned; then one batched product puts the total
+    of the chunks before each chunk in front of its running products.
+    Products are composed in increment form, (I + P)(I + Q) - I =
+    P + Q + P Q, so the small difference from I keeps its bits.
+    """
+    steps, d = e.shape[0], e.shape[-1]
+    chunks = -(-steps // _CHUNK_STEPS)
+    out = np.zeros((1 + chunks * _CHUNK_STEPS, d, d))
+    out[1 : steps + 1] = e
+    p = out[1:].reshape(chunks, _CHUNK_STEPS, d, d)  # a view: writes land in out
+    for j in range(1, _CHUNK_STEPS):
+        p[:, j] += p[:, j - 1] + p[:, j - 1] @ p[:, j]
+    before = np.zeros((chunks, d, d))
+    for c in range(1, chunks):
+        total = p[c - 1, -1]
+        before[c] = before[c - 1] + total + before[c - 1] @ total
+    p[1:] += before[1:, None] + before[1:, None] @ p[1:]
+    return out[: steps + 1]
 
 
 def _rk4_increments(left: np.ndarray, mid: np.ndarray, right: np.ndarray, h: float) -> np.ndarray:

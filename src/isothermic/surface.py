@@ -427,7 +427,7 @@ def calapso_trivialization_residuals(
     residuals = []
     for j in range(1, surface.num_layers):
         direct, _ = integrate_calapso(surface.curves[j], t, substeps=substeps)
-        residuals.append(_constancy_residual(chain[j].T @ direct.inverse()))
+        residuals.append(_constancy_residual(chain[j].T, direct.inverse()))
     return residuals
 
 

@@ -17,15 +17,21 @@ orthogonal frame field T^t solves T' = -T A(s, t), and <T^t xi> is a
 new curve in the conformal sphere.  Since A lies in so(n+1,1), T is
 advanced by fourth-order Magnus steps, exponentials of Lie-algebra
 elements, so it stays in O(n+1,1) without repair and is inverted in
-closed form, T^{-1} = G T^t G.  Sections move through the frame field,
-y -> T y with the exact derivative T (y' - A y).  Composition, the
-intertwining with the Darboux gauge, and permutability with Darboux
-transforms are all verified as s-constancy of comparison maps (the
-statements hold up to a global Moebius transformation).
+closed form, T^{-1} = G T^t G.  The frames are the running products of
+the step maps, formed block by block by a prefix scan
+(``darboux.prefix_increments``) rather than one step at a time.
+Sections move through the frame field, y -> T y with the exact
+derivative T (y' - A y).  Composition, the intertwining with the
+Darboux gauge, and permutability with Darboux transforms are all
+verified as s-constancy of comparison maps (the statements hold up to
+a global Moebius transformation), relative to the size of the frames
+they are built from.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,7 @@ from .darboux import (
     euclidean_section,
     gauge_matrix,
     inverse_tangent,
+    prefix_increments,
     simpson_cumulative,
     step_blocks,
     step_maps,
@@ -204,7 +211,10 @@ def integrate_calapso(
     form up to rounding and the frames need no repair.  The transformed
     curve is the section s -> T(s) xi(s) with the exact derivative
     T (xi' - A xi).  The steps run one block of ``connection_blocks`` at
-    a time, keeping only the grid nodes.
+    a time: the block's running products P_k = M_1 ... M_k - I come from
+    one prefix scan (``prefix_increments``, in increment form), its
+    frames are y + y P_k from the frame y that ends the block before,
+    and only the grid nodes are kept.
 
     Accepts a raw light-cone section in place of a curve, with ``m``
     supplied (a curve brings its own polarization and ``m`` is not
@@ -223,13 +233,10 @@ def integrate_calapso(
     xiprime = np.empty((grid.num, d))
     y = np.eye(d)
     for block, xi_b, xip_b, a in connection_blocks(source, m, t, substeps):
-        states = np.empty((block.steps + 1, d, d))
-        states[0] = y
-        for k, e in enumerate(step_maps(a, block.h, _magnus_increments), start=1):
-            y = y + y @ e
-            states[k] = y
+        p = prefix_increments(step_maps(a, block.h, _magnus_increments))
         nodes, at_nodes = block.nodes, block.node_samples
-        T[nodes] = states[block.node_states]
+        T[nodes] = y + y @ p[block.node_states]
+        y = y + y @ p[-1]
         a_nodes[nodes] = a[at_nodes]
         xi[nodes], xiprime[nodes] = _moved(
             T[nodes], a_nodes[nodes], xi_b[at_nodes], xip_b[at_nodes]
@@ -261,10 +268,21 @@ def transported_section_drift(
     return mk.projective_gap(moved, np.broadcast_to(moved[0], moved.shape))
 
 
-def _constancy_residual(mats: np.ndarray) -> float:
-    base = mats[0]
-    scale = max(float(np.max(np.linalg.norm(mats, axis=(-2, -1)))), 1e-300)
-    return float(np.max(np.linalg.norm(mats - base, axis=(-2, -1))) / scale)
+def _constancy_residual(*factors: np.ndarray) -> float:
+    """s-variation of the per-sample product of ``factors``.
+
+    The worst gap from the first sample is taken relative to the largest
+    product and to the product of the factors' largest entries: rounding
+    in a product of large frames is a few eps times the latter, however
+    small the product itself is (as in ``metric_drift``).
+    """
+    mats = functools.reduce(np.matmul, factors)
+    scale = max(
+        float(np.max(np.linalg.norm(mats, axis=(-2, -1)))),
+        math.prod(float(np.max(np.abs(f))) for f in factors),
+        1e-300,
+    )
+    return float(np.max(np.linalg.norm(mats - mats[0], axis=(-2, -1))) / scale)
 
 
 def verify_calapso_composition(
@@ -284,7 +302,7 @@ def verify_calapso_composition(
     frames_tau, section_tau = integrate_calapso(curve, tau, substeps=substeps)
     frames_t, _ = integrate_calapso(section_tau, t, substeps=substeps, m=curve.m)
     frames_sum, _ = integrate_calapso(curve, tau + t, substeps=substeps)
-    return _constancy_residual(frames_t.T @ frames_tau.T @ frames_sum.inverse())
+    return _constancy_residual(frames_t.T, frames_tau.T, frames_sum.inverse())
 
 
 def verify_calapso_intertwine(
@@ -304,7 +322,7 @@ def verify_calapso_intertwine(
     frames, _ = integrate_calapso(curve, t, substeps=substeps)
     frames_hat, _ = integrate_calapso(transform, t, substeps=substeps)
     gamma = gauge_matrix(mk.euclidean_lift(curve.x), mk.euclidean_lift(transform.x), 1.0 - t / mu)
-    return _constancy_residual(frames_hat.T @ gamma @ frames.inverse())
+    return _constancy_residual(frames_hat.T, gamma, frames.inverse())
 
 
 def calapso_darboux_permute(

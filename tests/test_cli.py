@@ -435,6 +435,20 @@ def test_verify_user_surface_file(tmp_path, capsys):
     assert "surface-isothermic" in capsys.readouterr().out
 
 
+def test_verify_surface_trivialization_passes_once_frames_grow(tmp_path, capsys):
+    # At t = 1.236 the frames along [0, 6] reach |T| ~ 1.5e5, so chained
+    # times inverted direct frames round at ~1e-5 of the product itself,
+    # at every grid size; the residual is taken against the factors.
+    src = _curve_file(tmp_path, grid="0:6:1001")
+    surf = tmp_path / "s.json"
+    assert main(["surface", "build", "--in", str(src), "--layers=-2:2,0", "--out", str(surf)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--surface", str(surf)]) == 0
+    out = capsys.readouterr().out
+    row = re.search(r"^surface-trivialization +\S+ +(\S+) +1\.0000e-06 +pass$", out, re.M)
+    assert row and float(row[1]) < 1e-12, out
+
+
 def test_export_obj_and_csv(tmp_path):
     src = _curve_file(tmp_path)
     surf = tmp_path / "s.json"
@@ -678,8 +692,9 @@ def test_tol_override_must_be_finite_and_positive(value, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--suite", "darboux"], ["--suite", "cmc"], ["--corrupt", "unit-circle"]],
-    ids=["suite-darboux", "suite-cmc", "corrupt"],
+    "extra",
+    [["--suite", "darboux"], ["--suite", "cmc"], ["--corrupt", "unit-circle"], ["--seed", "1"]],
+    ids=["suite-darboux", "suite-cmc", "corrupt", "seed"],
 )
 def test_verify_surface_rejects_fixture_options(extra, tmp_path, capsys):
     path = _outward_cmc_file(tmp_path)
@@ -688,6 +703,52 @@ def test_verify_surface_rejects_fixture_options(extra, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+# Each command with a non-finite number for the option named by the id.
+NON_FINITE = {
+    "calapso-t": ["calapso", "--in", "{c}", "--t", "nan"],
+    "darboux-mu": ["darboux", "--in", "{c}", "--mu", "inf", "--init", "2,0"],
+    "darboux-init": ["darboux", "--in", "{c}", "--mu", "-2", "--init", "2,nan"],
+    "curve-radius": ["curve", "--family", "circle", "--radius", "nan", "--out", "{out}"],
+    "curve-pitch": ["curve", "--family", "helix", "--pitch", "inf", "--out", "{out}"],
+    "curve-m": ["curve", "--family", "circle", "--m", "nan", "--out", "{out}"],
+    "curve-grid": ["curve", "--family", "circle", "--grid", "0:inf:11", "--out", "{out}"],
+    "cmc-radius": ["cmc", "--radius", "inf"],
+    "cmc-delta": ["cmc", "--delta", "nan"],
+    "surface-layers-mu": ["surface", "build", "--in", "{c}", "--layers", "nan:2,0",
+                          "--out", "{out}"],
+    "surface-layers-point": ["surface", "build", "--in", "{c}", "--layers", "-2:nan,0",
+                             "--out", "{out}"],
+    "bianchi-mu": ["bianchi", "--in", "{c}", "--mu", "-2,nan"],
+    "bianchi-points": ["bianchi", "--in", "{c}", "--mu", "-2,1", "--points", "2,0;inf,0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_option_value_exits_2_naming_the_option(case, cli_files, tmp_path, capsys):
+    out = tmp_path / "out"
+    files = {"c": cli_files / "c.json", "out": out}
+    argv = [arg.format(**files) for arg in NON_FINITE[case]]
+    option = "--" + case.split("-")[1]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"error: argument {option}: " in errors[0], err
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(cli_files, monkeypatch):
+    argv = ["dual", "--in", str(cli_files / "c.json")]
+    assert main(argv) == 0
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "cmd_dual", lambda args: 7)
+    assert main(argv) == 7
+    assert cli._parser() is parser
 
 
 @pytest.fixture(scope="module")
