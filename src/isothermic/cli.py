@@ -1101,8 +1101,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         # Looked up at call time, so a command rebound after the first
-        # call (as a tracer or test does) is the one that runs.
-        return globals()[f"cmd_{args.command}"](args)
+        # call (as a tracer or test does) is the one that runs.  A finite
+        # but huge input overflows float64 somewhere inside; that is
+        # reported as such, not as whatever the infinities break later.
+        with np.errstate(over="raise"):
+            return globals()[f"cmd_{args.command}"](args)
+    except FloatingPointError as exc:
+        print(f"error: {exc}: an input value is too large", file=sys.stderr)
+        return 2
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,9 @@ surface itself): mixed-area elements per edge, the lifted Christoffel
 (Koenigs) duality that makes them vanish, tangent plane congruences,
 the mixed-area mean curvature, and the linear conserved quantity
 z t + q whose existence characterizes constant mean curvature.
+Both surface duals integrate their first layer by the Simpson sum of
+the curve dual (``darboux.simpson_blocks``, one ``step_blocks`` block
+at a time) and place every further layer by an edge rule.
 
 Mixed-area 2-vectors are represented by their skew action matrices
 M y = (a, y) b - (b, y) a, ``minkowski.wedge_matrix(a, b)``; the
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import minkowski as mk
 from .curves import derivative_samples
-from .darboux import LightConeSection, half_step_samples, simpson_cumulative
+from .darboux import LightConeSection, simpson_blocks
 from .errors import (
     DegenerateEdgeError,
     DimensionError,
@@ -127,8 +130,9 @@ def lifted_christoffel_dual(surface: SemiDiscreteSurface) -> list[LightConeSecti
         if np.min(np.abs(w)) <= 1e-300:
             raise GeometryError(f"curve {k}: lift derivative is null; dual undefined")
         primes.append(lift.xiprime / w[:, None])
-    h, (f_all,) = half_step_samples(grid, 1, primes[0])
-    z = simpson_cumulative(f_all, h, surface.lift(0).xi[0])
+    z, _ = simpson_blocks(
+        grid, 1, surface.lift(0).xi[0], lambda block: block.sample(primes[0][block.rows])[0]
+    )
     fields = [LightConeSection(grid=grid, xi=z, xiprime=primes[0])]
     for i, mu_i in enumerate(surface.mu):
         dxi = surface.lift(i + 1).xi - surface.lift(i).xi
@@ -163,8 +167,9 @@ def koenigs_dual(
             )
         nu.append(np.sqrt(w))
         primes.append(-surface.lift(k).xiprime / w[:, None])
-    h, (f_all,) = half_step_samples(grid, 1, primes[0])
-    z = simpson_cumulative(f_all, h, np.zeros(surface.n + 2))
+    z, _ = simpson_blocks(
+        grid, 1, np.zeros(surface.n + 2), lambda block: block.sample(primes[0][block.rows])[0]
+    )
     fields = [LightConeSection(grid=grid, xi=z, xiprime=primes[0])]
     for i in range(surface.num_layers - 1):
         dxi = surface.lift(i + 1).xi - surface.lift(i).xi

@@ -94,10 +94,11 @@ def sixth_order_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def cubic_stencil(grid: Grid, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``cubic_interp`` at points s, each (4, K).
+    """Nodes and weights of piecewise-cubic interpolation at points s, each (4, K).
 
     Row i holds the i-th node of the 4-node stencil around each query
-    point, clamped at the boundary, and its Lagrange weight.
+    point, clamped at the boundary, and its Lagrange weight; with smooth
+    data, ``stencil_sum`` over them is O(h^4) accurate.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t = (s - grid.s0) / grid.h
@@ -121,15 +122,6 @@ def stencil_sum(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarra
     gathered = np.asarray(values, dtype=float)[idx]  # (4, K, ...)
     w = w.reshape(w.shape + (1,) * (gathered.ndim - 2))
     return np.sum(w * gathered, axis=0)
-
-
-def cubic_interp(values: np.ndarray, grid: Grid, s: np.ndarray) -> np.ndarray:
-    """Piecewise-cubic Lagrange interpolation of grid samples at points s.
-
-    Uses the 4-node stencil around each query point, clamped at the
-    boundary, so the error is O(h^4) with smooth data.
-    """
-    return stencil_sum(values, *cubic_stencil(grid, s))
 
 
 @dataclass

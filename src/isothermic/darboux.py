@@ -21,10 +21,12 @@ command.  The Riccati route runs RK4 in a kernel generated per n, on
 Python floats.  The section route builds the RK4 step map of
 xi' = A xi as a matrix (``step_maps``, which also serves the Magnus
 steps of the Calapso frames, composed by ``prefix_increments``) and
-projects back onto the light cone after every step.  Every integrator
+projects back onto the light cone after every step.  Every integrator,
+and the Simpson sum that all three duals share (``simpson_blocks``),
 samples its coefficients and steps one ``step_blocks`` block of steps
-at a time and keeps only the grid nodes, so the memory a run needs
-beyond its result does not grow with the grid.
+at a time and keeps only the grid nodes; no code samples the whole
+grid at once, so the memory a run needs beyond its result does not
+grow with the grid.
 
 The gauge maps Gamma(r) that scale one null line by r and a transversal
 one by 1/r tie the two pictures together: the connections of a Darboux
@@ -221,28 +223,36 @@ def step_blocks(grid: Grid, substeps: int):
         yield _step_block(grid, substeps, k0, min(k0 + _BLOCK_STEPS, total))
 
 
-def half_step_samples(
-    grid: Grid, substeps: int, *values: np.ndarray
-) -> tuple[float, list[np.ndarray]]:
-    """Samples at every RK4 evaluation point of the whole grid, plus the step.
-
-    With ``substeps`` steps per grid cell the evaluation points are the
-    (sub)step nodes and their midpoints.  Grid nodes keep their exact
-    samples; every other point is cubic interpolation.  The integrators
-    sample one ``step_blocks`` block at a time instead.
-    """
-    block = _step_block(grid, substeps, 0, (grid.num - 1) * substeps)
-    return block.h, block.sample(*values)
-
-
 def simpson_cumulative(f_all: np.ndarray, h: float, anchor: np.ndarray) -> np.ndarray:
     """Antiderivative from ``anchor`` at the step nodes, by Simpson's rule.
 
     ``f_all`` holds the integrand at every step node and midpoint, as
-    ``half_step_samples`` returns it with step ``h``.
+    ``StepBlock.sample`` returns it, with step ``h``.
     """
     increments = (h / 6.0) * (f_all[:-2:2] + 4.0 * f_all[1::2] + f_all[2::2])
     return np.cumsum(np.concatenate([anchor[None], increments]), axis=0)
+
+
+def simpson_blocks(
+    grid: Grid, substeps: int, anchor: np.ndarray, integrand
+) -> tuple[np.ndarray, np.ndarray]:
+    """Antiderivative from ``anchor`` at s0 by Simpson's rule, block by block.
+
+    ``integrand(block)`` returns the integrand at every evaluation point
+    of one ``step_blocks`` block; the running value is carried from one
+    block to the next.  Returns the antiderivative and the integrand at
+    the grid nodes.
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    value = np.empty((grid.num, *anchor.shape))
+    rate = np.empty_like(value)
+    for block in step_blocks(grid, substeps):
+        f = integrand(block)
+        out = simpson_cumulative(f, block.h, anchor)
+        anchor = out[-1]
+        value[block.nodes] = out[block.node_states]
+        rate[block.nodes] = f[block.node_samples]
+    return value, rate
 
 
 def inverse_tangent(xprime: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -365,35 +375,13 @@ def connection_matrix(
     return factor[..., None, None] * mk.wedge_matrix(xi, xiprime)
 
 
-def connection_samples(
-    section: LightConeSection,
-    m: np.ndarray,
-    t: float,
-    substeps: int = 1,
-) -> tuple[np.ndarray, float]:
-    """A(s, t) along a section at every node and half step, and the step.
-
-    Nodes keep their exact samples; half steps (and substep nodes) use
-    cubic interpolation of the lift, its derivative, and m.  The
-    integrators take the same samples one block at a time from
-    ``connection_blocks``.
-    """
-    grid = section.grid
-    m = np.broadcast_to(np.asarray(m, dtype=float), (grid.num,))
-    h_eff, (xi_all, xip_all, m_all) = half_step_samples(
-        grid, substeps, section.xi, section.derivative(), m
-    )
-    return connection_matrix(xi_all, xip_all, m_all, t), h_eff
-
-
 def connection_blocks(
     source: PolarizedCurve | LightConeSection, m: np.ndarray, t: float, substeps: int
 ):
     """Yield (block, xi, xi', A(s, t)) at every evaluation point, block by block.
 
     ``source`` is a curve, lifted to its Euclidean section only on each
-    block's ``rows``, or a section.  The samples are those of
-    ``connection_samples``, bit for bit.
+    block's ``rows``, or a section.
     """
     grid = source.grid
     m = np.broadcast_to(np.asarray(m, dtype=float), (grid.num,))

@@ -33,13 +33,13 @@ __all__ = [
 ]
 
 
-def default_grid(length: float = 1.0, num: int = 1001) -> Grid:
-    """Arc grid with step h = length/(num - 1); defaults give h = 1e-3."""
-    return Grid(0.0, length, num)
+def default_grid(num: int = 1001) -> Grid:
+    """Grid on [0, 1] with step h = 1/(num - 1); the default gives h = 1e-3."""
+    return Grid(0.0, 1.0, num)
 
 
-def unit_circle(grid: Grid | None = None, n: int = 2) -> PolarizedCurve:
-    return make_circle(1.0, grid or default_grid(), n=n, m=1.0)
+def unit_circle(grid: Grid | None = None) -> PolarizedCurve:
+    return make_circle(1.0, grid or default_grid(), n=2, m=1.0)
 
 
 def concentric_pair(grid: Grid | None = None) -> tuple[PolarizedCurve, PolarizedCurve]:
@@ -48,11 +48,9 @@ def concentric_pair(grid: Grid | None = None) -> tuple[PolarizedCurve, Polarized
     return make_circle(1.0, grid, n=2, m=1.0), make_circle(2.0, grid, n=2, m=1.0)
 
 
-def tractrix_circle_pair(
-    grid: Grid | None = None, mu: float = 0.25
-) -> tuple[PolarizedCurve, PolarizedCurve]:
-    """Darboux pair at distance 1/sqrt(mu) built from the unit circle."""
-    return tractrix_pair(unit_circle(grid), mu)
+def tractrix_circle_pair(grid: Grid | None = None) -> tuple[PolarizedCurve, PolarizedCurve]:
+    """Darboux pair with mu = 1/4, at distance 1/sqrt(mu) = 2, built from the unit circle."""
+    return tractrix_pair(unit_circle(grid), 0.25)
 
 
 def cylinder_patch(grid: Grid | None = None) -> SemiDiscreteSurface:
@@ -61,15 +59,10 @@ def cylinder_patch(grid: Grid | None = None) -> SemiDiscreteSurface:
     return SemiDiscreteSurface(curves=[a, b], mu=[-2.0])
 
 
-def three_layer(
-    grid: Grid | None = None,
-    second_point: np.ndarray = (0.3, -0.4),
-) -> SemiDiscreteSurface:
+def three_layer(grid: Grid | None = None) -> SemiDiscreteSurface:
     """Circle, its mu = -2 concentric transform, and a generic mu = 1 layer."""
-    seed = unit_circle(grid)
     return build_surface(
-        seed,
-        [(-2.0, np.array([2.0, 0.0])), (1.0, np.asarray(second_point, dtype=float))],
+        unit_circle(grid), [(-2.0, np.array([2.0, 0.0])), (1.0, np.array([0.3, -0.4]))]
     )
 
 
@@ -79,16 +72,13 @@ class CmcFixture:
 
     ``normals`` holds the affine unit normal samples per curve, ``h``
     the constant mean curvature they produce, and ``mu`` the shared
-    edge parameter.  On fixtures with a real Moutard normalization the
-    Koenigs weights and dual fields are included for duality tests.
+    edge parameter.
     """
 
     surface: SemiDiscreteSurface
     normals: list[np.ndarray]
     h: float
     mu: float
-    nu: list[np.ndarray] | None
-    koenigs_fields: list[LightConeSection] | None
 
     def congruence(self) -> list[LightConeSection]:
         return cmc.tangent_congruence(self.surface, self.normals)
@@ -135,14 +125,7 @@ def cmc_round_cylinder(
         )
         normals.append(-sign * u)
     surface = SemiDiscreteSurface(curves=curves, mu=[mu] * (layers - 1))
-    h = sign / (2.0 * radius)
-    if orientation == "inward":
-        fields, nu = cmc.koenigs_dual(surface)
-    else:
-        fields, nu = None, None
-    return CmcFixture(
-        surface=surface, normals=normals, h=h, mu=mu, nu=nu, koenigs_fields=fields
-    )
+    return CmcFixture(surface=surface, normals=normals, h=sign / (2.0 * radius), mu=mu)
 
 
 def flat_strip(
@@ -171,10 +154,7 @@ def flat_strip(
         )
         normals.append(e2.copy())
     surface = SemiDiscreteSurface(curves=curves, mu=[mu] * (layers - 1))
-    fields, nu = cmc.koenigs_dual(surface)
-    return CmcFixture(
-        surface=surface, normals=normals, h=0.0, mu=mu, nu=nu, koenigs_fields=fields
-    )
+    return CmcFixture(surface=surface, normals=normals, h=0.0, mu=mu)
 
 
 def perturb_curve(

@@ -46,8 +46,7 @@ from .darboux import (
     gauge_matrix,
     inverse_tangent,
     prefix_increments,
-    simpson_cumulative,
-    step_blocks,
+    simpson_blocks,
     step_maps,
 )
 from .errors import DimensionError, GeometryError, PolarizationError
@@ -62,7 +61,7 @@ def christoffel_dual(
 
     The dual is defined up to translation; ``anchor`` fixes x*(s0)
     (default: origin).  The polarization is inherited unchanged.  The
-    sum runs block by block (``step_blocks``), carrying its last value.
+    sum runs block by block (``simpson_blocks``).
     """
     if np.any(curve.m == 0.0):
         raise PolarizationError("polarization vanishes; dual derivative undefined")
@@ -72,19 +71,16 @@ def christoffel_dual(
     if anchor.shape != (curve.n,):
         raise DimensionError(f"anchor must be a point of R^{curve.n}")
 
-    grid, sign = curve.grid, np.sign(curve.m[0])
-    x = np.empty((grid.num, curve.n))
-    xprime = np.empty((grid.num, curve.n))
-    for block in step_blocks(grid, substeps):
+    sign = np.sign(curve.m[0])
+
+    def integrand(block):
         xp_b, m_b = block.sample(curve.xprime[block.rows], curve.m[block.rows])
         if np.any(np.sign(m_b) != sign):
             raise PolarizationError("polarization changes sign inside the interval")
-        rhs = inverse_tangent(xp_b, m_b)
-        out = simpson_cumulative(rhs, block.h, anchor)
-        anchor = out[-1]
-        x[block.nodes] = out[block.node_states]
-        xprime[block.nodes] = rhs[block.node_samples]
-    return PolarizedCurve(n=curve.n, grid=grid, x=x, xprime=xprime, m=curve.m.copy())
+        return inverse_tangent(xp_b, m_b)
+
+    x, xprime = simpson_blocks(curve.grid, substeps, anchor, integrand)
+    return PolarizedCurve(n=curve.n, grid=curve.grid, x=x, xprime=xprime, m=curve.m.copy())
 
 
 def dual_defect(curve: PolarizedCurve, dual: PolarizedCurve) -> float:

@@ -3,10 +3,12 @@
 Core claims:
     - the integrators, which sample and step one block of
       darboux._BLOCK_STEPS steps at a time, are bit-identical to their
-      full-array forms (kept here as references) for grids of one, two
-      and three blocks, substeps 1-3 and n = 2, 3, 4; the Calapso
-      frames, which form each block's products by a prefix scan, match
-      the sequential product of the same step maps to rounding
+      full-array forms (kept here and in whole_grid.py as references)
+      for grids of one, two and three blocks, substeps 1-3 and
+      n = 2, 3, 4, and so are the Simpson sums of the curve dual and of
+      both surface duals; the Calapso frames, which form each block's
+      products by a prefix scan, match the sequential product of the
+      same step maps to rounding
     - a secant collapse or a run off to infinity in a later block is
       reported at the same parameter as by the full-array form
     - the memory a transform (or a file write) needs beyond the arrays
@@ -18,6 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import isothermic.cmc as cmc
 import isothermic.darboux as db
 import isothermic.minkowski as mk
 import isothermic.transforms as tr
@@ -25,6 +28,8 @@ from isothermic import fileio
 from isothermic.clifford import sandwich
 from isothermic.curves import Grid, PolarizedCurve, make_curve, make_helix
 from isothermic.errors import PointAtInfinityError, PolarizationError, SingularEncounterError
+from isothermic.surface import SemiDiscreteSurface
+from whole_grid import connection_samples, half_step_samples
 
 # ------------------------------------------------------------ references
 
@@ -44,7 +49,7 @@ def _full_step_maps(a_all, h, rule):
 
 
 def _riccati_full(curve, mu, xhat0, substeps):
-    h, (x_all, xp_all, m_all) = db.half_step_samples(
+    h, (x_all, xp_all, m_all) = half_step_samples(
         curve.grid, substeps, curve.x, curve.xprime, curve.m
     )
     w_all = db.inverse_tangent(xp_all, m_all)
@@ -68,7 +73,7 @@ def _riccati_full(curve, mu, xhat0, substeps):
 
 def _parallel_full(source, t, xihat0, substeps):
     frame = mk.canonical_frame(source.n)
-    a_all, h = db.connection_samples(db.euclidean_section(source), source.m, t, substeps)
+    a_all, h = connection_samples(db.euclidean_section(source), source.m, t, substeps)
     out = np.empty(((len(a_all) - 1) // 2 + 1, source.n + 2))
     out[0] = y = mk.euclidean_lift(xihat0)
     for k, e in enumerate(_full_step_maps(a_all, h, db._rk4_increments), start=1):
@@ -82,7 +87,7 @@ def _parallel_full(source, t, xihat0, substeps):
 def _calapso_full(sec, m, t, substeps):
     """Frames as the sequential product of the Magnus step maps, one step at a time."""
     d = sec.n + 2
-    a_all, h = db.connection_samples(sec, m, t, substeps)
+    a_all, h = connection_samples(sec, m, t, substeps)
     out = np.empty(((len(a_all) - 1) // 2 + 1, d, d))
     out[0] = y = np.eye(d)
     for k, e in enumerate(_full_step_maps(a_all, h, tr._magnus_increments), start=1):
@@ -95,12 +100,28 @@ def _calapso_full(sec, m, t, substeps):
 
 
 def _dual_full(curve, substeps):
-    h, (xp_all, m_all) = db.half_step_samples(curve.grid, substeps, curve.xprime, curve.m)
+    h, (xp_all, m_all) = half_step_samples(curve.grid, substeps, curve.xprime, curve.m)
     if np.any(np.sign(m_all) != np.sign(m_all[0])):
         raise PolarizationError("polarization changes sign inside the interval")
     rhs_all = db.inverse_tangent(xp_all, m_all)
     out = db.simpson_cumulative(rhs_all, h, np.zeros(curve.n))
     return out[::substeps], rhs_all[:: 2 * substeps]
+
+
+def _surface_duals_full(surface):
+    """Layer 0 of the lifted Christoffel dual and of the Koenigs dual.
+
+    Each is the Simpson sum of its derivative over the whole grid; the
+    further layers follow from layer 0 by an edge rule, with no sampling.
+    """
+    lift = surface.lift(0)
+    lifted_prime = lift.xiprime / (surface.m * mk.norm2(lift.xiprime))[:, None]
+    koenigs_prime = -lift.xiprime / (surface.m * surface.curves[0].speed2)[:, None]
+    out = []
+    for prime, anchor in ((lifted_prime, lift.xi[0]), (koenigs_prime, np.zeros(surface.n + 2))):
+        h, (f_all,) = half_step_samples(surface.grid, 1, prime)
+        out.append((db.simpson_cumulative(f_all, h, anchor), prime))
+    return out
 
 
 # ------------------------------------------------------------ bit identity
@@ -171,6 +192,20 @@ def _assert_calapso_matches_loop(c, substeps):
         _assert_close(frames.T, frames_ref.T, _FRAME_RTOL)
         _assert_close(moved.xi, moved_ref.xi, _FRAME_RTOL)
         _assert_close(moved.xiprime, moved_ref.xiprime, _FRAME_RTOL)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_surface_duals_are_bit_identical_to_full_arrays(blocks, monkeypatch):
+    monkeypatch.setattr(db, "_BLOCK_STEPS", 64)
+    c = _curve(3, _grid_size(blocks, 1), 1)
+    shifted = PolarizedCurve(n=3, grid=c.grid, x=c.x + [0.0, 0.0, 0.5], xprime=c.xprime, m=c.m)
+    surface = SemiDiscreteSurface(curves=[c, shifted], mu=[-2.0])
+    assert (blocks - 1) * db._BLOCK_STEPS < c.grid.num - 1 <= blocks * db._BLOCK_STEPS
+    lifted = cmc.lifted_christoffel_dual(surface)
+    koenigs, _ = cmc.koenigs_dual(surface)
+    for fields, (z_ref, zprime_ref) in zip((lifted, koenigs), _surface_duals_full(surface)):
+        assert np.array_equal(fields[0].xi, z_ref)
+        assert np.array_equal(fields[0].xiprime, zprime_ref)
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
@@ -281,6 +316,8 @@ def _returned_bytes(value) -> int:
         return sum(_returned_bytes(v) for v in value)
     if value is None:
         return 0
+    if isinstance(value, np.ndarray):
+        return value.nbytes
     return sum(v.nbytes for v in vars(value).values() if isinstance(v, np.ndarray))
 
 
@@ -307,6 +344,9 @@ def test_working_set_does_not_grow_with_the_grid(num, tmp_path, monkeypatch):
         "integrate_parallel_section": lambda: db.integrate_parallel_section(c, -2.0, p0),
         "integrate_calapso": lambda: tr.integrate_calapso(c, 0.4),
         "christoffel_dual": lambda: tr.christoffel_dual(c),
+        "simpson_blocks": lambda: db.simpson_blocks(
+            c.grid, 1, c.x[0], lambda block: block.sample(c.xprime[block.rows])[0]
+        ),
     }
     excess = {name: _excess_bytes(call) for name, call in calls.items()}
     assert max(excess.values()) < _WORKING_SET_BOUND, excess

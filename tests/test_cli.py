@@ -742,6 +742,29 @@ def test_non_finite_option_value_exits_2_naming_the_option(case, cli_files, tmp_
     assert not out.exists()
 
 
+# Finite option values so large that float64 overflows inside the command.
+HUGE = {
+    "calapso-t": ["calapso", "--in", "{c}", "--t", "1e300", "--out", "{out}"],
+    "darboux-mu": ["darboux", "--in", "{c}", "--mu", "1e300", "--init", "2,0", "--out", "{out}"],
+    "curve-radius": ["curve", "--family", "circle", "--radius", "1e308", "--out", "{out}"],
+    "cmc-radius": ["cmc", "--radius", "1e300", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE))
+def test_overflowing_option_value_exits_2_with_one_error_line(case, cli_files, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [arg.format(c=cli_files / "c.json", out=out) for arg in HUGE[case]]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflow" in err, err
+    assert not out.exists()
+
+
 def test_parser_is_built_once_and_commands_are_looked_up_per_call(cli_files, monkeypatch):
     argv = ["dual", "--in", str(cli_files / "c.json")]
     assert main(argv) == 0

@@ -54,7 +54,7 @@ def test_mixed_area_symmetric_in_the_two_nets():
     fix = cmc_round_cylinder()
     surface = fix.surface
     x = _lift_fields(surface)
-    z = fix.koenigs_fields
+    z, _ = cmc.koenigs_dual(surface)
     one = cmc.mixed_area(x[0], x[1], z[0], z[1])
     two = cmc.mixed_area(z[0], z[1], x[0], x[1])
     assert np.max(np.abs(one.values - two.values)) < 1e-12

@@ -4,7 +4,7 @@ Core claims:
     - Grid validates its bounds and exposes nodes with exact spacing
     - derivative_samples converges at fourth order on smooth data, and
       sixth_order_derivative is exact on sextics
-    - cubic_interp reproduces cubics exactly
+    - cubic interpolation by cubic_stencil reproduces cubics exactly
     - curve constructors validate shapes, finiteness and immersion
     - arc_length_polarization gives m = |x'|^2 and tractrix_pair returns
       the closed-form Darboux companion of a unit-speed curve
@@ -17,7 +17,6 @@ from isothermic.curves import (
     Grid,
     PolarizedCurve,
     arc_length_polarization,
-    cubic_interp,
     derivative_samples,
     from_samples,
     make_circle,
@@ -28,6 +27,7 @@ from isothermic.curves import (
     tractrix_pair,
 )
 from isothermic.errors import DimensionError, GeometryError, PolarizationError
+from whole_grid import cubic_interp
 
 
 def test_grid_nodes():

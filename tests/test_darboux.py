@@ -19,10 +19,8 @@ from isothermic.curves import Grid, PolarizedCurve, make_circle, make_curve, mak
 from isothermic.darboux import (
     SECANT_TOL,
     connection_matrix,
-    connection_samples,
     euclidean_section,
     gauge_matrix,
-    half_step_samples,
     integrate_parallel_section,
     integrate_riccati,
     is_darboux_pair,
@@ -39,6 +37,7 @@ from isothermic.errors import (
     SingularEncounterError,
 )
 from isothermic.fixtures import concentric_pair, tractrix_circle_pair, unit_circle
+from whole_grid import connection_samples, half_step_samples
 
 
 # Polarizations of either sign that the Darboux routes must agree for.
