@@ -23,8 +23,9 @@ from . import minkowski as mk
 from .curves import PolarizedCurve
 from .darboux import (
     LightConeSection,
-    connection_matrix,
+    connection_apply,
     euclidean_section,
+    gauge_apply,
     gauge_matrix,
     parallel_residual,
 )
@@ -91,7 +92,11 @@ def bianchi_quad(
     cube, needs ``m``.  The returned section is an exact mu1-parallel
     section along the sec0 curve; along the sec1 curve it is
     mu0-parallel up to scaling (the line is parallel, the chosen
-    representative is not).
+    representative is not).  The gauge Gamma_{<xi>}^{<xi0>}(1 - mu1/mu0)
+    and, for the derivative, the mu1-connection along the sec0 curve act
+    on the sections through inner products (``gauge_apply``,
+    ``connection_apply``); no per-sample matrix is built.  A base and
+    sec0 that span the same line raise NonComplementaryLinesError.
     """
     if mu0 == mu1:
         raise GeometryError("quad requires distinct Darboux parameters")
@@ -104,14 +109,11 @@ def bianchi_quad(
     else:
         xi = base
     _require_sections_compatible(xi, sec0, sec1)
-    r = 1.0 - mu1 / mu0
-    gamma = gauge_matrix(xi.xi, sec0.xi, np.full(xi.grid.num, r))
-    samples = np.einsum("kij,kj->ki", gamma, sec1.xi)
+    samples = gauge_apply(xi.xi, sec0.xi, 1.0 - mu1 / mu0, sec1.xi)
     m = np.broadcast_to(np.asarray(m, dtype=float), (xi.grid.num,))
     # The quad point rides the sec0 curve as a mu1-parallel section, so
     # its derivative comes from that connection, not from stencils.
-    a = connection_matrix(sec0.xi, sec0.derivative(), m, mu1)
-    xiprime = np.einsum("kij,kj->ki", a, samples)
+    xiprime = connection_apply(sec0.xi, sec0.derivative(), m, mu1, samples)
     return LightConeSection(grid=xi.grid, xi=samples, xiprime=xiprime)
 
 

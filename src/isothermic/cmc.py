@@ -14,7 +14,10 @@ at a time) and place every further layer by an edge rule.
 Mixed-area 2-vectors are represented by their skew action matrices
 M y = (a, y) b - (b, y) a, ``minkowski.wedge_matrix(a, b)``; the
 induced pairing on 2-vectors is then tr(G M_A^T G M_B) / 2, which
-reproduces (a,c)(b,d) - (a,d)(b,c).
+reproduces (a,c)(b,d) - (a,d)(b,c).  With the diagonal metric G it is
+an elementwise sum, (1/2) sum g_i g_j (M_A)_ij (M_B)_ij.  Line
+projections act on vectors through inner products; no per-sample
+projection matrix is built.
 """
 
 from __future__ import annotations
@@ -57,10 +60,15 @@ PARALLEL_TOL = 1e-6
 CONGRUENCE_TOL = 1e-10
 
 
-def element_pairing(a_vals: np.ndarray, b_vals: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Induced 2-vector inner product, tr(G A^T G B) / 2 per sample."""
-    left = np.einsum("ab,kcb,cd->kad", metric, a_vals, metric)
-    return 0.5 * np.einsum("kad,kda->k", left, b_vals)
+def element_pairing(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
+    """Induced 2-vector inner product, tr(G A^T G B) / 2 per sample.
+
+    G is the diagonal Minkowski metric of the matrices' dimension, so
+    the trace is the elementwise sum (1/2) sum_ij g_i g_j A_ij B_ij.
+    """
+    g = mk.metric_diagonal(a_vals.shape[-1] - 2)
+    product = a_vals * b_vals
+    return 0.5 * (product.reshape(*product.shape[:-2], -1) @ np.outer(g, g).ravel())
 
 
 @dataclass
@@ -68,13 +76,12 @@ class MixedAreaElement:
     """Per-sample mixed-area 2-vectors of one edge, as skew matrices."""
 
     values: np.ndarray
-    metric: np.ndarray
 
     def frobenius(self) -> np.ndarray:
         return np.linalg.norm(self.values, axis=(1, 2))
 
     def pairing(self, other: "MixedAreaElement") -> np.ndarray:
-        return element_pairing(self.values, other.values, self.metric)
+        return element_pairing(self.values, other.values)
 
 
 def mixed_area(
@@ -84,15 +91,16 @@ def mixed_area(
 
     ``x0, x1`` and ``z0, z1`` are the two fields on the edge's pair of
     curves; edge means are f_{ij} = (f_i + f_j)/2 and differences
-    d_{ij}f = f_j - f_i.  The wedges use the Minkowski metric of the
-    fields' dimension n + 2.
+    d_{ij}f = f_j - f_i.  The wedges, and the pairing of the returned
+    element, use the Minkowski metric of the fields' dimension n + 2,
+    which the arrays' shape fixes.
     """
     xp = 0.5 * (x0.derivative() + x1.derivative())
     zp = 0.5 * (z0.derivative() + z1.derivative())
     dx = x1.xi - x0.xi
     dz = z1.xi - z0.xi
     values = 0.5 * (mk.wedge_matrix(xp, dz) + mk.wedge_matrix(zp, dx))
-    return MixedAreaElement(values=values, metric=mk.metric_matrix(x0.n))
+    return MixedAreaElement(values=values)
 
 
 def is_christoffel_pair_mixed_area(
@@ -226,7 +234,6 @@ def verify_koenigs(
         raise DimensionError("x, z, and nu must have one entry per curve")
     nu = [np.asarray(v, dtype=float) for v in nu]
     grid = x_fields[0].grid
-    metric = mk.metric_matrix(x_fields[0].n)
 
     smooth = []
     xprimes = []
@@ -248,10 +255,7 @@ def verify_koenigs(
     polarization = []
     drift = []
     recovered = []
-    inv_m = [
-        np.einsum("ki,ij,kj->k", xp, metric, xp) / nu_i**2
-        for xp, nu_i in zip(xprimes, nu)
-    ]
+    inv_m = [mk.norm2(xp) / nu_i**2 for xp, nu_i in zip(xprimes, nu)]
     for i in range(len(x_fields) - 1):
         xi, xj = x_fields[i].xi, x_fields[i + 1].xi
         zi, zj = z_fields[i].xi, z_fields[i + 1].xi
@@ -285,7 +289,7 @@ def verify_koenigs(
             float(np.max(pol)) / max(float(np.max(np.abs(inv_m[i]))), 1e-300)
         )
 
-        f = 2.0 * np.einsum("ki,ij,kj->k", xi, metric, xj) / weight
+        f = 2.0 * mk.inner(xi, xj) / weight
         mid = float(np.median(f))
         drift.append(float(np.max(np.abs(f - mid))) / max(abs(mid), 1e-300))
         recovered.append(1.0 / mid if mid != 0.0 else np.inf)
@@ -385,9 +389,9 @@ def conserved_quantity_residual(
     edge = []
     for i, mu_i in enumerate(surface.mu):
         xi_a, xi_b = surface.lift(i).xi, surface.lift(i + 1).xi
-        pa = mk.projection_matrix(xi_a, xi_b)
-        pb = mk.projection_matrix(xi_b, xi_a)
-        rhs = np.einsum("kab,b->ka", pa - pb, q0) / mu_i
+        pa = mk.line_projection(q0, xi_a, xi_b)
+        pb = mk.line_projection(q0, xi_b, xi_a)
+        rhs = (pa - pb) / mu_i
         lhs = cq.z[i + 1] - cq.z[i]
         edge.append(float(np.max(np.linalg.norm(lhs - rhs, axis=1))) / scale)
 

@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import DimensionError, GeometryError, PolarizationError
 
+# Rows per block of the immersion and polarization checks of a curve.
+_CHECK_ROWS = 1024
+
 # First-derivative stencils: the denominator (times h), the central
 # weights and the one-sided weights of the first nodes, which the last
 # nodes mirror with a sign flip.
@@ -153,10 +156,19 @@ class PolarizedCurve:
             raise DimensionError("xprime shape does not match x")
         if self.m.shape != (self.grid.num,):
             raise DimensionError("m must be sampled per node")
-        speed = np.linalg.norm(self.xprime, axis=1)
-        if np.min(speed) <= 1e-12 * max(np.max(speed), 1.0):
+        # Each row block is reduced to its min |x'|^2, max |x'|^2, min |m|
+        # and whether m == 0 somewhere, so the checks' temporaries stay
+        # O(_CHECK_ROWS); a NaN propagates through both reductions.
+        starts = range(0, self.grid.num, _CHECK_ROWS)
+        reduced = np.empty((4, len(starts)))
+        ones = np.ones(self.n)
+        for b, k in enumerate(starts):
+            xp, m = self.xprime[k : k + _CHECK_ROWS], self.m[k : k + _CHECK_ROWS]
+            speed2 = (xp * xp) @ ones
+            reduced[:, b] = speed2.min(), speed2.max(), np.abs(m).min(), (m == 0.0).any()
+        if np.sqrt(reduced[0].min()) <= 1e-12 * max(np.sqrt(reduced[1].max()), 1.0):
             raise GeometryError("curve is not immersed: x' vanishes somewhere")
-        if np.any(self.m == 0.0) or np.min(np.abs(self.m)) <= 1e-300:
+        if reduced[3].any() or reduced[2].min() <= 1e-300:
             raise PolarizationError("polarization denominator m vanishes")
 
     @property

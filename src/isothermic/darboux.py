@@ -30,7 +30,10 @@ grow with the grid.
 
 The gauge maps Gamma(r) that scale one null line by r and a transversal
 one by 1/r tie the two pictures together: the connections of a Darboux
-pair differ by the gauge Gamma(1 - t/mu) along the pair.
+pair differ by the gauge Gamma(1 - t/mu) along the pair.  Applied to a
+section, a gauge or the connection takes a few inner products per
+sample (``gauge_apply``, ``connection_apply``); their dense forms
+(``gauge_matrix``, ``connection_matrix``) serve where maps are composed.
 """
 
 from __future__ import annotations
@@ -326,7 +329,8 @@ def integrate_riccati(
     grid, n = curve.grid, curve.n
     if xhat0.shape != (n,):
         raise DimensionError(f"initial point must be in R^{n}")
-    scale = max(float(np.max(np.abs(curve.x))), float(np.linalg.norm(xhat0)), 1.0)
+    # max|x| from two reductions, with no |x| temporary of the grid's size.
+    scale = max(float(curve.x.max()), float(-curve.x.min()), float(np.linalg.norm(xhat0)), 1.0)
     tol = SECANT_TOL * scale
     kernel = _riccati_kernel(n)
     x = np.empty((grid.num, n))
@@ -368,11 +372,28 @@ def connection_matrix(
     The parallel-section equation reads xi^' = A xi^.  The coefficient
     only depends on the null line of xi, not the chosen lift.
     """
+    return _connection_factor(xiprime, m, t)[..., None, None] * mk.wedge_matrix(xi, xiprime)
+
+
+def _connection_factor(xiprime: np.ndarray, m: np.ndarray, t: float) -> np.ndarray:
+    """The scalar 2t / (m (xi', xi')) of A(s, t); a lightlike xi' raises."""
     denom = mk.norm2(xiprime)
     if np.any(np.abs(denom) <= 1e-300):
         raise GeometryError("lift derivative is lightlike; connection undefined")
-    factor = 2.0 * t / (np.asarray(m, dtype=float) * denom)
-    return factor[..., None, None] * mk.wedge_matrix(xi, xiprime)
+    return 2.0 * t / (np.asarray(m, dtype=float) * denom)
+
+
+def connection_apply(
+    xi: np.ndarray, xiprime: np.ndarray, m: np.ndarray, t: float, y: np.ndarray
+) -> np.ndarray:
+    """A(s, t) y = (2t / (m (xi', xi'))) (xi' (xi, y) - xi (xi', y)).
+
+    ``connection_matrix`` applied to a section, from two inner products
+    per sample: no (N, d, d) matrix is built.
+    """
+    return _connection_factor(xiprime, m, t)[..., None] * (
+        mk.inner(xi, y)[..., None] * xiprime - mk.inner(xiprime, y)[..., None] * xi
+    )
 
 
 def connection_blocks(
@@ -528,9 +549,8 @@ def parallel_residual(
     rather than exactness of the parallel scaling.
     """
     lift = euclidean_section(base)
-    a = connection_matrix(lift.xi, lift.xiprime, base.m, t)
     deriv = derivative_samples(section.xi, base.grid)
-    defect = deriv - np.einsum("kij,kj->ki", a, section.xi)
+    defect = deriv - connection_apply(lift.xi, lift.xiprime, base.m, t, section.xi)
     if mod_line:
         sec = section.xi
         coef = np.sum(defect * sec, axis=1) / np.maximum(np.sum(sec * sec, axis=1), 1e-300)
@@ -552,6 +572,26 @@ def gauge_matrix(xi: np.ndarray, xihat: np.ndarray, r: float | np.ndarray) -> np
     phat = mk.projection_matrix(xihat, xi)
     eye = np.eye(xi.shape[-1])
     return eye + (1.0 / r - 1.0)[..., None, None] * p + (r - 1.0)[..., None, None] * phat
+
+
+def gauge_apply(
+    xi: np.ndarray, xihat: np.ndarray, r: float | np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Gamma_{<xi>}^{<xihat>}(r) v, batched over leading axes.
+
+    ``gauge_matrix`` applied to a vector field, as v + (1/r - 1) times
+    its projection onto <xi> along <xihat> plus (r - 1) times its
+    projection onto <xihat> along <xi>: three inner products per
+    sample, no (N, d, d) matrix.  Gamma(r)^{-1} = Gamma(1/r).
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r == 0.0):
+        raise GeometryError("gauge parameter r must be nonzero")
+    denom = mk.inner(xi, xihat)
+    mk.check_complementary(xi, xihat, denom)
+    a = (1.0 / r - 1.0) * mk.inner(v, xihat) / denom
+    b = (r - 1.0) * mk.inner(v, xi) / denom
+    return v + a[..., None] * xi + b[..., None] * xihat
 
 
 def verify_gauge_relation(

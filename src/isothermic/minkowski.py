@@ -151,7 +151,7 @@ def line_projection(v: np.ndarray, xi: np.ndarray, xihat: np.ndarray) -> np.ndar
     Requires the two null lines to be complementary, (xi, xihat) != 0.
     """
     denom = inner(xi, xihat)
-    _check_complementary(xi, xihat, denom)
+    check_complementary(xi, xihat, denom)
     return (inner(v, xihat) / denom)[..., None] * xi
 
 
@@ -160,12 +160,13 @@ def projection_matrix(xi: np.ndarray, xihat: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     xihat = np.asarray(xihat, dtype=float)
     denom = inner(xi, xihat)
-    _check_complementary(xi, xihat, denom)
+    check_complementary(xi, xihat, denom)
     g = metric_diagonal(xi.shape[-1] - 2)
     return np.einsum("...i,...j->...ij", xi, xihat * g) / denom[..., None, None]
 
 
-def _check_complementary(xi: np.ndarray, xihat: np.ndarray, denom: np.ndarray) -> None:
+def check_complementary(xi: np.ndarray, xihat: np.ndarray, denom: np.ndarray) -> None:
+    """Raise NonComplementaryLinesError where ``denom`` = (xi, xihat) vanishes."""
     scale = np.linalg.norm(xi, axis=-1) * np.linalg.norm(xihat, axis=-1)
     if np.any(np.abs(denom) <= 1e-13 * np.maximum(scale, 1e-300)):
         raise NonComplementaryLinesError("null lines do not span an R^{1,1}")

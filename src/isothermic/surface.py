@@ -22,6 +22,7 @@ from .darboux import (
     LightConeSection,
     connection_matrix,
     euclidean_section,
+    gauge_apply,
     gauge_matrix,
     integrate_parallel_section,
     is_darboux_pair,
@@ -378,8 +379,10 @@ def surface_darboux(
     _check_spectral_parameter(surface, mu)
     section = integrate_parallel_section(surface.curves[0], mu, point, substeps=substeps)
     sections = [section]
-    for i, gamma in enumerate(_edge_gauges(surface, mu)):
-        xi_next = np.einsum("kab,kb->ka", mk.orthogonal_inverse(gamma), sections[i].xi)
+    for i, mu_i in enumerate(surface.mu):
+        # The inverse of the edge gauge Gamma(1 - mu/mu_i) is Gamma(1/(1 - mu/mu_i)).
+        r_inv = 1.0 / (1.0 - mu / mu_i)
+        xi_next = gauge_apply(surface.lift(i + 1).xi, surface.lift(i).xi, r_inv, sections[i].xi)
         sections.append(LightConeSection(grid=surface.grid, xi=xi_next))
     curves = [sec.to_curve(surface.m) for sec in sections]
     return SemiDiscreteSurface(curves=curves, mu=list(surface.mu))

@@ -19,8 +19,8 @@ from isothermic.bianchi import (
     moebius_cross_ratio,
 )
 from isothermic.curves import Grid, make_circle
-from isothermic.darboux import euclidean_section, integrate_parallel_section
-from isothermic.errors import GeometryError
+from isothermic.darboux import LightConeSection, euclidean_section, integrate_parallel_section
+from isothermic.errors import GeometryError, NonComplementaryLinesError
 from isothermic.fixtures import unit_circle
 
 
@@ -130,6 +130,15 @@ def test_quad_rejects_equal_parameters():
     s0, s1 = _sections(c, (-2.0, -2.0), (np.array([2.0, 0.0]), np.array([0.3, -0.4])))
     with pytest.raises(GeometryError):
         bianchi_quad(c, s0, s1, -2.0, -2.0)
+
+
+def test_quad_rejects_a_base_on_the_line_of_sec0():
+    c = unit_circle()
+    _, s1 = _sections(c, (-2.0, 1.0), (np.array([2.0, 0.0]), np.array([0.3, -0.4])))
+    lift = euclidean_section(c)
+    same_line = LightConeSection(grid=c.grid, xi=2.0 * lift.xi, xiprime=2.0 * lift.xiprime)
+    with pytest.raises(NonComplementaryLinesError):
+        bianchi_quad(c, same_line, s1, -2.0, 1.0)
 
 
 def test_moebius_cross_ratio_concircular():

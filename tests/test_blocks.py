@@ -24,7 +24,7 @@ import isothermic.cmc as cmc
 import isothermic.darboux as db
 import isothermic.minkowski as mk
 import isothermic.transforms as tr
-from isothermic import fileio
+from isothermic import curves, fileio
 from isothermic.clifford import sandwich
 from isothermic.curves import Grid, PolarizedCurve, make_curve, make_helix
 from isothermic.errors import PointAtInfinityError, PolarizationError, SingularEncounterError
@@ -304,8 +304,9 @@ def test_sign_change_of_the_polarization_in_a_later_block_raises():
 # ------------------------------------------------------------ working set
 
 # tracemalloc records every Python float that the Riccati kernel
-# creates, which makes a traced Riccati run at N = 20001 take seconds.  So blocks (and written row blocks) shrink from 1024 to 32 and
-# the grids from 20001 and 40001 to 1001 and 2001 nodes.  The full-array
+# creates, which makes a traced Riccati run at N = 20001 take seconds.
+# So blocks (and written and checked row blocks) shrink from 1024 to 32
+# and the grids from 20001 and 40001 to 1001 and 2001 nodes.  The full-array
 # forms already hold more than the bound at 1001 nodes (0.6-1.1 MB).
 _SMALL_BLOCK = 32
 _WORKING_SET_BOUND = 0.25e6
@@ -336,6 +337,7 @@ def _excess_bytes(call) -> int:
 def test_working_set_does_not_grow_with_the_grid(num, tmp_path, monkeypatch):
     monkeypatch.setattr(db, "_BLOCK_STEPS", _SMALL_BLOCK)
     monkeypatch.setattr(fileio, "_WRITE_ROWS", _SMALL_BLOCK)
+    monkeypatch.setattr(curves, "_CHECK_ROWS", _SMALL_BLOCK)
     c = make_helix(1.0, 0.2, Grid(0.0, 20.0, num))
     p0 = np.array([2.0, 0.0, 0.5])
     calls = {
@@ -350,3 +352,26 @@ def test_working_set_does_not_grow_with_the_grid(num, tmp_path, monkeypatch):
     }
     excess = {name: _excess_bytes(call) for name, call in calls.items()}
     assert max(excess.values()) < _WORKING_SET_BOUND, excess
+
+
+# Growth of the excess from 1001 to 2001 nodes that still counts as flat.
+_GROWTH_BOUND = 8e3
+
+
+def test_riccati_and_dual_excess_does_not_grow_with_the_grid(monkeypatch):
+    """The curve checks and the Riccati scale hold no temporary of the grid's size."""
+    monkeypatch.setattr(db, "_BLOCK_STEPS", _SMALL_BLOCK)
+    monkeypatch.setattr(curves, "_CHECK_ROWS", _SMALL_BLOCK)
+    p0 = np.array([2.0, 0.0, 0.5])
+    excess = {}
+    for num in (1001, 2001):
+        c = make_helix(1.0, 0.2, Grid(0.0, 20.0, num))
+        calls = {
+            "integrate_riccati": lambda: db.integrate_riccati(c, -2.0, p0),
+            "christoffel_dual": lambda: tr.christoffel_dual(c),
+        }
+        for name, call in calls.items():
+            call()  # warm-up: one-time allocations are not the working set
+            excess[name, num] = _excess_bytes(call)
+    for name in ("integrate_riccati", "christoffel_dual"):
+        assert excess[name, 2001] <= excess[name, 1001] + _GROWTH_BOUND, excess

@@ -33,13 +33,26 @@ def test_wedge_pairing_identity():
     rng = np.random.default_rng(3)
     g = mk.metric_matrix(3)
     a, b, c, d = rng.normal(size=(4, 6, 5))
-    lhs = cmc.element_pairing(mk.wedge_matrix(a, b), mk.wedge_matrix(c, d), g)
+    lhs = cmc.element_pairing(mk.wedge_matrix(a, b), mk.wedge_matrix(c, d))
 
     def ip(u, v):
         return np.einsum("ka,ab,kb->k", u, g, v)
 
     rhs = ip(a, c) * ip(b, d) - ip(a, d) * ip(b, c)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_element_pairing_is_the_trace_form(n):
+    rng = np.random.default_rng(60 + n)
+    a, b, c, d = rng.normal(size=(4, 7, n + 2))
+    big_a = mk.wedge_matrix(a, b) + mk.wedge_matrix(c, d)
+    big_b = mk.wedge_matrix(a, d) - 2.0 * mk.wedge_matrix(b, c)
+    g = np.diag([1.0] * (n + 1) + [-1.0])
+    dense = 0.5 * np.trace(g @ np.swapaxes(big_a, 1, 2) @ g @ big_b, axis1=1, axis2=2)
+    np.testing.assert_allclose(
+        cmc.element_pairing(big_a, big_b), dense, rtol=1e-14, atol=1e-14 * np.max(np.abs(dense))
+    )
 
 
 def test_wedge_element_is_metric_skew():

@@ -18,8 +18,10 @@ from isothermic.clifford import reality_residual, sandwich, wedge_norm
 from isothermic.curves import Grid, PolarizedCurve, make_circle, make_curve, make_helix
 from isothermic.darboux import (
     SECANT_TOL,
+    connection_apply,
     connection_matrix,
     euclidean_section,
+    gauge_apply,
     gauge_matrix,
     integrate_parallel_section,
     integrate_riccati,
@@ -324,6 +326,42 @@ def test_connection_matrix_is_metric_skew():
     G = mk.metric_matrix(c.n)
     sym = np.einsum("kji,jl->kil", A, G) + np.einsum("ij,kjl->kil", G, A)
     assert np.max(np.abs(sym)) < 1e-11
+
+
+def _assert_matches_dense(vector_form, dense_form):
+    """Agreement at rtol 1e-14, relative to the largest entry of the dense form."""
+    np.testing.assert_allclose(
+        vector_form, dense_form, rtol=1e-14, atol=1e-14 * np.max(np.abs(dense_form))
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gauge_apply_is_the_gauge_matrix_times_v(n):
+    rng = np.random.default_rng(40 + n)
+    xi = mk.euclidean_lift(rng.normal(size=(50, n)))
+    xihat = mk.euclidean_lift(rng.normal(size=(50, n)) + 2.0)
+    v = rng.normal(size=(50, n + 2))
+    for r in (0.3, -1.7, rng.uniform(0.2, 3.0, size=50)):
+        dense = np.einsum("kij,kj->ki", gauge_matrix(xi, xihat, r), v)
+        _assert_matches_dense(gauge_apply(xi, xihat, r, v), dense)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_connection_apply_is_the_connection_matrix_times_y(n):
+    rng = np.random.default_rng(50 + n)
+    x = rng.normal(size=(50, n))
+    xi = mk.euclidean_lift(x)
+    xiprime = mk.lift_derivative(x, rng.normal(size=(50, n)))
+    m = rng.uniform(0.5, 2.0, size=50) * rng.choice([-1.0, 1.0], size=50)
+    y = rng.normal(size=(50, n + 2))
+    dense = np.einsum("kij,kj->ki", connection_matrix(xi, xiprime, m, -1.3), y)
+    _assert_matches_dense(connection_apply(xi, xiprime, m, -1.3, y), dense)
+
+
+def test_connection_apply_rejects_a_lightlike_derivative():
+    xi = mk.euclidean_lift(np.array([[0.5, 0.0]]))
+    with pytest.raises(GeometryError):
+        connection_apply(xi, xi, np.ones(1), 1.0, np.ones((1, 4)))
 
 
 def test_connection_substeps_shape():

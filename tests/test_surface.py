@@ -27,6 +27,7 @@ from isothermic.errors import (
     DegenerateSecantError,
     DimensionError,
     GeometryError,
+    NonComplementaryLinesError,
     PolarizationError,
     VerificationError,
 )
@@ -196,6 +197,13 @@ def test_surface_darboux_verticals():
 def test_surface_darboux_rejects_edge_parameter():
     with pytest.raises(GeometryError):
         surface_darboux(cylinder_patch(), -2.0, np.array([0.0, 3.0]))
+
+
+def test_surface_darboux_rejects_layers_on_one_line():
+    c = unit_circle()
+    doubled = SemiDiscreteSurface(curves=[c, c], mu=[-2.0])
+    with pytest.raises(NonComplementaryLinesError):
+        surface_darboux(doubled, -3.0, np.array([0.0, 3.0]))
 
 
 def test_surface_calapso_shifts_every_edge():
