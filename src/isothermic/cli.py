@@ -26,7 +26,7 @@ from .curves import (
     sixth_order_derivative,
 )
 from .darboux import (
-    euclidean_section,
+    gauge_apply,
     integrate_parallel_section,
     integrate_riccati,
     is_darboux_pair,
@@ -48,8 +48,8 @@ from .surface import (
     moutard_lift,
     surface_calapso,
     surface_christoffel,
-    surface_connection,
     surface_darboux,
+    surface_flatness,
 )
 
 # Default tolerance per named check.  --tol-override check=value replaces
@@ -474,38 +474,36 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
     checks.run("quad-cross-ratio", "unit-circle", lambda: report.cross_ratio_spread)
 
     def bigauge():
-        # A draw sits near a pole of the quad construction when any two of
-        # its vertices nearly coincide (a secant inner product vanishes);
-        # such draws are rejected, as are t near 0, mu0 or mu1.
-        def secant_margin(xis):
-            worst = np.inf
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    na = np.linalg.norm(xis[i], axis=1)
-                    nb = np.linalg.norm(xis[j], axis=1)
-                    gap = np.abs(mk.inner(xis[i], xis[j])) / (na * nb)
-                    worst = min(worst, float(np.min(gap)))
-            return worst
+        # Quads are drawn as null points in R^{n+1,1}, n = 2, 3, 4, 5 in
+        # turn: the base on the unit sphere, the two transforms at radius
+        # 1.5-2.5, the fourth vertex by the gauge bianchi_quad applies.  A
+        # sample near a pole, where two vertices nearly span one line (a
+        # secant inner product vanishes), is dropped; a quad that loses
+        # half of its samples is redrawn.  The range of t keeps it away
+        # from 0, mu0 and mu1.
+        def directions(n):
+            v = rng.standard_normal((51, n))
+            return v / np.linalg.norm(v, axis=1, keepdims=True)
 
         worst = 0.0
-        grid = Grid(0.0, 1.0, 51)
-        base = make_circle(1.0, grid)
-        xi = euclidean_section(base).xi
         accepted = 0
         for _attempt in range(200):
             if accepted == 20:
                 break
+            n = 2 + accepted % 4
             mu0 = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
             mu1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
             t = rng.uniform(0.05, 0.9) * min(abs(mu0), abs(mu1))
-            q0 = rng.uniform(1.5, 2.5) * np.array([np.cos(a0 := rng.uniform(0, 6.28)), np.sin(a0)])
-            q1 = rng.uniform(1.5, 2.5) * np.array([np.cos(a1 := rng.uniform(0, 6.28)), np.sin(a1)])
-            s0 = integrate_parallel_section(base, mu0, mk.euclidean_lift(q0))
-            s1 = integrate_parallel_section(base, mu1, mk.euclidean_lift(q1))
-            s01 = bianchi.bianchi_quad(base, s0, s1, mu0, mu1)
-            if secant_margin((xi, s0.xi, s1.xi, s01.xi)) < 1e-2:
+            xi = mk.euclidean_lift(directions(n))
+            xi0 = mk.euclidean_lift(rng.uniform(1.5, 2.5, (51, 1)) * directions(n))
+            xi1 = mk.euclidean_lift(rng.uniform(1.5, 2.5, (51, 1)) * directions(n))
+            points = np.stack([xi, xi0, xi1, gauge_apply(xi, xi0, 1.0 - mu1 / mu0, xi1)])
+            unit = points / np.linalg.norm(points, axis=2, keepdims=True)
+            gram = np.abs(mk.inner(unit[:, None], unit[None, :]))
+            keep = np.min(gram[np.triu_indices(4, 1)], axis=0) >= 1e-2
+            if 2 * np.count_nonzero(keep) < keep.size:
                 continue
-            gap = bianchi.check_bigauge(xi, s0.xi, s1.xi, s01.xi, mu0, mu1, t)
+            gap = bianchi.check_bigauge(*points[:, keep], mu0, mu1, t)
             worst = max(worst, float(gap))
             accepted += 1
         if accepted < 20:
@@ -515,21 +513,20 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
     checks.run("bigauge-identity", "random-quads", bigauge)
 
     def cube_routes():
-        worst = 0.0
-        points = [
-            (np.array([2.0, 0.0]), np.array([0.3, -0.4]), np.array([-1.5, 0.2])),
-        ]
+        # The first cube starts from the quad's own two sections.
+        def section(mu, point):
+            return integrate_parallel_section(c, mu, mk.euclidean_lift(point), substeps=substeps)
+
+        triples = [(sec0, sec1, np.array([-1.5, 0.2]))]
         for _ in range(2):
             pts = []
             for _k in range(3):
                 ang = rng.uniform(0, 6.28)
                 pts.append(rng.uniform(1.4, 2.6) * np.array([np.cos(ang), np.sin(ang)]))
-            points.append(tuple(pts))
-        for p0, p1, p2 in points:
-            s0 = integrate_parallel_section(c, -2.0, mk.euclidean_lift(p0), substeps=substeps)
-            s1 = integrate_parallel_section(c, 1.0, mk.euclidean_lift(p1), substeps=substeps)
-            s2 = integrate_parallel_section(c, 3.0, mk.euclidean_lift(p2), substeps=substeps)
-            cube = bianchi.bianchi_cube(c, s0, s1, s2, -2.0, 1.0, 3.0)
+            triples.append((section(-2.0, pts[0]), section(1.0, pts[1]), pts[2]))
+        worst = 0.0
+        for s0, s1, p2 in triples:
+            cube = bianchi.bianchi_cube(c, s0, s1, section(3.0, p2), -2.0, 1.0, 3.0)
             worst = max(worst, float(np.max(cube.route_gaps)))
         return worst
 
@@ -643,7 +640,7 @@ def _surface_checks(checks: Checks, surface: SemiDiscreteSurface, where: str, ct
     checks.run(
         "surface-flatness",
         where,
-        lambda: max(surface_connection(surface, t).flatness),
+        lambda: max(surface_flatness(surface, t)),
     )
     checks.run(
         "surface-trivialization",

@@ -3,9 +3,10 @@
 A surface here is an ordered stack of polarized curves on one shared
 grid with one shared polarization, consecutive layers forming Darboux
 pairs with constant edge parameters mu.  The module measures that
-structure, produces Moutard lifts, materializes the family of flat
-connections attached to the surface, and applies the surface-level
-Darboux, Calapso, and Christoffel transforms layer by layer.
+structure, produces Moutard lifts, certifies that the connection family
+attached to the surface is flat (one gauge-relation residual per edge),
+and applies the surface-level Darboux, Calapso, and Christoffel
+transforms layer by layer.
 ``check_isothermic`` returns residuals; ``build_surface``'s guard is
 the one place here that holds them against a tolerance.
 """
@@ -51,11 +52,10 @@ __all__ = [
     "EdgeReport",
     "IsothermicReport",
     "MoutardLift",
-    "SurfaceConnection",
     "build_surface",
     "check_isothermic",
     "moutard_lift",
-    "surface_connection",
+    "surface_flatness",
     "surface_darboux",
     "surface_calapso",
     "calapso_trivialization_residuals",
@@ -311,24 +311,6 @@ def moutard_lift(surface: SemiDiscreteSurface) -> MoutardLift:
     )
 
 
-@dataclass
-class SurfaceConnection:
-    """Materialized connection family at one parameter t.
-
-    ``edge_maps[i]`` holds the per-sample gauge map of edge (i, i+1)
-    carrying sections over curve i+1 to sections over curve i;
-    ``coefficients[k]`` holds the per-sample derivative coefficient
-    along curve k.  ``flatness[i]`` is the gauge-relation residual of
-    edge i, the certificate that edge maps intertwine the curve
-    coefficients.
-    """
-
-    t: float
-    edge_maps: list[np.ndarray]
-    coefficients: list[np.ndarray]
-    flatness: list[float]
-
-
 def _check_spectral_parameter(surface: SemiDiscreteSurface, t: float) -> None:
     for i, mu_i in enumerate(surface.mu):
         if t == mu_i:
@@ -345,20 +327,18 @@ def _edge_gauges(surface: SemiDiscreteSurface, t: float) -> list[np.ndarray]:
     ]
 
 
-def surface_connection(surface: SemiDiscreteSurface, t: float) -> SurfaceConnection:
-    """Edge gauge maps and curve coefficients at parameter t, certified flat."""
+def surface_flatness(surface: SemiDiscreteSurface, t: float) -> list[float]:
+    """Flatness of the connection family at parameter t, edge by edge.
+
+    Entry i is the gauge-relation residual of edge (i, i+1), the
+    certificate that the edge gauge intertwines the two curves'
+    connections (``verify_gauge_relation``).
+    """
     _check_spectral_parameter(surface, t)
-    coefficients = [
-        connection_matrix(surface.lift(k).xi, surface.lift(k).xiprime, c.m, t)
-        for k, c in enumerate(surface.curves)
-    ]
-    flatness = [
+    return [
         verify_gauge_relation(surface.curves[i], surface.curves[i + 1], t, mu_i)
         for i, mu_i in enumerate(surface.mu)
     ]
-    return SurfaceConnection(
-        t=t, edge_maps=_edge_gauges(surface, t), coefficients=coefficients, flatness=flatness
-    )
 
 
 def surface_darboux(

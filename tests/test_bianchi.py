@@ -19,7 +19,12 @@ from isothermic.bianchi import (
     moebius_cross_ratio,
 )
 from isothermic.curves import Grid, make_circle
-from isothermic.darboux import LightConeSection, euclidean_section, integrate_parallel_section
+from isothermic.darboux import (
+    LightConeSection,
+    euclidean_section,
+    gauge_apply,
+    integrate_parallel_section,
+)
 from isothermic.errors import GeometryError, NonComplementaryLinesError
 from isothermic.fixtures import unit_circle
 
@@ -99,6 +104,39 @@ def test_bigauge_identity_random_draws():
         worst_gap = max(worst_gap, float(check_bigauge(xi, s0.xi, s1.xi, s01.xi, mu0, mu1, t)))
         accepted += 1
     assert accepted == 20
+    assert worst_gap < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bigauge_identity_in_every_dimension(n):
+    # Quads drawn pointwise in R^{n+1,1}, with no curve: the base on the
+    # unit sphere, the transforms at radius 1.5-2.5, the fourth vertex by
+    # the quad gauge; samples where two vertices nearly span one line are
+    # dropped
+    rng = np.random.default_rng(40 + n)
+
+    def directions(k):
+        v = rng.standard_normal((k, n))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    worst_gap = 0.0
+    for _ in range(5):
+        mu0, mu1 = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.3, 3.0, size=2)
+        t = rng.uniform(0.05, 0.9) * min(abs(mu0), abs(mu1))
+        xi = mk.euclidean_lift(directions(200))
+        xi0 = mk.euclidean_lift(rng.uniform(1.5, 2.5, (200, 1)) * directions(200))
+        xi1 = mk.euclidean_lift(rng.uniform(1.5, 2.5, (200, 1)) * directions(200))
+        xis = [xi, xi0, xi1, gauge_apply(xi, xi0, 1.0 - mu1 / mu0, xi1)]
+        margin = np.full(200, np.inf)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                na = np.linalg.norm(xis[i], axis=1)
+                nb = np.linalg.norm(xis[j], axis=1)
+                margin = np.minimum(margin, np.abs(mk.inner(xis[i], xis[j])) / (na * nb))
+        keep = margin >= 1e-2
+        assert np.count_nonzero(keep) >= 100
+        gap = check_bigauge(*(x[keep] for x in xis), mu0, mu1, t)
+        worst_gap = max(worst_gap, float(gap))
     assert worst_gap < 1e-10
 
 

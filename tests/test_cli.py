@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isothermic import cli, fileio, minkowski
+from isothermic import bianchi, cli, darboux, fileio, minkowski
 from isothermic.cli import TOLERANCES, main
 from isothermic.clifford import sandwich
 from isothermic.curves import Grid, PolarizedCurve, make_circle
@@ -330,6 +330,24 @@ def test_verify_corrupt_names_offending_check(capsys):
     out = capsys.readouterr().out
     assert "failed checks" in out
     assert "concentric-cross-ratio" in out
+
+
+def test_verify_bigauge_row_detects_a_wrong_quad_gauge(monkeypatch, capsys):
+    # The fourth vertex built with Gamma(1/r) instead of Gamma(r) breaks
+    # the bigauge identity on the drawn quads
+    right = darboux.gauge_apply
+
+    def inverted(xi, xihat, r, v):
+        return right(xi, xihat, 1.0 / np.asarray(r, dtype=float), v)
+
+    # cli binds the name only where its suite draws quads itself
+    for module in (darboux, bianchi, cli):
+        monkeypatch.setattr(module, "gauge_apply", inverted, raising=False)
+    rc = main(["verify", "--suite", "bianchi"])
+    assert rc == 1
+    failed = re.search(r"^failed checks: (.*)$", capsys.readouterr().out, re.M)
+    assert failed is not None
+    assert "bigauge-identity" in failed.group(1).split(", ")
 
 
 def test_verify_corrupt_circle_fails_ribaucour_contact(capsys):

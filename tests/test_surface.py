@@ -40,8 +40,8 @@ from isothermic.surface import (
     moutard_lift,
     surface_calapso,
     surface_christoffel,
-    surface_connection,
     surface_darboux,
+    surface_flatness,
 )
 
 
@@ -172,15 +172,14 @@ def test_moutard_pairing_value():
 
 
 def test_surface_connection_flat():
-    conn = surface_connection(three_layer(), 0.6)
-    assert len(conn.edge_maps) == 2
-    assert len(conn.coefficients) == 3
-    assert max(conn.flatness) < 1e-9
+    flatness = surface_flatness(three_layer(), 0.6)
+    assert len(flatness) == 2
+    assert max(flatness) < 1e-9
 
 
 def test_surface_connection_rejects_edge_parameter():
     with pytest.raises(GeometryError, match="edge 0"):
-        surface_connection(cylinder_patch(), -2.0)
+        surface_flatness(cylinder_patch(), -2.0)
 
 
 def test_surface_darboux_verticals():
