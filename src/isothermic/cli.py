@@ -240,6 +240,11 @@ class Checks:
         """Sorted names of the checks with a failed row."""
         return sorted({row[0] for row in self.rows if not row[4]})
 
+    def require(self) -> None:
+        """Raise VerificationError naming the failed checks, if any failed."""
+        if not self.ok:
+            raise VerificationError("failed checks: " + ", ".join(self.failing()))
+
     def sorted_rows(self):
         return sorted(self.rows, key=lambda row: (row[0], row[1]))
 
@@ -796,8 +801,7 @@ def cmd_darboux(args) -> int:
         print(f"fitted mu: {fit.mu:.12g} (requested {args.mu:g})")
         print(f"cross ratio spread: {fit.spread:.4e}")
         print(f"ribaucour contact residual: {fit.reality:.4e}")
-    if not checks.ok:
-        raise VerificationError("failed checks: " + ", ".join(checks.failing()))
+    checks.require()
     if args.out:
         fileio.save_curve(args.out, hat)
         print(f"wrote transform -> {args.out}")
@@ -805,6 +809,7 @@ def cmd_darboux(args) -> int:
 
 
 def cmd_bianchi(args) -> int:
+    checks = Checks(args.tol_override)
     curve = fileio.load_curve(args.infile)
     mus = args.mu
     if len(mus) not in (2, 3):
@@ -828,6 +833,10 @@ def cmd_bianchi(args) -> int:
         print(f"cross ratio spread: {report.cross_ratio_spread:.4e}")
         print(f"parallel residual (defining): {report.parallel_residual_defining:.4e}")
         print(f"parallel residual (other edge): {report.parallel_residual_other:.4e}")
+        checks.run("quad-parallel-defining", args.infile, lambda: report.parallel_residual_defining)
+        checks.run("quad-parallel-other", args.infile, lambda: report.parallel_residual_other)
+        checks.run("quad-cross-ratio", args.infile, lambda: report.cross_ratio_spread)
+        checks.require()
         if args.out:
             fileio.save_curve(args.out, quad.to_curve(curve.m))
             print(f"wrote fourth vertex curve -> {args.out}")
@@ -839,6 +848,8 @@ def cmd_bianchi(args) -> int:
         print(f"cube mu: ({mus[0]:g}, {mus[1]:g}, {mus[2]:g})")
         print(f"route gaps (projective): {', '.join(f'{g:.4e}' for g in np.atleast_1d(gaps))}")
         print(f"max gap: {float(np.max(gaps)):.4e}")
+        checks.run("cube-routes", args.infile, lambda: np.max(gaps))
+        checks.require()
         if args.out:
             fileio.save_curve(args.out, cube.vertex.to_curve(curve.m))
             print(f"wrote eighth vertex curve -> {args.out}")
@@ -912,13 +923,16 @@ def cmd_calapso(args) -> int:
 
 def cmd_cmc(args) -> int:
     checks = Checks(args.tol_override)
+    # --radius and --orientation shape the cylinder; the strip takes neither.
+    shape = {name: getattr(args, name) for name in ("radius", "orientation")}
+    shape = {name: value for name, value in shape.items() if value is not None}
     if args.fixture == "cylinder":
-        fx = fixtures.cmc_round_cylinder(
-            radius=args.radius, delta=args.delta, layers=args.layers,
-            orientation=args.orientation,
-        )
+        fx = fixtures.cmc_round_cylinder(delta=args.delta, layers=args.layers, **shape)
+    elif shape:
+        names = ", ".join("--" + name for name in shape)
+        raise GeometryError(f"the strip fixture takes no {names} (cylinder only)")
     else:
-        fx = fixtures.flat_strip(delta=args.delta, layers=max(args.layers, 2))
+        fx = fixtures.flat_strip(delta=args.delta, layers=args.layers)
     curvature, certificate = _cmc_checks(checks, fx, args.fixture)
     h_med = float(np.median(curvature()))
     cert = certificate()
@@ -1035,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--report", action="store_true")
 
-    p = add(sub, "bianchi", step_policy, help="permutability quad or cube")
+    p = add(sub, "bianchi", step_policy, tol_override, help="permutability quad or cube")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mu", type=_parse_mu_list, required=True, metavar="mu0,mu1[,mu2]")
     p.add_argument(
@@ -1065,10 +1079,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add(sub, "cmc", tol_override, help="mean curvature and conserved quantities")
     p.add_argument("--fixture", choices=("cylinder", "strip"), default="cylinder")
-    p.add_argument("--radius", type=_finite_float, default=1.0)
+    p.add_argument("--radius", type=_finite_float, default=None, help="cylinder only (default 1)")
     p.add_argument("--delta", type=_finite_float, default=0.5)
     p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--orientation", choices=("inward", "outward"), default="inward")
+    p.add_argument(
+        "--orientation", choices=("inward", "outward"), default=None,
+        help="cylinder only (default inward)",
+    )
     p.add_argument("--out", default=None)
 
     p = add(sub, "verify", step_policy, tol_override, seed, help="run invariant suites")

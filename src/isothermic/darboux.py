@@ -473,24 +473,35 @@ def _rk4_increments(left: np.ndarray, mid: np.ndarray, right: np.ndarray, h: flo
     return (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def lightcone_restore(y: np.ndarray, frame: mk.Frame) -> np.ndarray:
-    """Project y back onto the light cone exactly.
+def lightcone_restore(y: np.ndarray) -> np.ndarray:
+    """Project y back onto the light cone exactly, in the canonical chart.
 
     Subtracts the defect along q, or along o when y is nearly
     orthogonal to q, so the correction never changes the null line's
-    affine representative direction.  G y is formed once, by flipping
-    the sign of the last coordinate, and every pairing is a plain dot
-    product with it.
+    affine representative direction.  In the canonical frame q and o
+    have entries only in the last two coordinates a, b of y, so only
+    those move, and the projection runs on Python floats with
+    (y, y) = |x|^2 + a^2 - b^2, (y, q) = -(a + b) and (y, o) = (a - b) / 2,
+    x the first n coordinates.  Returns a new array; y is not modified.
     """
-    gy = y.copy()
-    gy[-1] = -gy[-1]
-    defect = gy.dot(y)
-    q = frame.q
-    wq = gy.dot(q)
-    if abs(wq) > 1e-8 * math.sqrt(y.dot(y)):
-        return y - q * (defect / (2.0 * wq))
-    o = frame.o
-    return y - o * (defect / (2.0 * gy.dot(o)))
+    v = y.tolist()
+    a = v[-2]
+    b = v[-1]
+    s = 0.0
+    for c in v[:-2]:
+        s += c * c
+    defect = s + a * a - b * b
+    wq = -(a + b)
+    out = y.copy()
+    if abs(wq) > 1e-8 * math.sqrt(s + a * a + b * b):
+        c = defect / (2.0 * wq)
+        out[-2] = a + c
+        out[-1] = b - c
+    else:
+        c = defect / (2.0 * (a - b))
+        out[-2] = a - c
+        out[-1] = b - c
+    return out
 
 
 def integrate_parallel_section(
@@ -512,7 +523,6 @@ def integrate_parallel_section(
     """
     grid = source.grid
     n = source.n
-    frame = mk.canonical_frame(n)
     xihat0 = np.asarray(xihat0, dtype=float)
     if xihat0.shape == (n,):
         y = mk.euclidean_lift(xihat0)
@@ -528,7 +538,7 @@ def integrate_parallel_section(
         states = np.empty((block.steps + 1, n + 2))
         states[0] = y
         for k, e in enumerate(step_maps(a, block.h, _rk4_increments), start=1):
-            y = lightcone_restore(y + e.dot(y), frame)
+            y = lightcone_restore(y + e.dot(y))
             states[k] = y
         nodes = block.nodes
         xi[nodes] = states[block.node_states]

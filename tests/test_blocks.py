@@ -72,12 +72,11 @@ def _riccati_full(curve, mu, xhat0, substeps):
 
 
 def _parallel_full(source, t, xihat0, substeps):
-    frame = mk.canonical_frame(source.n)
     a_all, h = connection_samples(db.euclidean_section(source), source.m, t, substeps)
     out = np.empty(((len(a_all) - 1) // 2 + 1, source.n + 2))
     out[0] = y = mk.euclidean_lift(xihat0)
     for k, e in enumerate(_full_step_maps(a_all, h, db._rk4_increments), start=1):
-        y = db.lightcone_restore(y + e.dot(y), frame)
+        y = db.lightcone_restore(y + e.dot(y))
         out[k] = y
     samples = out[::substeps]
     node_idx = 2 * substeps * np.arange(source.grid.num)

@@ -161,6 +161,38 @@ def test_bianchi_pads_default_points_to_curve_dimension(tmp_path, capsys):
     assert float(gap.group(1)) < 1e-10
 
 
+def test_bianchi_failing_certificate_exits_1_without_writing(tmp_path, capsys):
+    # On a 101-node circle, mu0 = 1e3 is too stiff for the grid: the
+    # quad's parallel residuals read about 1e-3 against tol 1e-6.
+    src = _curve_file(tmp_path, grid="0:1:101")
+    out = tmp_path / "q.json"
+    capsys.readouterr()
+    assert main(["bianchi", "--in", str(src), "--mu", "1e3,1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "parallel residual (defining): " in captured.out
+    assert captured.err.splitlines() == [
+        "verification failed: failed checks: quad-parallel-defining, quad-parallel-other"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mu, check",
+    [("-2,1", "quad-cross-ratio"), ("-2,1", "quad-parallel-defining"),
+     ("-2,1", "quad-parallel-other"), ("-2,1,3", "cube-routes")],
+)
+def test_bianchi_tol_override_below_clean_residual_exits_1(mu, check, tmp_path, capsys):
+    src = _curve_file(tmp_path)
+    out = tmp_path / "q.json"
+    argv = ["bianchi", "--in", str(src), "--mu", mu, "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + ["--tol-override", f"{check}=1e-30"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"verification failed: failed checks: {check}"]
+    assert not out.exists()
+    assert main(argv) == 0
+    assert out.exists()
+
+
 def test_bianchi_default_points_need_a_plane(tmp_path, capsys):
     src = tmp_path / "line.json"
     assert main(["curve", "--family", "line", "--n", "1", "--out", str(src)]) == 0
@@ -294,6 +326,21 @@ def test_cmc_command_cylinder(capsys):
 def test_cmc_command_strip(capsys):
     rc = main(["cmc", "--fixture", "strip"])
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--layers", "1"], "at least two lines"), (["--layers", "-5"], "at least two lines"),
+     (["--radius", "2"], "no --radius"), (["--orientation", "inward"], "no --orientation")],
+    ids=["layers-1", "layers-negative", "radius", "orientation"],
+)
+def test_cmc_strip_rejects_what_it_cannot_build(extra, message, tmp_path, capsys):
+    out = tmp_path / "strip.json"
+    capsys.readouterr()
+    assert main(["cmc", "--fixture", "strip", "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
+    assert not out.exists()
 
 
 def test_verify_all_passes(tmp_path, capsys):
@@ -822,8 +869,8 @@ SHARED_OPTIONS = {
 }
 READERS = {
     "--step-policy": {"darboux", "bianchi", "surface-build", "dual", "calapso", "verify"},
-    "--tol-override": {"darboux", "surface-build", "surface-check", "surface-moutard", "cmc",
-                       "verify", "export"},
+    "--tol-override": {"darboux", "bianchi", "surface-build", "surface-check", "surface-moutard",
+                       "cmc", "verify", "export"},
     "--seed": {"verify"},
 }
 UNREAD = {

@@ -258,7 +258,7 @@ def test_parallel_section_stays_null():
     assert np.max(np.abs(mk.norm2(sec.xi))) < 1e-10
     assert parallel_residual(sec, c, -2.0) < 1e-10
     grid = c.grid
-    for n in (3, 4):
+    for n in (3, 4, 5):
         c = _space_curve(n, 1.0, grid)
         sec = integrate_parallel_section(c, -2.0, c.x[0] + np.linspace(1.0, 0.3, n))
         assert np.max(np.abs(mk.norm2(sec.xi)) / np.sum(sec.xi * sec.xi, axis=1)) < 1e-14
@@ -275,7 +275,7 @@ def test_lightcone_restore_projects_along_q_or_o():
     frame = mk.canonical_frame(3)
     # A lift pushed off the cone pairs with q and is corrected along q.
     y = mk.euclidean_lift(np.array([0.4, -1.2, 0.7])) + 1e-6 * np.array([1.0, -2.0, 0.5, 0.3, 0.2])
-    restored = lightcone_restore(y, frame)
+    restored = lightcone_restore(y)
     correction = restored - y
     assert abs(mk.norm2(y)) > 1e-7
     assert abs(mk.norm2(restored)) < 1e-15 * np.sum(y * y)
@@ -284,11 +284,39 @@ def test_lightcone_restore_projects_along_q_or_o():
     # Near the point at infinity, (y, q) / |y| falls below 1e-8 and o is used.
     y = frame.q + 1e-3 * np.array([1.0, 0.0, 0.0, 0.0, 0.0]) + 1e-12 * frame.o
     assert abs(mk.inner(y, frame.q)) < 1e-8 * np.linalg.norm(y)
-    restored = lightcone_restore(y, frame)
+    restored = lightcone_restore(y)
     correction = restored - y
     assert abs(mk.norm2(restored)) < 1e-15 * np.sum(y * y)
     assert np.linalg.norm(correction) > 1e-7
     assert _along(correction, frame.o) < 1e-15 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("branch", ["q", "o"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lightcone_restore_in_every_dimension(n, branch):
+    frame = mk.canonical_frame(n)
+    rng = np.random.default_rng([n, ord(branch)])
+    for _ in range(20):
+        x = rng.uniform(-2.0, 2.0, n)
+        if branch == "q":
+            # A lift pushed off the cone: (y, q) is about -1.
+            y = mk.euclidean_lift(x) + 1e-6 * rng.standard_normal(n + 2)
+            direction = frame.q
+        else:
+            # Near the chart's infinity: (y, q) / |y| is far below 1e-8.
+            y = frame.q + 1e-3 * mk.embed(x) + 1e-12 * frame.o
+            direction = frame.o
+        assert (abs(mk.inner(y, frame.q)) > 1e-8 * np.linalg.norm(y)) == (branch == "q")
+        before = y.copy()
+        restored = lightcone_restore(y)
+        assert np.array_equal(y, before)
+        reference = _staged_restore(y, frame)
+        ulp = np.finfo(float).eps * np.max(np.abs(reference))
+        assert np.max(np.abs(restored - reference)) <= 4 * ulp
+        assert abs(mk.norm2(restored)) <= 1e-15 * np.sum(y * y)
+        correction = restored - y
+        assert np.linalg.norm(correction) > 1e-9
+        assert _along(correction, direction) < 1e-15 * np.linalg.norm(y)
 
 
 def test_parallel_residual_flags_wrong_parameter():
