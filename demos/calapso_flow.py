@@ -27,7 +27,7 @@ def main():
     mu, tau = -2.0, 0.7
     start = np.array([2.0, 0.0])
 
-    frames, _ = integrate_calapso(curve, tau)
+    frames = integrate_calapso(curve, tau)
     g = mk.metric_matrix(curve.n)
     gram = np.einsum("kia,ij,kjb->kab", frames.T, g, frames.T)
     print(f"frame metric drift over the run: {np.max(np.abs(gram - g)):.3e}")
@@ -37,7 +37,7 @@ def main():
 
     # T^mu straightens the mu-section to a constant line
     section = integrate_parallel_section(curve, mu, start)
-    frames_mu, _ = integrate_calapso(curve, mu)
+    frames_mu = integrate_calapso(curve, mu)
     print(f"transported mu-section constancy: {transported_section_drift(frames_mu, section):.3e}")
 
     print(f"composition T^(s+t) vs T^s T^t: {verify_calapso_composition(curve, 0.4, 0.3):.3e}")

@@ -13,7 +13,7 @@ the one place here that holds them against a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from . import minkowski as mk
 from .curves import Grid, PolarizedCurve, derivative_samples, from_samples, sixth_order_derivative
 from .darboux import (
     LightConeSection,
-    connection_matrix,
     euclidean_section,
     gauge_apply,
     gauge_matrix,
@@ -372,12 +371,9 @@ def _chain_frames(
     surface: SemiDiscreteSurface, t: float, substeps: int
 ) -> list[CalapsoFrameField]:
     """Trivializing frames per layer: T_0 integrated, then pushed by edge maps."""
-    frames, _ = integrate_calapso(surface.curves[0], t, substeps=substeps)
-    chain = [frames]
+    chain = [integrate_calapso(surface.curves[0], t, substeps=substeps)]
     for k, gamma in enumerate(_edge_gauges(surface, t), start=1):
-        lift = surface.lift(k)
-        a = connection_matrix(lift.xi, lift.xiprime, surface.curves[k].m, t)
-        chain.append(CalapsoFrameField(grid=surface.grid, t=t, T=chain[-1].T @ gamma, a=a))
+        chain.append(replace(chain[-1], T=chain[-1].T @ gamma, source=surface.lift(k)))
     return chain
 
 
@@ -409,7 +405,7 @@ def calapso_trivialization_residuals(
     chain = _chain_frames(surface, t, substeps)
     residuals = []
     for j in range(1, surface.num_layers):
-        direct, _ = integrate_calapso(surface.curves[j], t, substeps=substeps)
+        direct = integrate_calapso(surface.curves[j], t, substeps=substeps)
         residuals.append(_constancy_residual(chain[j].T, direct.inverse()))
     return residuals
 

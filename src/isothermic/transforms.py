@@ -21,11 +21,12 @@ closed form, T^{-1} = G T^t G.  The frames are the running products of
 the step maps, formed block by block by a prefix scan
 (``darboux.prefix_increments``) rather than one step at a time.
 Sections move through the frame field, y -> T y with the exact
-derivative T (y' - A y).  Composition, the intertwining with the
-Darboux gauge, and permutability with Darboux transforms are all
-verified as s-constancy of comparison maps (the statements hold up to
-a global Moebius transformation), relative to the size of the frames
-they are built from.
+derivative T (y' - A y), A y taken from the lift the frames were
+integrated along (``darboux.connection_apply``).  Composition, the
+intertwining with the Darboux gauge, and permutability with Darboux
+transforms are all verified as s-constancy of comparison maps (the
+statements hold up to a global Moebius transformation), relative to
+the size of the frames they are built from.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from . import minkowski as mk
 from .curves import Grid, PolarizedCurve
 from .darboux import (
     LightConeSection,
+    connection_apply,
     connection_blocks,
     euclidean_section,
     gauge_matrix,
@@ -121,15 +123,16 @@ class CalapsoFrameField:
 
     ``T`` holds (num, n+2, n+2) matrices; each T(s) preserves the
     Minkowski form up to the rounding reported by ``metric_drift``, so
-    it is inverted in closed form.  ``a`` holds the coefficient A(s, t)
-    of the connection the frames trivialize, T' = -T A, at the grid
-    nodes.
+    it is inverted in closed form.  ``source`` and ``m`` (references,
+    not copies) are what the frames were integrated along; they give
+    the coefficient A(s, t) of T' = -T A when a section is moved.
     """
 
     grid: Grid
     t: float
     T: np.ndarray
-    a: np.ndarray
+    source: PolarizedCurve | LightConeSection
+    m: np.ndarray
 
     @property
     def n(self) -> int:
@@ -150,14 +153,14 @@ class CalapsoFrameField:
 
     def move(self, section: LightConeSection) -> LightConeSection:
         """The section s -> T(s) y(s), with the exact derivative T (y' - A y)."""
-        xi, xiprime = _moved(self.T, self.a, section.xi, section.derivative())
-        return LightConeSection(grid=self.grid, xi=xi, xiprime=xiprime)
-
-
-def _moved(T: np.ndarray, a: np.ndarray, y: np.ndarray, yprime: np.ndarray):
-    """T y and T (y' - A y) per sample: a section moved by frames T' = -T A."""
-    covariant = yprime - np.einsum("kij,kj->ki", a, y)
-    return np.einsum("kij,kj->ki", T, y), np.einsum("kij,kj->ki", T, covariant)
+        lift = self.source
+        if isinstance(lift, PolarizedCurve):
+            lift = euclidean_section(lift)
+        y = section.xi
+        a_y = connection_apply(lift.xi, lift.derivative(), self.m, self.t, y)
+        return LightConeSection(
+            grid=self.grid, xi=self.act(y), xiprime=self.act(section.derivative() - a_y)
+        )
 
 
 # Row-sum norm up to which the degree-8 Taylor series of exp(X) - I is
@@ -198,19 +201,19 @@ def integrate_calapso(
     t: float,
     substeps: int = 1,
     m: np.ndarray | None = None,
-) -> tuple[CalapsoFrameField, LightConeSection]:
-    """Solve T' = -T A(s, t) from T(s0) = I; return (frames, transformed curve).
+) -> CalapsoFrameField:
+    """Solve T' = -T A(s, t) from T(s0) = I; return the frame field.
 
     Each step is the fourth-order Magnus map T <- T exp(-Omega) with
     Omega = h/6 (A_k + 4 A_(k+1/2) + A_(k+1)) + h^2/12 [A_(k+1), A_k].
     Omega lies in so(n+1,1), so every step map preserves the Minkowski
-    form up to rounding and the frames need no repair.  The transformed
-    curve is the section s -> T(s) xi(s) with the exact derivative
-    T (xi' - A xi).  The steps run one block of ``connection_blocks`` at
-    a time: the block's running products P_k = M_1 ... M_k - I come from
-    one prefix scan (``prefix_increments``, in increment form), its
-    frames are y + y P_k from the frame y that ends the block before,
-    and only the grid nodes are kept.
+    form up to rounding and the frames need no repair.  The steps run
+    one block of ``connection_blocks`` at a time: the block's running
+    products P_k = M_1 ... M_k - I come from one prefix scan
+    (``prefix_increments``, in increment form), its frames are
+    y + y P_k from the frame y that ends the block before, and only the
+    grid nodes are kept.  The transformed curve is
+    ``frames.move(euclidean_section(source))``.
 
     Accepts a raw light-cone section in place of a curve, with ``m``
     supplied (a curve brings its own polarization and ``m`` is not
@@ -224,21 +227,12 @@ def integrate_calapso(
         raise GeometryError("a polarization m is required alongside a bare section")
     grid, d = source.grid, source.n + 2
     T = np.empty((grid.num, d, d))
-    a_nodes = np.empty((grid.num, d, d))
-    xi = np.empty((grid.num, d))
-    xiprime = np.empty((grid.num, d))
     y = np.eye(d)
-    for block, xi_b, xip_b, a in connection_blocks(source, m, t, substeps):
+    for block, _, _, a in connection_blocks(source, m, t, substeps):
         p = prefix_increments(step_maps(a, block.h, _magnus_increments))
-        nodes, at_nodes = block.nodes, block.node_samples
-        T[nodes] = y + y @ p[block.node_states]
+        T[block.nodes] = y + y @ p[block.node_states]
         y = y + y @ p[-1]
-        a_nodes[nodes] = a[at_nodes]
-        xi[nodes], xiprime[nodes] = _moved(
-            T[nodes], a_nodes[nodes], xi_b[at_nodes], xip_b[at_nodes]
-        )
-    frames = CalapsoFrameField(grid=grid, t=t, T=T, a=a_nodes)
-    return frames, LightConeSection(grid=grid, xi=xi, xiprime=xiprime)
+    return CalapsoFrameField(grid=grid, t=t, T=T, source=source, m=m)
 
 
 def calapso_curve(curve: PolarizedCurve, t: float, substeps: int = 1) -> PolarizedCurve:
@@ -247,8 +241,8 @@ def calapso_curve(curve: PolarizedCurve, t: float, substeps: int = 1) -> Polariz
     The polarization is carried over unchanged (the transformation
     preserves the parameter s and the polarized structure).
     """
-    _, section = integrate_calapso(curve, t, substeps=substeps)
-    return section.to_curve(curve.m)
+    frames = integrate_calapso(curve, t, substeps=substeps)
+    return frames.move(euclidean_section(curve)).to_curve(curve.m)
 
 
 def transported_section_drift(
@@ -295,9 +289,10 @@ def verify_calapso_composition(
     integrated on the raw transformed section, which stays smooth even
     when the intermediate curve sweeps through the chart's infinity.
     """
-    frames_tau, section_tau = integrate_calapso(curve, tau, substeps=substeps)
-    frames_t, _ = integrate_calapso(section_tau, t, substeps=substeps, m=curve.m)
-    frames_sum, _ = integrate_calapso(curve, tau + t, substeps=substeps)
+    frames_tau = integrate_calapso(curve, tau, substeps=substeps)
+    section_tau = frames_tau.move(euclidean_section(curve))
+    frames_t = integrate_calapso(section_tau, t, substeps=substeps, m=curve.m)
+    frames_sum = integrate_calapso(curve, tau + t, substeps=substeps)
     return _constancy_residual(frames_t.T, frames_tau.T, frames_sum.inverse())
 
 
@@ -315,8 +310,8 @@ def verify_calapso_intertwine(
     """
     if t == mu:
         raise GeometryError("t = mu degenerates the pair gauge")
-    frames, _ = integrate_calapso(curve, t, substeps=substeps)
-    frames_hat, _ = integrate_calapso(transform, t, substeps=substeps)
+    frames = integrate_calapso(curve, t, substeps=substeps)
+    frames_hat = integrate_calapso(transform, t, substeps=substeps)
     gamma = gauge_matrix(mk.euclidean_lift(curve.x), mk.euclidean_lift(transform.x), 1.0 - t / mu)
     return _constancy_residual(frames_hat.T, gamma, frames.inverse())
 
@@ -338,6 +333,5 @@ def calapso_darboux_permute(
         raise GeometryError("tau = mu collapses the transformed pair to a point")
     if tau == 0.0:
         return curve, transform
-    frames, section = integrate_calapso(curve, tau, substeps=substeps)
-    moved_hat = frames.move(euclidean_section(transform))
-    return section.to_curve(curve.m), moved_hat.to_curve(transform.m)
+    frames = integrate_calapso(curve, tau, substeps=substeps)
+    return tuple(frames.move(euclidean_section(c)).to_curve(c.m) for c in (curve, transform))

@@ -227,13 +227,13 @@ def test_criterion_05_cube_higher_dimensions(name):
 
 def _calapso_residuals(c, start):
     """Drift, transported constancy, composition, intertwine and shift residuals."""
-    frames, _ = integrate_calapso(c, 0.7)
+    frames = integrate_calapso(c, 0.7)
     g = mk.metric_matrix(c.n)
     gram = np.einsum("kia,ij,kjb->kab", frames.T, g, frames.T)
     drift = float(np.max(np.abs(gram - g)))
 
     section = integrate_parallel_section(c, -2.0, start)
-    frames_mu, _ = integrate_calapso(c, -2.0)
+    frames_mu = integrate_calapso(c, -2.0)
     constancy = transported_section_drift(frames_mu, section)
 
     composition = verify_calapso_composition(c, 0.4, 0.3)

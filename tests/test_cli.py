@@ -312,6 +312,32 @@ def test_calapso_command_shifts_surface_parameters(tmp_path, capsys):
     assert "-2.4" in capsys.readouterr().out
 
 
+# Each certifying command with one of its checks; {c} is a curve file, {s} a surface.
+CERTIFIED = {
+    "calapso-curve": (["calapso", "--in", "{c}", "--t", "0.4"], "calapso-metric-drift"),
+    "calapso-surface": (["calapso", "--in", "{s}", "--t", "0.4"], "surface-calapso-parameter"),
+    "dual-curve": (["dual", "--in", "{c}"], "dual-darboux-permute"),
+    "dual-surface": (["dual", "--in", "{s}"], "dual-edge-smooth"),
+    "cmc": (["cmc"], "cmc-unit-z"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFIED))
+def test_tol_override_below_clean_residual_exits_1_without_writing(
+    case, cli_files, tmp_path, capsys
+):
+    argv, check = CERTIFIED[case]
+    out = tmp_path / "out.json"
+    argv = [arg.format(c=cli_files / "c.json", s=cli_files / "s.json") for arg in argv]
+    argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + ["--tol-override", f"{check}=1e-30"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"verification failed: failed checks: {check}"]
+    assert not out.exists()
+    assert main(argv) == 0
+    assert out.exists()
+
+
 def test_cmc_command_cylinder(capsys):
     rc = main(["cmc", "--fixture", "cylinder", "--radius", "1", "--layers", "3"])
     assert rc == 0
@@ -870,7 +896,7 @@ SHARED_OPTIONS = {
 READERS = {
     "--step-policy": {"darboux", "bianchi", "surface-build", "dual", "calapso", "verify"},
     "--tol-override": {"darboux", "bianchi", "surface-build", "surface-check", "surface-moutard",
-                       "cmc", "verify", "export"},
+                       "dual", "calapso", "cmc", "verify", "export"},
     "--seed": {"verify"},
 }
 UNREAD = {

@@ -3,6 +3,8 @@
 Core claims:
     - the Calapso frame solves dT = -T A to fourth order with Magnus steps,
       whose step maps keep T in O(n+1,1) to rounding with no repair
+    - the frames move a section to T y with derivative T (y' - A y), A taken
+      from the curve or section they were integrated along
     - T^mu transports the Darboux section of parameter mu to a constant line
     - composition T^(s+t) = gauge-equivalent T^s then T^t, and the
       intertwining with Darboux transforms, hold up to constant gauges
@@ -17,7 +19,14 @@ import pytest
 import isothermic.minkowski as mk
 from isothermic.cli import TOLERANCES
 from isothermic.curves import Grid, PolarizedCurve, make_circle, make_helix
-from isothermic.darboux import integrate_parallel_section, integrate_riccati, is_darboux_pair
+from isothermic.darboux import (
+    LightConeSection,
+    connection_matrix,
+    euclidean_section,
+    integrate_parallel_section,
+    integrate_riccati,
+    is_darboux_pair,
+)
 from isothermic.errors import GeometryError
 from isothermic.fixtures import unit_circle
 from isothermic.transforms import (
@@ -38,7 +47,7 @@ POLARIZATIONS = (1.0, -1.0, -0.5)
 
 def test_metric_drift_small():
     c = unit_circle()
-    frames, _ = integrate_calapso(c, 0.7)
+    frames = integrate_calapso(c, 0.7)
     G = mk.metric_matrix(c.n)
     gram = np.einsum("kia,ij,kjb->kab", frames.T, G, frames.T)
     assert np.max(np.abs(gram - G)) < 1e-10
@@ -48,7 +57,7 @@ def test_metric_drift_small():
 def test_calapso_frame_converges_at_fourth_order():
     def end_frame(num):
         c = make_circle(1.0, Grid(0.0, 1.0, num))
-        frames, _ = integrate_calapso(c, 0.7)
+        frames = integrate_calapso(c, 0.7)
         return frames.T[-1]
 
     reference = end_frame(6401)
@@ -59,29 +68,78 @@ def test_calapso_frame_converges_at_fourth_order():
 
 @pytest.mark.parametrize("substeps", [1, 16])
 def test_metric_drift_stays_at_rounding_without_repair(substeps):
-    frames, _ = integrate_calapso(unit_circle(), 0.7, substeps=substeps)
+    frames = integrate_calapso(unit_circle(), 0.7, substeps=substeps)
     assert frames.metric_drift() < TOLERANCES["calapso-metric-drift"]
 
 
 def test_metric_drift_is_relative_to_frame_size():
     # Frame entries reach 5.4e7 here; the absolute defect max|T^t G T - G|
     # reads 3e2, which is rounding relative to |T|^2.
-    frames, _ = integrate_calapso(make_helix(1.0, 0.2, Grid(0.0, 20.0, 20001)), 0.4)
+    frames = integrate_calapso(make_helix(1.0, 0.2, Grid(0.0, 20.0, 20001)), 0.4)
     assert np.max(np.abs(frames.T)) > 1e7
     assert frames.metric_drift() < TOLERANCES["calapso-metric-drift"]
+
+
+def _wavy_curve(n: int) -> PolarizedCurve:
+    """A curve in R^n, n <= 5, with a varying polarization, on [0, 2]."""
+    grid = Grid(0.0, 2.0, 201)
+    s = grid.nodes()
+    columns = [  # (coordinate, its derivative)
+        (np.cos(s), -np.sin(s)),
+        (np.sin(s), np.cos(s)),
+        (0.3 * s, np.full(grid.num, 0.3)),
+        (0.2 * np.sin(2 * s), 0.4 * np.cos(2 * s)),
+        (0.1 * np.cos(3 * s), -0.3 * np.sin(3 * s)),
+    ][:n]
+    return PolarizedCurve(
+        n=n,
+        grid=grid,
+        x=np.stack([f for f, _ in columns], axis=1),
+        xprime=np.stack([df for _, df in columns], axis=1),
+        m=1.0 + 0.1 * np.sin(s),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_move_matches_the_dense_connection(n):
+    # y -> T y with derivative T (y' - A y), A the dense connection_matrix
+    # of the source's lift; a curve source and a bare rescaled lift.
+    c = _wavy_curve(n)
+    s = c.grid.nodes()
+    lift = euclidean_section(c)
+    scale = 1.0 + 0.2 * np.cos(s)
+    bare = LightConeSection(
+        grid=c.grid,
+        xi=scale[:, None] * lift.xi,
+        xiprime=scale[:, None] * lift.xiprime - (0.2 * np.sin(s))[:, None] * lift.xi,
+    )
+    phase = np.arange(n + 2)
+    y = LightConeSection(
+        grid=c.grid, xi=np.sin(s[:, None] + phase), xiprime=np.cos(s[:, None] + phase)
+    )
+    for source, ref in ((c, lift), (bare, bare)):
+        frames = integrate_calapso(source, 0.6, m=c.m)
+        a = connection_matrix(ref.xi, ref.xiprime, c.m, 0.6)
+        covariant = y.xiprime - np.einsum("kij,kj->ki", a, y.xi)
+        moved = frames.move(y)
+        for got, want in (
+            (moved.xi, np.einsum("kij,kj->ki", frames.T, y.xi)),
+            (moved.xiprime, np.einsum("kij,kj->ki", frames.T, covariant)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_transported_darboux_section_is_constant():
     c = unit_circle()
     section = integrate_parallel_section(c, -2.0, mk.euclidean_lift(np.array([2.0, 0.0])))
-    frames, _ = integrate_calapso(c, -2.0)
+    frames = integrate_calapso(c, -2.0)
     assert transported_section_drift(frames, section) < 1e-10
 
 
 def test_transported_drift_flags_wrong_parameter():
     c = unit_circle()
     section = integrate_parallel_section(c, -2.0, mk.euclidean_lift(np.array([2.0, 0.0])))
-    frames, _ = integrate_calapso(c, 0.9)
+    frames = integrate_calapso(c, 0.9)
     assert transported_section_drift(frames, section) > 1e-4
 
 
