@@ -919,8 +919,9 @@ def cmd_calapso(args) -> int:
     checks = Checks(args.tol_override)
     data = fileio.load_any(args.infile)
     if isinstance(data, PolarizedCurve):
-        frames = transforms.integrate_calapso(data, args.t, substeps=args.step_policy)
-        moved = frames.move(euclidean_section(data)).to_curve(data.m)
+        lift = euclidean_section(data)
+        frames = transforms.integrate_calapso(lift, args.t, substeps=args.step_policy, m=data.m)
+        moved = frames.move(lift).to_curve(data.m)
         print(f"calapso transform at t={args.t:g}: N={moved.grid.num}")
         checks.run("calapso-metric-drift", args.infile, frames.metric_drift)
         save = fileio.save_curve

@@ -178,11 +178,11 @@ _CHUNK_STEPS = 32
 class StepBlock:
     """Steps k0 .. k0 + steps - 1 of an RK4 run over a grid.
 
-    Cubic interpolation at the block's 2 steps + 1 step nodes and
-    midpoints reads the grid nodes ``rows``, with stencil ``idx`` and
-    weights ``w``.  The block's states after k0 .. k0 + steps steps,
-    sliced by ``node_states``, and its samples, sliced by
-    ``node_samples``, are those at the grid nodes ``nodes``.
+    Its 2 steps + 1 step nodes and midpoints off the grid nodes, ``off``,
+    are cubic interpolation (stencil ``idx``, weights ``w``), reading the
+    grid rows ``rows`` with the grid nodes ``nodes``.  The states after
+    k0 .. k0 + steps steps, sliced by ``node_states``, and the samples,
+    sliced by ``node_samples``, are those at the grid nodes ``nodes``.
     """
 
     k0: int
@@ -192,30 +192,33 @@ class StepBlock:
     nodes: slice
     node_states: slice
     node_samples: slice
+    off: np.ndarray
     idx: np.ndarray
     w: np.ndarray
 
     def sample(self, *values: np.ndarray) -> list[np.ndarray]:
         """Each of ``values``, given at the grid nodes ``rows``, at every
-        evaluation point: grid nodes keep their exact samples, every
-        other point is cubic interpolation."""
+        evaluation point; grid nodes keep their exact samples."""
         lo = self.rows.start
         sampled = []
         for v in values:
-            v_all = stencil_sum(v, self.idx, self.w)
+            v_all = np.empty((2 * self.steps + 1, *v.shape[1:]))
             v_all[self.node_samples] = v[self.nodes.start - lo : self.nodes.stop - lo]
+            v_all[self.off] = stencil_sum(v, self.idx, self.w)
             sampled.append(v_all)
         return sampled
 
 
 def _step_block(grid: Grid, substeps: int, k0: int, k1: int) -> StepBlock:
     h = grid.h / substeps
-    idx, w = cubic_stencil(grid, grid.s0 + 0.5 * h * np.arange(2 * k0, 2 * k1 + 1))
-    lo, first = int(idx[0, 0]), -k0 % substeps
+    off = np.flatnonzero(np.arange(2 * k0, 2 * k1 + 1) % (2 * substeps))
+    idx, w = cubic_stencil(grid, grid.s0 + 0.5 * h * (2 * k0 + off))
+    first = -k0 % substeps
+    nodes = slice((k0 + first) // substeps, k1 // substeps + 1)
+    lo, hi = min(int(idx[0, 0]), nodes.start), max(int(idx[-1, -1]) + 1, nodes.stop)
     return StepBlock(
-        k0, k1 - k0, h, slice(lo, int(idx[-1, -1]) + 1),
-        slice((k0 + first) // substeps, k1 // substeps + 1),
-        slice(first, None, substeps), slice(2 * first, None, 2 * substeps), idx - lo, w,
+        k0, k1 - k0, h, slice(lo, hi), nodes,
+        slice(first, None, substeps), slice(2 * first, None, 2 * substeps), off, idx - lo, w,
     )
 
 
@@ -272,33 +275,35 @@ def _riccati_kernel(n: int):
     steps - 1 from flat lists, row j at [j n, (j + 1) n), and returns
     the states after k0, .., k0 + steps steps, flat; a secant collapse
     is reported at its parameter on the whole grid.  The state lives in
-    float locals y0..y{n-1}; each operation is the array form's, in its
-    order (numpy sums n < 8 terms left to right), so the output is
-    bit-identical to it.
+    float locals y0..y{n-1}, each sample row is read once (stages 2, 3
+    share the midpoint; stage 4's right node serves the next stage 1),
+    and each operation is the array form's, in its order (numpy sums
+    n < 8 terms left to right), so the output is bit-identical to it.
     """
     idx = range(n)
     state = ", ".join(f"y{i}" for i in idx)
     body = []
-    # Stage k is mu sandwich(v, w), v = start - x, at sample row 2 step + row.
-    for k, start, row in (
-        (1, "y{i}", 0),
-        (2, "y{i} + half * k1_{i}", 1),
-        (3, "y{i} + half * k2_{i}", 1),
-        (4, "y{i} + h * k3_{i}", 2),
+    # Stage k is mu sandwich(v, w), v = start - x, at sample row 2 step + row; even k load it.
+    for k, start, node, row in (
+        (1, "y{i}", "a", 0),
+        (2, "y{i} + half * k1_{i}", "m", 1),
+        (3, "y{i} + half * k2_{i}", "m", 1),
+        (4, "y{i} + h * k3_{i}", "a", 2),
     ):
-        body += [f"w{i} = w[j + {row * n + i}]" for i in idx]
-        body += [f"v{i} = {start.format(i=i)} - x[j + {row * n + i}]" for i in idx]
+        body += [f"{c}{node}{i} = {c}[j + {row * n + i}]" for c in "xw" for i in idx if k % 2 == 0]
+        body += [f"v{i} = {start.format(i=i)} - x{node}{i}" for i in idx]
         body += [
-            "vw = " + " + ".join(f"v{i} * w{i}" for i in idx),
+            "vw = " + " + ".join(f"v{i} * w{node}{i}" for i in idx),
             "vv = " + " + ".join(f"v{i} * v{i}" for i in idx),
             "if vv <= tol2:",
             f"    raise SingularEncounterError(s0 + half * (2 * (k0 + step) + {row}))",
             "vw2 = 2.0 * vw",
-        ] + [f"k{k}_{i} = mu * (vw2 * v{i} - vv * w{i})" for i in idx]
+        ] + [f"k{k}_{i} = mu * (vw2 * v{i} - vv * w{node}{i})" for i in idx]
     body += [f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in idx]
     source = "\n".join(
         ["def riccati_rk4(x, w, y, k0, steps, h, mu, tol2, s0):", f"    {state}, = y"]
         + ["    half = 0.5 * h", "    sixth = h / 6.0", f"    out = [{state}]"]
+        + [f"    {c}a{i} = {c}[{i}]" for c in "xw" for i in idx]
         + ["    for step in range(steps):", f"        j = {2 * n} * step"]
         + ["        " + line for line in body + [f"out += ({state},)"]]
         + ["    return out\n"]
@@ -514,12 +519,12 @@ def integrate_parallel_section(
 
     ``xihat0`` may be an affine point of R^n (lifted automatically) or a
     null vector of R^{n+1,1}.  At t = mu the projected section is the
-    Darboux transform with parameter mu.  Each step applies the
-    classical RK4 map of xi' = A xi, built as a matrix by ``step_maps``
-    for one block of ``connection_blocks`` at a time, then projects
-    back onto the light cone with ``lightcone_restore``; the parallel
-    scaling of the output is preserved, only the light-cone defect is
-    corrected.  Only the grid nodes are kept.
+    Darboux transform with parameter mu.  The classical RK4 maps
+    M_k = I + E_k of xi' = A xi of one ``connection_blocks`` block are
+    formed at once (``step_maps`` plus I); each step is one product
+    M_k y and one projection back onto the light cone with
+    ``lightcone_restore``, which keeps the parallel scaling and corrects
+    only the light-cone defect.  Only the grid nodes are kept.
     """
     grid = source.grid
     n = source.n
@@ -535,10 +540,12 @@ def integrate_parallel_section(
     xi = np.empty((grid.num, n + 2))
     xiprime = np.empty((grid.num, n + 2))
     for block, _, _, a in connection_blocks(source, source.m, t, substeps):
+        maps = step_maps(a, block.h, _rk4_increments)
+        maps += np.eye(n + 2)
         states = np.empty((block.steps + 1, n + 2))
         states[0] = y
-        for k, e in enumerate(step_maps(a, block.h, _rk4_increments), start=1):
-            y = lightcone_restore(y + e.dot(y))
+        for k, step in enumerate(maps, start=1):
+            y = lightcone_restore(step.dot(y))
             states[k] = y
         nodes = block.nodes
         xi[nodes] = states[block.node_states]

@@ -371,7 +371,7 @@ def _chain_frames(
     surface: SemiDiscreteSurface, t: float, substeps: int
 ) -> list[CalapsoFrameField]:
     """Trivializing frames per layer: T_0 integrated, then pushed by edge maps."""
-    chain = [integrate_calapso(surface.curves[0], t, substeps=substeps)]
+    chain = [integrate_calapso(surface.lift(0), t, substeps=substeps, m=surface.m)]
     for k, gamma in enumerate(_edge_gauges(surface, t), start=1):
         chain.append(replace(chain[-1], T=chain[-1].T @ gamma, source=surface.lift(k)))
     return chain

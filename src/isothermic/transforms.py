@@ -139,8 +139,9 @@ class CalapsoFrameField:
         return self.T.shape[-1] - 2
 
     def metric_drift(self) -> float:
-        """max|T^t G T - G| = max|T^{-1} T - I|, relative to max(1, max|T|^2)."""
-        residual = np.max(np.abs(self.inverse() @ self.T - np.eye(self.n + 2)))
+        """max|(G T)^t T - G| = max|T^t G T - G|, relative to max(1, max|T|^2)."""
+        g = mk.metric_diagonal(self.n)
+        residual = np.max(np.abs((self.T * g[:, None]).swapaxes(-1, -2) @ self.T - np.diag(g)))
         return float(residual) / max(1.0, float(np.max(np.abs(self.T))) ** 2)
 
     def inverse(self) -> np.ndarray:
@@ -171,18 +172,27 @@ _EXP_THETA = 2.0 ** -4
 def _expm1_matrices(x: np.ndarray) -> np.ndarray:
     """exp(X) - I for a stack of matrices.
 
-    Degree-8 Taylor series in Horner form on X / 2^s, with s chosen from
-    the largest row-sum norm in the stack, then s squarings in the form
-    E -> E (E + 2I), which keeps the small difference from I accurate.
+    Degree-8 Taylor series on X / 2^s, s from the largest row-sum norm
+    in the stack, in Paterson-Stockmeyer form B0 + X^4 B1 (four batched
+    products), then s squarings E -> E (E + 2I), which keep the small
+    difference from I accurate.
     """
     norm = float(np.max(np.sum(np.abs(x), axis=-1)))
     squarings = int(np.ceil(np.log2(norm / _EXP_THETA))) if norm > _EXP_THETA else 0
-    x = x / 2.0**squarings
-    eye = np.eye(x.shape[-1])
-    poly = eye + x / 8.0
-    for k in range(7, 1, -1):
-        poly = eye + (x @ poly) / k
-    e = x @ poly
+    x = x / 2.0**squarings if squarings else x
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    # B1 = I/24 + X/120 + ... + X^4/40320, then B0 = X + X^2/2 + X^3/6 in x3, in place.
+    b1 = x4 / 8.0
+    for term, k in ((x3, 7.0), (x2, 6.0), (x, 5.0), (np.eye(x.shape[-1]), 24.0)):
+        b1 += term
+        b1 /= k
+    for term, k in ((x2, 3.0), (x, 2.0)):
+        x3 /= k
+        x3 += term
+    e = np.matmul(x4, b1, out=x2)  # x2 is not read again
+    e += x3
     for _ in range(squarings):
         e = e @ e + 2.0 * e
     return e
@@ -193,7 +203,7 @@ def _magnus_increments(left: np.ndarray, mid: np.ndarray, right: np.ndarray, h: 
     omega = (h / 6.0) * (left + 4.0 * mid + right) + (h * h / 12.0) * (
         right @ left - left @ right
     )
-    return _expm1_matrices(-omega)
+    return _expm1_matrices(np.negative(omega, out=omega))
 
 
 def integrate_calapso(
@@ -212,8 +222,8 @@ def integrate_calapso(
     products P_k = M_1 ... M_k - I come from one prefix scan
     (``prefix_increments``, in increment form), its frames are
     y + y P_k from the frame y that ends the block before, and only the
-    grid nodes are kept.  The transformed curve is
-    ``frames.move(euclidean_section(source))``.
+    grid nodes are kept.  Integrated on a curve's lift, the moved
+    curve is ``frames.move(frames.source)``: the curve is lifted once.
 
     Accepts a raw light-cone section in place of a curve, with ``m``
     supplied (a curve brings its own polarization and ``m`` is not
@@ -241,8 +251,8 @@ def calapso_curve(curve: PolarizedCurve, t: float, substeps: int = 1) -> Polariz
     The polarization is carried over unchanged (the transformation
     preserves the parameter s and the polarized structure).
     """
-    frames = integrate_calapso(curve, t, substeps=substeps)
-    return frames.move(euclidean_section(curve)).to_curve(curve.m)
+    frames = integrate_calapso(euclidean_section(curve), t, substeps=substeps, m=curve.m)
+    return frames.move(frames.source).to_curve(curve.m)
 
 
 def transported_section_drift(
@@ -289,8 +299,8 @@ def verify_calapso_composition(
     integrated on the raw transformed section, which stays smooth even
     when the intermediate curve sweeps through the chart's infinity.
     """
-    frames_tau = integrate_calapso(curve, tau, substeps=substeps)
-    section_tau = frames_tau.move(euclidean_section(curve))
+    frames_tau = integrate_calapso(euclidean_section(curve), tau, substeps=substeps, m=curve.m)
+    section_tau = frames_tau.move(frames_tau.source)
     frames_t = integrate_calapso(section_tau, t, substeps=substeps, m=curve.m)
     frames_sum = integrate_calapso(curve, tau + t, substeps=substeps)
     return _constancy_residual(frames_t.T, frames_tau.T, frames_sum.inverse())
@@ -333,5 +343,6 @@ def calapso_darboux_permute(
         raise GeometryError("tau = mu collapses the transformed pair to a point")
     if tau == 0.0:
         return curve, transform
-    frames = integrate_calapso(curve, tau, substeps=substeps)
-    return tuple(frames.move(euclidean_section(c)).to_curve(c.m) for c in (curve, transform))
+    frames = integrate_calapso(euclidean_section(curve), tau, substeps=substeps, m=curve.m)
+    moved = frames.move(frames.source), frames.move(euclidean_section(transform))
+    return tuple(section.to_curve(c.m) for section, c in zip(moved, (curve, transform)))

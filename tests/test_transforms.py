@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import isothermic.minkowski as mk
+import isothermic.transforms as tr
 from isothermic.cli import TOLERANCES
 from isothermic.curves import Grid, PolarizedCurve, make_circle, make_helix
 from isothermic.darboux import (
@@ -78,6 +79,36 @@ def test_metric_drift_is_relative_to_frame_size():
     frames = integrate_calapso(make_helix(1.0, 0.2, Grid(0.0, 20.0, 20001)), 0.4)
     assert np.max(np.abs(frames.T)) > 1e7
     assert frames.metric_drift() < TOLERANCES["calapso-metric-drift"]
+
+
+def _expm1_horner(x):
+    """Reference: the same degree-8 series in Horner form, same scaling."""
+    norm = float(np.max(np.sum(np.abs(x), axis=-1)))
+    squarings = int(np.ceil(np.log2(norm / tr._EXP_THETA))) if norm > tr._EXP_THETA else 0
+    x = x / 2.0**squarings
+    eye = np.eye(x.shape[-1])
+    poly = eye + x / 8.0
+    for k in range(7, 1, -1):
+        poly = eye + (x @ poly) / k
+    e = x @ poly
+    for _ in range(squarings):
+        e = e @ e + 2.0 * e
+    return e
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("norm", [1e-3, 2.0**-5, 0.5, 30.0])
+def test_expm1_matches_the_horner_series(n, norm):
+    # Stacks of X = G S, S skew, lie in so(n+1,1); norms above 2^-4 are
+    # scaled and squared.  Each matrix is compared relative to its size.
+    rng = np.random.default_rng(n)
+    s = rng.standard_normal((64, n + 2, n + 2))
+    x = mk.metric_diagonal(n)[:, None] * (s - np.swapaxes(s, -1, -2))
+    row_sums = np.max(np.sum(np.abs(x), axis=-1), axis=-1)
+    x *= (np.geomspace(norm / 100.0, norm, len(x)) / row_sums)[:, None, None]
+    e, ref = tr._expm1_matrices(x), _expm1_horner(x)
+    gap = np.max(np.abs(e - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert np.max(gap) <= 1e-14, np.max(gap)
 
 
 def _wavy_curve(n: int) -> PolarizedCurve:
