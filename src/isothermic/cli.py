@@ -17,14 +17,7 @@ import zlib
 import numpy as np
 
 from . import bianchi, clifford, cmc, fileio, fixtures, minkowski as mk, transforms
-from .curves import (
-    Grid,
-    PolarizedCurve,
-    from_samples,
-    make_circle,
-    make_curve,
-    sixth_order_derivative,
-)
+from .curves import Grid, PolarizedCurve, from_samples, make_circle, make_curve
 from .darboux import (
     euclidean_section,
     gauge_apply,
@@ -47,6 +40,7 @@ from .surface import (
     calapso_trivialization_residuals,
     check_isothermic,
     moutard_lift,
+    position_derived,
     surface_calapso,
     surface_christoffel,
     surface_darboux,
@@ -193,7 +187,8 @@ def _safe_t(mu: list[float]) -> float:
 class Checks:
     """Judges named residuals against their tolerances and collects the rows.
 
-    The only code that compares a residual with a tolerance.  Each row is
+    The only code that compares a residual with a tolerance, and the one
+    that lets a command write its result (``save``).  Each row is
     (check, where, residual, tolerance, pass); the tolerance comes from
     TOLERANCES unless a ``--tol-override check=value`` pair replaces it,
     and checks in MIN_CHECKS pass only when the residual exceeds it.
@@ -241,10 +236,17 @@ class Checks:
         """Sorted names of the checks with a failed row."""
         return sorted({row[0] for row in self.rows if not row[4]})
 
-    def require(self) -> None:
-        """Raise VerificationError naming the failed checks, if any failed."""
+    def save(self, path: str | None, write, value, what: str) -> None:
+        """Write value to path (when one is given) only if every row passed.
+
+        A failed row raises VerificationError naming the failed checks,
+        and nothing is written; otherwise prints 'wrote what -> path'.
+        """
         if not self.ok:
             raise VerificationError("failed checks: " + ", ".join(self.failing()))
+        if path:
+            write(path, value)
+            print(f"wrote {what} -> {path}")
 
     def sorted_rows(self):
         return sorted(self.rows, key=lambda row: (row[0], row[1]))
@@ -466,6 +468,18 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
     )
 
 
+def _quad_checks(
+    checks: Checks, curve: PolarizedCurve, sec0, sec1, mu0: float, mu1: float, where: str
+):
+    """The Bianchi quad of two sections and its three certificate rows; returns (quad, report)."""
+    quad = bianchi.bianchi_quad(curve, sec0, sec1, mu0, mu1)
+    report = bianchi.check_quad(curve, sec0, sec1, quad, mu0, mu1)
+    checks.run("quad-parallel-defining", where, lambda: report.parallel_residual_defining)
+    checks.run("quad-parallel-other", where, lambda: report.parallel_residual_other)
+    checks.run("quad-cross-ratio", where, lambda: report.cross_ratio_spread)
+    return quad, report
+
+
 def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
     substeps = ctx["substeps"]
@@ -473,11 +487,7 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
 
     sec0 = integrate_parallel_section(c, -2.0, mk.euclidean_lift(np.array([2.0, 0.0])), substeps=substeps)
     sec1 = integrate_parallel_section(c, 1.0, mk.euclidean_lift(np.array([0.3, -0.4])), substeps=substeps)
-    quad = bianchi.bianchi_quad(c, sec0, sec1, -2.0, 1.0)
-    report = bianchi.check_quad(c, sec0, sec1, quad, -2.0, 1.0)
-    checks.run("quad-parallel-defining", "unit-circle", lambda: report.parallel_residual_defining)
-    checks.run("quad-parallel-other", "unit-circle", lambda: report.parallel_residual_other)
-    checks.run("quad-cross-ratio", "unit-circle", lambda: report.cross_ratio_spread)
+    _quad_checks(checks, c, sec0, sec1, -2.0, 1.0, "unit-circle")
 
     def bigauge():
         # Quads are drawn as null points in R^{n+1,1}, n = 2, 3, 4, 5 in
@@ -714,7 +724,7 @@ def _suite_surface(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
     patch = pool.get("cylinder-patch")
     _surface_checks(checks, patch, "cylinder-patch", ctx)
-    _isothermic_check(checks, pool.get("three-layer"), "three-layer")
+    _isothermic_check(checks, position_derived(pool.get("three-layer")), "three-layer")
 
     def vertical():
         hat = surface_darboux(patch, -3.0, np.array([0.0, 3.0]), substeps=ctx["substeps"])
@@ -792,12 +802,8 @@ def cmd_darboux(args) -> int:
             curve, args.mu, mk.euclidean_lift(point), substeps=args.step_policy
         )
         hat = section.to_curve(curve.m)
-    # Certify the positions: hat's own derivative comes from the ODE, for
-    # which the cross ratio is mu/m by algebra.  The sixth-order stencil
-    # keeps its truncation below the positions' error.
-    fit = is_darboux_pair(
-        curve, from_samples(hat.x, curve.grid, curve.m, sixth_order_derivative(hat.x, curve.grid))
-    )
+    # Certify the positions, not the derivative the ODE gives hat.
+    fit = is_darboux_pair(*position_derived(SemiDiscreteSurface([curve, hat], [args.mu])).curves)
     checks.run(
         "quad-cross-ratio",
         args.route,
@@ -809,10 +815,7 @@ def cmd_darboux(args) -> int:
         print(f"fitted mu: {fit.mu:.12g} (requested {args.mu:g})")
         print(f"cross ratio spread: {fit.spread:.4e}")
         print(f"ribaucour contact residual: {fit.reality:.4e}")
-    checks.require()
-    if args.out:
-        fileio.save_curve(args.out, hat)
-        print(f"wrote transform -> {args.out}")
+    checks.save(args.out, fileio.save_curve, hat, "transform")
     return 0
 
 
@@ -835,19 +838,12 @@ def cmd_bianchi(args) -> int:
         for mu, p in zip(mus, points)
     ]
     if len(mus) == 2:
-        quad = bianchi.bianchi_quad(curve, sections[0], sections[1], mus[0], mus[1])
-        report = bianchi.check_quad(curve, sections[0], sections[1], quad, mus[0], mus[1])
+        quad, report = _quad_checks(checks, curve, *sections, *mus, args.infile)
         print(f"quad mu: ({mus[0]:g}, {mus[1]:g}), cross ratio target {mus[1] / mus[0]:.12g}")
         print(f"cross ratio spread: {report.cross_ratio_spread:.4e}")
         print(f"parallel residual (defining): {report.parallel_residual_defining:.4e}")
         print(f"parallel residual (other edge): {report.parallel_residual_other:.4e}")
-        checks.run("quad-parallel-defining", args.infile, lambda: report.parallel_residual_defining)
-        checks.run("quad-parallel-other", args.infile, lambda: report.parallel_residual_other)
-        checks.run("quad-cross-ratio", args.infile, lambda: report.cross_ratio_spread)
-        checks.require()
-        if args.out:
-            fileio.save_curve(args.out, quad.to_curve(curve.m))
-            print(f"wrote fourth vertex curve -> {args.out}")
+        checks.save(args.out, fileio.save_curve, quad.to_curve(curve.m), "fourth vertex curve")
     else:
         cube = bianchi.bianchi_cube(
             curve, sections[0], sections[1], sections[2], mus[0], mus[1], mus[2]
@@ -857,23 +853,21 @@ def cmd_bianchi(args) -> int:
         print(f"route gaps (projective): {', '.join(f'{g:.4e}' for g in np.atleast_1d(gaps))}")
         print(f"max gap: {float(np.max(gaps)):.4e}")
         checks.run("cube-routes", args.infile, lambda: np.max(gaps))
-        checks.require()
-        if args.out:
-            fileio.save_curve(args.out, cube.vertex.to_curve(curve.m))
-            print(f"wrote eighth vertex curve -> {args.out}")
+        vertex = cube.vertex.to_curve(curve.m)
+        checks.save(args.out, fileio.save_curve, vertex, "eighth vertex curve")
     return 0
 
 
 def cmd_surface(args) -> int:
     checks = Checks(args.tol_override)
     if args.mode == "build":
-        seed = fileio.load_curve(args.infile)
         surface = build_surface(
-            seed, args.layers, substeps=args.step_policy,
-            tol=checks.tolerances["surface-isothermic"],
+            fileio.load_curve(args.infile), args.layers, substeps=args.step_policy
         )
-        fileio.save_surface(args.out, surface)
-        print(f"wrote surface with {surface.num_layers} layers -> {args.out}")
+        _edge_checks(checks, position_derived(surface))
+        checks.print_table()
+        what = f"surface with {surface.num_layers} layers"
+        checks.save(args.out, fileio.save_surface, surface, what)
         return 0
     surface = fileio.load_surface(args.infile)
     if args.mode == "check":
@@ -901,17 +895,14 @@ def cmd_dual(args) -> int:
         defect = transforms.dual_defect(data, dual)
         print(f"curve dual defect: {defect:.4e}")
         checks.run("dual-darboux-permute", args.infile, lambda: defect)
-        save, kind = fileio.save_curve, "curve"
+        write, kind = fileio.save_curve, "curve"
     else:
         dual, consistency = surface_christoffel(data, substeps=args.step_policy)
         for k, value in enumerate(consistency):
             print(f"edge {k}: edge/smooth consistency {value:.4e}")
             checks.run("dual-edge-smooth", f"edge {k}", lambda v=value: v)
-        save, kind = fileio.save_surface, "surface"
-    checks.require()
-    if args.out:
-        save(args.out, dual)
-        print(f"wrote dual {kind} -> {args.out}")
+        write, kind = fileio.save_surface, "surface"
+    checks.save(args.out, write, dual, f"dual {kind}")
     return 0
 
 
@@ -924,19 +915,16 @@ def cmd_calapso(args) -> int:
         moved = frames.move(lift).to_curve(data.m)
         print(f"calapso transform at t={args.t:g}: N={moved.grid.num}")
         checks.run("calapso-metric-drift", args.infile, frames.metric_drift)
-        save = fileio.save_curve
+        write = fileio.save_curve
     else:
         moved = surface_calapso(data, args.t, substeps=args.step_policy)
         print(f"calapso transform at t={args.t:g}: mu {list(data.mu)} -> {list(moved.mu)}")
         checks.run(
             "surface-calapso-parameter", args.infile, lambda: _calapso_parameter(data, moved, args.t)
         )
-        save = fileio.save_surface
+        write = fileio.save_surface
     checks.print_rows()
-    checks.require()
-    if args.out:
-        save(args.out, moved)
-        print(f"wrote transform -> {args.out}")
+    checks.save(args.out, write, moved, "transform")
     return 0
 
 
@@ -958,10 +946,7 @@ def cmd_cmc(args) -> int:
     print(f"fixture: {args.fixture}, H target {fx.h:g}, recovered {h_med:.12g}")
     print(f"conserved quantity scale c: {cert.c:.12g} (spread {cert.c_spread:.4e})")
     checks.print_rows()
-    checks.require()
-    if args.out:
-        fileio.save_surface(args.out, fx.surface)
-        print(f"wrote fixture surface -> {args.out}")
+    checks.save(args.out, fileio.save_surface, fx.surface, "fixture surface")
     return 0
 
 

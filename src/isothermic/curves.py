@@ -179,11 +179,6 @@ class PolarizedCurve:
         m = np.broadcast_to(np.asarray(m, dtype=float), (self.grid.num,)).copy()
         return replace(self, m=m)
 
-    def reversed_orientation(self) -> "PolarizedCurve":
-        return replace(
-            self, x=self.x[::-1].copy(), xprime=-self.xprime[::-1], m=self.m[::-1].copy()
-        )
-
 
 def from_samples(
     x: np.ndarray,

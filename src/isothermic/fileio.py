@@ -55,27 +55,25 @@ def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _curve_payload(curve: PolarizedCurve, include_xprime: bool = True) -> dict:
-    payload = {
+def _curve_payload(curve: PolarizedCurve) -> dict:
+    return {
         "n": curve.n,
         "grid": {"s0": curve.grid.s0, "s1": curve.grid.s1, "N": curve.grid.num},
         "x": curve.x,
         "m": curve.m,
+        "xprime": curve.xprime,
     }
-    if include_xprime:
-        payload["xprime"] = curve.xprime
-    return payload
 
 
 def _surface_payload(surface: SemiDiscreteSurface) -> dict:
     return {"curves": [_curve_payload(c) for c in surface.curves], "mu": list(surface.mu)}
 
 
-def curve_to_dict(curve: PolarizedCurve, include_xprime: bool = True) -> dict:
+def curve_to_dict(curve: PolarizedCurve) -> dict:
     """The curve with arrays as nested lists, a form that ``load_curve`` reads."""
     return {
         key: value.tolist() if isinstance(value, np.ndarray) else value
-        for key, value in _curve_payload(curve, include_xprime).items()
+        for key, value in _curve_payload(curve).items()
     }
 
 

@@ -7,8 +7,8 @@ structure, produces Moutard lifts, certifies that the connection family
 attached to the surface is flat (one gauge-relation residual per edge),
 and applies the surface-level Darboux, Calapso, and Christoffel
 transforms layer by layer.
-``check_isothermic`` returns residuals; ``build_surface``'s guard is
-the one place here that holds them against a tolerance.
+``check_isothermic`` returns residuals; nothing here holds them
+against a tolerance.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     PolarizationError,
     SignPropagationError,
     SingularEncounterError,
-    VerificationError,
 )
 from .transforms import (
     CalapsoFrameField,
@@ -52,6 +51,7 @@ __all__ = [
     "IsothermicReport",
     "MoutardLift",
     "build_surface",
+    "position_derived",
     "check_isothermic",
     "moutard_lift",
     "surface_flatness",
@@ -126,17 +126,13 @@ def build_surface(
     seed: PolarizedCurve,
     layers: list[tuple[float, np.ndarray]],
     substeps: int = 1,
-    tol: float = 1e-6,
 ) -> SemiDiscreteSurface:
     """Stack Darboux transforms of ``seed`` into a surface.
 
     Each layer is given by (mu, initial point); the next curve is the
-    parallel-section transform of the previous one.  Before the result
-    is returned every edge's ``residual`` must be ``<= tol`` (so NaN
-    fails), with the new layers' derivatives taken from their positions
-    by sixth-order finite differences; a failing edge raises
-    VerificationError.  The returned layers keep the derivatives their
-    ODE supplies.
+    parallel-section transform of the previous one, keeping the
+    derivative its ODE supplies.  ``position_derived`` gives the layers
+    that certify the positions.
     """
     curves = [seed]
     mu: list[float] = []
@@ -156,21 +152,23 @@ def build_surface(
         except (PointAtInfinityError, GeometryError) as exc:
             raise type(exc)(f"layer {k}: {exc}") from exc
         mu.append(mu_k)
-    surface = SemiDiscreteSurface(curves=curves, mu=mu)
-    # Certify the positions: the derivative xi' = A xi supplies makes the
-    # cross ratio mu/m by algebra, so layers k >= 1 are checked through
-    # finite differences of their samples instead.  The sixth-order
-    # stencil's truncation falls faster than the layers' O(h^4) position
-    # error, so on coarse grids the residual follows the positions rather
-    # than the stencil.
-    sampled = [seed] + [
-        from_samples(c.x, c.grid, c.m, sixth_order_derivative(c.x, c.grid)) for c in curves[1:]
+    return SemiDiscreteSurface(curves=curves, mu=mu)
+
+
+def position_derived(surface: SemiDiscreteSurface) -> SemiDiscreteSurface:
+    """The surface with the derivatives of layers k >= 1 taken from their positions.
+
+    An integrated layer's own derivative, xi' = A xi, makes the cross
+    ratio mu/m by algebra, so only a derivative of the samples lets
+    ``check_isothermic`` see the positions.  The sixth-order stencil's
+    truncation falls faster than the layers' O(h^4) position error, so
+    on coarse grids the residual follows the positions, not the stencil.
+    """
+    curves = [surface.curves[0]] + [
+        from_samples(c.x, c.grid, c.m, sixth_order_derivative(c.x, c.grid))
+        for c in surface.curves[1:]
     ]
-    edges = check_isothermic(SemiDiscreteSurface(curves=sampled, mu=mu)).edges
-    offending = [k for k, edge in enumerate(edges) if not edge.residual <= tol]
-    if offending:
-        raise VerificationError(f"built surface fails the isothermicity check on edges {offending}")
-    return surface
+    return SemiDiscreteSurface(curves=curves, mu=list(surface.mu))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through main()."""
 
 import base64
+import csv
 import json
 import re
 import warnings
@@ -270,14 +271,18 @@ def test_surface_build_requires_layers_and_out(tmp_path):
 
 
 def test_surface_build_guard_takes_the_surface_isothermic_tolerance(tmp_path, capsys):
-    # At N = 101 on [0, 6] the layers' positions are 2e-6 off, so the guard
-    # fails at the default 1e-6; the override of the check's tolerance is
-    # the way to accept them.
+    # At N = 101 on [0, 6] the layers' positions are 2e-6 off, so both
+    # edge rows fail at the default 1e-6; the override of the check's
+    # tolerance is the way to accept them.
     src = _curve_file(tmp_path, grid="0:6:101")
     surf = tmp_path / "s.json"
     build = ["surface", "build", "--in", str(src), "--layers", "-2:2,0;1:0.3,-0.4", "--out", str(surf)]
+    capsys.readouterr()
     assert main(build) == 1
-    assert "verification failed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    failed = re.findall(r"^surface-isothermic +(edge \d+) +\S+ +\S+ +FAIL$", captured.out, re.M)
+    assert failed == ["edge 0", "edge 1"]
+    assert "verification failed" in captured.err
     assert not surf.exists()
     assert main(build + ["--tol-override", "surface-isothermic=1e-4"]) == 0
     assert surf.exists()
@@ -319,6 +324,7 @@ CERTIFIED = {
     "dual-curve": (["dual", "--in", "{c}"], "dual-darboux-permute"),
     "dual-surface": (["dual", "--in", "{s}"], "dual-edge-smooth"),
     "cmc": (["cmc"], "cmc-unit-z"),
+    "surface-build": (["surface", "build", "--in", "{c}", "--layers", "-2:2,0"], "surface-isothermic"),
 }
 
 
@@ -421,6 +427,26 @@ def test_verify_bigauge_row_detects_a_wrong_quad_gauge(monkeypatch, capsys):
     failed = re.search(r"^failed checks: (.*)$", capsys.readouterr().out, re.M)
     assert failed is not None
     assert "bigauge-identity" in failed.group(1).split(", ")
+
+
+def test_verify_names_the_failing_checks_under_a_wrong_rk4_weight(monkeypatch, tmp_path, capsys):
+    # K3 weighted 2.02 instead of 2 moves every parallel section, the
+    # three-layer fixture's layers too; verify still prints and writes
+    # every row, and names the failed checks.
+    def wrong(left, mid, right, h):
+        k2 = mid + (0.5 * h) * (mid @ left)
+        k3 = mid + (0.5 * h) * (mid @ k2)
+        k4 = right + h * (right @ k3)
+        return (h / 6.0) * (left + 2.0 * k2 + 2.02 * k3 + k4)
+
+    monkeypatch.setattr(darboux, "_rk4_increments", wrong)
+    report = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(["verify", "--suite", "all", "--csv", str(report)]) == 1
+    with open(report, newline="", encoding="utf-8") as fh:
+        assert len(list(csv.DictReader(fh))) == 49
+    failed = re.search(r"^failed checks: (.*)$", capsys.readouterr().out, re.M)
+    assert {"surface-isothermic", "riccati-parallel-agreement"} <= set(failed.group(1).split(", "))
 
 
 def test_verify_corrupt_circle_fails_ribaucour_contact(capsys):

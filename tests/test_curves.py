@@ -139,14 +139,6 @@ def test_arc_length_polarization():
     assert np.max(np.abs(p.m - 1.0 / 9.0)) < 1e-10
 
 
-def test_reversed_orientation_round_trip():
-    g = Grid(0.0, 1.0, 41)
-    c = make_circle(1.0, g)
-    back = c.reversed_orientation().reversed_orientation()
-    assert np.max(np.abs(back.x - c.x)) < 1e-14
-    assert np.max(np.abs(back.xprime - c.xprime)) < 1e-14
-
-
 def test_tractrix_pair_closed_form():
     # unit circle is unit speed; companion with mu = 1/4 has m = 1/2
     g = Grid(0.0, 1.0, 1001)

@@ -62,8 +62,8 @@ def test_load_any_dispatches_on_content(tmp_path):
 
 def test_missing_xprime_falls_back_to_finite_differences(tmp_path):
     c = unit_circle()
-    payload = fileio.curve_to_dict(c, include_xprime=False)
-    assert "xprime" not in payload
+    payload = fileio.curve_to_dict(c)
+    del payload["xprime"]
     path = tmp_path / "c.json"
     path.write_text(json.dumps(payload))
     again = fileio.load_curve(path)

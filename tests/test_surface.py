@@ -10,11 +10,14 @@ per adjacent pair.  The suite certifies:
       way they act per curve, with the expected parameter bookkeeping
 """
 
+import re
+
 import numpy as np
 import pytest
 
 import isothermic.minkowski as mk
 import isothermic.surface as surface_module
+from isothermic.cli import main
 from isothermic.curves import Grid, make_circle, make_helix
 from isothermic.darboux import (
     LightConeSection,
@@ -29,7 +32,6 @@ from isothermic.errors import (
     GeometryError,
     NonComplementaryLinesError,
     PolarizationError,
-    VerificationError,
 )
 from isothermic.fixtures import cylinder_patch, perturb_curve, three_layer, unit_circle
 from isothermic.surface import (
@@ -38,6 +40,7 @@ from isothermic.surface import (
     calapso_trivialization_residuals,
     check_isothermic,
     moutard_lift,
+    position_derived,
     surface_calapso,
     surface_christoffel,
     surface_darboux,
@@ -91,16 +94,11 @@ def test_check_isothermic_flags_broken_stack():
     assert [k for k, e in enumerate(report.edges) if not e.residual <= 1e-6] == [0]
 
 
-def test_build_surface_enforces_tolerance():
-    with pytest.raises(VerificationError):
-        build_surface(unit_circle(), [(-2.0, np.array([2.0, 0.0]))], tol=1e-30)
-
-
-def test_build_surface_guard_sees_position_errors(monkeypatch):
+def test_build_surface_guard_sees_position_errors(monkeypatch, tmp_path, capsys):
     # The layer is shifted by 1e-3 sin(3s) and keeps the derivative that
     # xi' = A xi assigns to its new positions; with that derivative the
     # cross ratio is mu/m by algebra, so only a derivative taken from the
-    # positions exposes the shift.
+    # positions exposes the shift, and `surface build` judges those.
     def shifted(source, t, point, substeps=1):
         x = mk.affine_point(integrate_parallel_section(source, t, point, substeps).xi)
         x[:, 0] += 1e-3 * np.sin(3.0 * source.grid.nodes())
@@ -110,8 +108,18 @@ def test_build_surface_guard_sees_position_errors(monkeypatch):
         return LightConeSection(grid=source.grid, xi=xi, xiprime=np.einsum("kij,kj->ki", a, xi))
 
     monkeypatch.setattr(surface_module, "integrate_parallel_section", shifted)
-    with pytest.raises(VerificationError, match=r"edges \[0\]"):
-        build_surface(unit_circle(), [(-2.0, np.array([2.0, 0.0]))])
+    built = build_surface(unit_circle(), [(-2.0, np.array([2.0, 0.0]))])
+    assert check_isothermic(built).edges[0].residual <= 1e-6
+    assert check_isothermic(position_derived(built)).edges[0].residual > 1e-6
+
+    seed, out = tmp_path / "c.json", tmp_path / "s.json"
+    assert main(["curve", "--family", "circle", "--out", str(seed)]) == 0
+    capsys.readouterr()
+    assert main(["surface", "build", "--in", str(seed), "--layers", "-2:2,0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert re.search(r"^surface-isothermic +edge 0 +\S+ +\S+ +FAIL$", captured.out, re.M)
+    assert captured.err.splitlines() == ["verification failed: failed checks: surface-isothermic"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -125,9 +133,11 @@ def test_build_surface_guard_sees_position_errors(monkeypatch):
 def test_build_surface_guard_accepts_accurate_coarse_grid(seed, points):
     # h = 0.03: the layers' positions are within 1.5e-7 of a 20x finer
     # solution, but the fourth-order stencil's truncation alone put edge 1
-    # at 1.3e-5; the guard's stencil must not reject them.
+    # at 1.3e-5; the position-derived edges must pass at 1e-6.
     surface = build_surface(seed, [(-2.0, np.array(points[0])), (1.0, np.array(points[1]))])
-    assert surface.num_layers == 3
+    edges = check_isothermic(position_derived(surface)).edges
+    assert len(edges) == 2
+    assert all(edge.residual <= 1e-6 for edge in edges)
 
 
 def test_check_isothermic_on_patch():
