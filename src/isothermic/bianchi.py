@@ -67,6 +67,12 @@ def moebius_cross_ratio(
     return scalar
 
 
+def _require_nonzero(**mus: float) -> None:
+    for name, mu in mus.items():
+        if mu == 0.0:
+            raise GeometryError(f"{name} = 0 gives a constant curve, not a Darboux transform")
+
+
 def _require_sections_compatible(*sections: LightConeSection) -> None:
     first = sections[0]
     for sec in sections[1:]:
@@ -98,10 +104,9 @@ def bianchi_quad(
     ``connection_apply``); no per-sample matrix is built.  A base and
     sec0 that span the same line raise NonComplementaryLinesError.
     """
+    _require_nonzero(mu0=mu0, mu1=mu1)
     if mu0 == mu1:
         raise GeometryError("quad requires distinct Darboux parameters")
-    if mu0 == 0.0:
-        raise GeometryError("mu0 = 0 leaves the gauge parameter undefined")
     if isinstance(base, PolarizedCurve):
         xi, m = euclidean_section(base), base.m
     elif m is None:
@@ -168,9 +173,9 @@ def check_bigauge(
     xi0: np.ndarray,
     xi1: np.ndarray,
     xi01: np.ndarray,
-    mu0: float,
-    mu1: float,
-    t: float,
+    mu0: float | np.ndarray,
+    mu1: float | np.ndarray,
+    t: float | np.ndarray,
 ) -> float:
     """Residual of the gauge identity around a Bianchi quadrilateral.
 
@@ -180,11 +185,15 @@ def check_bigauge(
       = G_{<xi0>}^{<xi1>}((1-t/mu1)/(1-t/mu0))
       = G_{<xi1>}^{<xi01>}(1-t/mu0) G_{<xi>}^{<xi1>}(1-t/mu1)
 
-    and the worst Frobenius gap is returned.  Purely algebraic.
+    and the worst Frobenius gap is returned.  Purely algebraic.  mu0,
+    mu1 and t are scalars or one value per sample, so samples of
+    several quads in one dimension are certified in one call; each
+    sample's gap is the one it has alone.
     """
-    if t == mu0 or t == mu1:
+    mu0, mu1, t = (np.asarray(v, dtype=float) for v in (mu0, mu1, t))
+    if np.any(t == mu0) or np.any(t == mu1):
         raise GeometryError("t must avoid the quad parameters (zero gauge factor)")
-    if mu0 == 0.0 or mu1 == 0.0:
+    if np.any(mu0 == 0.0) or np.any(mu1 == 0.0):
         raise GeometryError("quad parameters must be nonzero")
     r0 = 1.0 - t / mu0
     r1 = 1.0 - t / mu1
@@ -226,6 +235,7 @@ def bianchi_cube(
     canonically through sec0 and cross-checked against the other two
     construction orders projectively.
     """
+    _require_nonzero(mu0=mu0, mu1=mu1, mu2=mu2)
     mus = (mu0, mu1, mu2)
     if len(set(mus)) != 3:
         raise GeometryError("cube requires pairwise distinct parameters")

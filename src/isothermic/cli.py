@@ -304,7 +304,11 @@ CORRUPTIBLE = tuple(FIXTURES)
 
 
 class FixturePool:
-    """Builds named fixtures on demand, optionally corrupting one of them."""
+    """Builds the fixtures of one run on demand, optionally corrupting one of them.
+
+    Besides the named fixtures it builds the unit circle's Darboux pair
+    (``darboux_pair``), which four suites certify.
+    """
 
     def __init__(self, corrupt: str | None = None, seed: int = 0):
         if corrupt is not None and corrupt not in FIXTURES:
@@ -326,6 +330,22 @@ class FixturePool:
                 value = corrupt(value, self._noisy)
             self._cache[name] = value
         return self._cache[name]
+
+    def darboux_pair(self, substeps: int):
+        """The unit circle's Darboux transform at mu = -2 from (2, 0), by both routes.
+
+        Returns (Riccati transform, parallel section), integrated along
+        ``get("unit-circle")``, so a corrupted circle carries over.
+        """
+        key = f"darboux-pair/{substeps}"
+        if key not in self._cache:
+            c = self.get("unit-circle")
+            p0 = np.array([2.0, 0.0])
+            self._cache[key] = (
+                integrate_riccati(c, -2.0, p0, substeps=substeps),
+                integrate_parallel_section(c, -2.0, p0, substeps=substeps),
+            )
+        return self._cache[key]
 
 
 # ----------------------------------------------------------------- suites
@@ -417,11 +437,7 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
 
     c = pool.get("unit-circle")
-    p0 = np.array([2.0, 0.0])
-    riccati = integrate_riccati(c, -2.0, p0, substeps=ctx["substeps"])
-    section = integrate_parallel_section(
-        c, -2.0, mk.euclidean_lift(p0), substeps=ctx["substeps"]
-    )
+    riccati, section = pool.darboux_pair(ctx["substeps"])
     projected = section.to_curve(c.m)
     checks.run(
         "riccati-parallel-agreement",
@@ -485,8 +501,8 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
     substeps = ctx["substeps"]
     c = pool.get("unit-circle")
 
-    sec0 = integrate_parallel_section(c, -2.0, mk.euclidean_lift(np.array([2.0, 0.0])), substeps=substeps)
-    sec1 = integrate_parallel_section(c, 1.0, mk.euclidean_lift(np.array([0.3, -0.4])), substeps=substeps)
+    sec0 = pool.darboux_pair(substeps)[1]
+    sec1 = integrate_parallel_section(c, 1.0, np.array([0.3, -0.4]), substeps=substeps)
     _quad_checks(checks, c, sec0, sec1, -2.0, 1.0, "unit-circle")
 
     def bigauge():
@@ -496,12 +512,14 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
         # sample near a pole, where two vertices nearly span one line (a
         # secant inner product vanishes), is dropped; a quad that loses
         # half of its samples is redrawn.  The range of t keeps it away
-        # from 0, mu0 and mu1.
+        # from 0, mu0 and mu1.  The kept samples of the quads in one
+        # dimension are certified together, each with its quad's mu0, mu1
+        # and t.
         def directions(n):
             v = rng.standard_normal((51, n))
             return v / np.linalg.norm(v, axis=1, keepdims=True)
 
-        worst = 0.0
+        by_dim: dict[int, list] = {}
         accepted = 0
         for _attempt in range(200):
             if accepted == 20:
@@ -519,30 +537,36 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
             keep = np.min(gram[np.triu_indices(4, 1)], axis=0) >= 1e-2
             if 2 * np.count_nonzero(keep) < keep.size:
                 continue
-            gap = bianchi.check_bigauge(*points[:, keep], mu0, mu1, t)
-            worst = max(worst, float(gap))
+            samples = points[:, keep]
+            params = np.broadcast_to([[mu0], [mu1], [t]], (3, samples.shape[1]))
+            by_dim.setdefault(n, []).append((samples, params))
             accepted += 1
         if accepted < 20:
             raise GeometryError("could not sample 20 pole-free quads")
+        worst = 0.0
+        for quads in by_dim.values():
+            points = np.concatenate([q[0] for q in quads], axis=1)
+            params = np.concatenate([q[1] for q in quads], axis=1)
+            worst = max(worst, bianchi.check_bigauge(*points, *params))
         return worst
 
     checks.run("bigauge-identity", "random-quads", bigauge)
 
     def cube_routes():
-        # The first cube starts from the quad's own two sections.
-        def section(mu, point):
-            return integrate_parallel_section(c, mu, mk.euclidean_lift(point), substeps=substeps)
-
-        triples = [(sec0, sec1, np.array([-1.5, 0.2]))]
+        # The first cube starts from the quad's own two sections; the
+        # sections of each parameter are integrated as one batch.
+        pts = [[], [], [np.array([-1.5, 0.2])]]
         for _ in range(2):
-            pts = []
-            for _k in range(3):
+            for k in range(3):
                 ang = rng.uniform(0, 6.28)
-                pts.append(rng.uniform(1.4, 2.6) * np.array([np.cos(ang), np.sin(ang)]))
-            triples.append((section(-2.0, pts[0]), section(1.0, pts[1]), pts[2]))
+                pts[k].append(rng.uniform(1.4, 2.6) * np.array([np.cos(ang), np.sin(ang)]))
+        s0, s1, s2 = (
+            integrate_parallel_section(c, mu, np.array(p), substeps=substeps)
+            for mu, p in zip((-2.0, 1.0, 3.0), pts)
+        )
         worst = 0.0
-        for s0, s1, p2 in triples:
-            cube = bianchi.bianchi_cube(c, s0, s1, section(3.0, p2), -2.0, 1.0, 3.0)
+        for triple in zip([sec0, *s0], [sec1, *s1], s2):
+            cube = bianchi.bianchi_cube(c, *triple, -2.0, 1.0, 3.0)
             worst = max(worst, float(np.max(cube.route_gaps)))
         return worst
 
@@ -560,9 +584,7 @@ def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
         lambda: transforms.integrate_calapso(c, 0.7, substeps=substeps).metric_drift(),
     )
 
-    section = integrate_parallel_section(
-        c, -2.0, mk.euclidean_lift(np.array([2.0, 0.0])), substeps=substeps
-    )
+    section = pool.darboux_pair(substeps)[1]
 
     def transported():
         frames = transforms.integrate_calapso(c, -2.0, substeps=substeps)
@@ -603,7 +625,7 @@ def _suite_christoffel(checks: Checks, rng: np.random.Generator, ctx) -> None:
     checks.run("dual-of-dual", "unit-circle", dual_of_dual)
 
     def permute_square():
-        hat = integrate_riccati(c, -2.0, np.array([2.0, 0.0]), substeps=ctx["substeps"])
+        hat = pool.darboux_pair(ctx["substeps"])[0]
         dual = transforms.christoffel_dual(c)
         hatstar = transforms.christoffel_darboux_permute(c, dual, hat, -2.0)
         fit = is_darboux_pair(dual, hatstar)
@@ -825,6 +847,10 @@ def cmd_bianchi(args) -> int:
     mus = args.mu
     if len(mus) not in (2, 3):
         raise GeometryError("bianchi needs 2 (quad) or 3 (cube) mu values")
+    if 0.0 in mus:
+        raise GeometryError(
+            f"--mu values must be nonzero: mu{mus.index(0.0)} = 0 gives a constant curve"
+        )
     points = args.points
     if points is None:  # planar defaults, zero-padded to the curve's dimension
         if curve.n < 2:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
+from . import darboux
 from . import minkowski as mk
 from .curves import Grid, PolarizedCurve
 from .darboux import (
@@ -139,10 +140,22 @@ class CalapsoFrameField:
         return self.T.shape[-1] - 2
 
     def metric_drift(self) -> float:
-        """max|(G T)^t T - G| = max|T^t G T - G|, relative to max(1, max|T|^2)."""
+        """max|(G T)^t T - G| = max|T^t G T - G|, relative to max(1, max|T|^2).
+
+        Formed over _BLOCK_STEPS samples at a time, so its temporaries
+        do not grow with the grid.
+        """
         g = mk.metric_diagonal(self.n)
-        residual = np.max(np.abs((self.T * g[:, None]).swapaxes(-1, -2) @ self.T - np.diag(g)))
-        return float(residual) / max(1.0, float(np.max(np.abs(self.T))) ** 2)
+        metric = np.diag(g)
+        blocks = []
+        for k in range(0, len(self.T), darboux._BLOCK_STEPS):
+            block = self.T[k : k + darboux._BLOCK_STEPS]
+            gram = (block * g[:, None]).swapaxes(-1, -2) @ block
+            blocks.append(np.max(np.abs(gram - metric)))
+        # np.max keeps a NaN, which Python's max(0.0, nan) would drop; max|T|
+        # comes from two reductions, with no |T| temporary of the grid's size.
+        scale = float(np.max([1.0, self.T.max(), -self.T.min()]))
+        return float(np.max(blocks)) / scale**2
 
     def inverse(self) -> np.ndarray:
         """T(s)^{-1} = G T(s)^t G per sample, exact on O(n+1,1)."""

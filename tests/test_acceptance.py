@@ -188,11 +188,13 @@ def test_criterion_04_bigauge_identity():
 
 
 def _cube_verdict(label, c, triples):
+    # The sections of each parameter are integrated as one batch.
+    batches = (
+        integrate_parallel_section(c, mu, np.array(points))
+        for mu, points in zip((-2.0, 1.0, 3.0), zip(*triples))
+    )
     worst = 0.0
-    for p0, p1, p2 in triples:
-        s0 = integrate_parallel_section(c, -2.0, p0)
-        s1 = integrate_parallel_section(c, 1.0, p1)
-        s2 = integrate_parallel_section(c, 3.0, p2)
+    for s0, s1, s2 in zip(*batches):
         cube = bianchi_cube(c, s0, s1, s2, -2.0, 1.0, 3.0)
         worst = max(worst, float(np.max(cube.route_gaps)))
     ok = worst < 1e-6

@@ -140,6 +140,28 @@ def test_bigauge_identity_in_every_dimension(n):
     assert worst_gap < 1e-10
 
 
+def test_bigauge_with_per_sample_parameters_is_the_worst_quad():
+    # Samples of several quads, each with its own mu0, mu1 and t, give in
+    # one call exactly the worst of one call per quad.
+    rng = np.random.default_rng(7)
+    quads, gaps = [], []
+    for _ in range(4):
+        mu0, mu1 = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.3, 3.0, size=2)
+        t = rng.uniform(0.05, 0.9) * min(abs(mu0), abs(mu1))
+        xi = mk.euclidean_lift(rng.standard_normal((30, 3)))
+        xi0 = mk.euclidean_lift(2.0 + rng.standard_normal((30, 3)))
+        xi1 = mk.euclidean_lift(-2.0 + rng.standard_normal((30, 3)))
+        points = np.stack([xi, xi0, xi1, gauge_apply(xi, xi0, 1.0 - mu1 / mu0, xi1)])
+        quads.append((points, np.broadcast_to([[mu0], [mu1], [t]], (3, 30))))
+        gaps.append(check_bigauge(*points, mu0, mu1, t))
+    points = np.concatenate([q[0] for q in quads], axis=1)
+    params = np.concatenate([q[1] for q in quads], axis=1)
+    assert check_bigauge(*points, *params) == max(gaps)
+    params[2, 40] = params[0, 40]  # t equal to mu0 at one sample
+    with pytest.raises(GeometryError):
+        check_bigauge(*points, *params)
+
+
 def test_cube_routes_agree():
     c = unit_circle()
     mus = (-2.0, 1.0, 3.0)
@@ -168,6 +190,22 @@ def test_quad_rejects_equal_parameters():
     s0, s1 = _sections(c, (-2.0, -2.0), (np.array([2.0, 0.0]), np.array([0.3, -0.4])))
     with pytest.raises(GeometryError):
         bianchi_quad(c, s0, s1, -2.0, -2.0)
+
+
+@pytest.mark.parametrize("zero", [0, 1])
+def test_quad_and_cube_reject_a_zero_parameter(zero):
+    c = unit_circle()
+    points = (np.array([2.0, 0.0]), np.array([0.3, -0.4]), np.array([-1.5, 0.2]))
+    mus = [-2.0, 1.0, 3.0]
+    mus[zero] = 0.0
+    s0, s1, s2 = _sections(c, mus, points)
+    with pytest.raises(GeometryError, match=f"mu{zero} = 0"):
+        bianchi_quad(c, s0, s1, *mus[:2])
+    with pytest.raises(GeometryError, match=f"mu{zero} = 0"):
+        bianchi_cube(c, s0, s1, s2, *mus)
+    mus = [-2.0, 1.0, 0.0]
+    with pytest.raises(GeometryError, match="mu2 = 0"):
+        bianchi_cube(c, s0, s1, s2, *mus)
 
 
 def test_quad_rejects_a_base_on_the_line_of_sec0():

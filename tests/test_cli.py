@@ -215,6 +215,22 @@ def test_darboux_rejects_zero_mu_with_one_error_line(tmp_path, capsys):
         assert err.startswith("error: ") and "--mu" in err
 
 
+@pytest.mark.parametrize("mus, name", [("-2,0", "mu1"), ("0,1", "mu0"), ("-2,1,0", "mu2")])
+def test_bianchi_rejects_a_zero_parameter_with_one_error_line(mus, name, tmp_path, capsys):
+    src = _curve_file(tmp_path)
+    out = tmp_path / "q.json"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["bianchi", "--in", str(src), "--mu", mus, "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: --mu") and f"{name} = 0" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_riccati_transform_leaving_space_exits_2_with_one_error_line(tmp_path, capsys):
     src = tmp_path / "line.json"
     rc = main(["curve", "--family", "line", "--n", "1", "--grid", "0:3:301", "--out", str(src)])
@@ -409,6 +425,35 @@ def test_verify_corrupt_names_offending_check(capsys):
     out = capsys.readouterr().out
     assert "failed checks" in out
     assert "concentric-cross-ratio" in out
+
+
+def test_verify_integrates_each_transform_once(monkeypatch, capsys):
+    # Every (source, t, initial point, substeps) that verify integrates,
+    # by either route, is integrated once; a batch counts once per point.
+    keys = {"section": [], "riccati": []}
+    calls = {"section": 0, "riccati": 0}
+
+    def recording(route, integrate):
+        def wrapper(source, t, xihat0, substeps=1):
+            calls[route] += 1
+            points = np.atleast_2d(np.asarray(xihat0, dtype=float))
+            if points.shape[1] == source.n + 2:
+                points = minkowski.affine_point(points)
+            origin = (source.grid, source.x.tobytes(), float(t), substeps)
+            keys[route] += [origin + (p.tobytes(),) for p in points]
+            return integrate(source, t, xihat0, substeps)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        cli, "integrate_parallel_section", recording("section", cli.integrate_parallel_section)
+    )
+    monkeypatch.setattr(cli, "integrate_riccati", recording("riccati", cli.integrate_riccati))
+    assert main(["verify", "--suite", "all"]) == 0
+    capsys.readouterr()
+    for route, seen in keys.items():
+        assert seen and len(set(seen)) == len(seen), route
+    assert calls["section"] <= 10, calls
 
 
 def test_verify_bigauge_row_detects_a_wrong_quad_gauge(monkeypatch, capsys):

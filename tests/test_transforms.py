@@ -81,6 +81,17 @@ def test_metric_drift_is_relative_to_frame_size():
     assert frames.metric_drift() < TOLERANCES["calapso-metric-drift"]
 
 
+def test_metric_drift_by_blocks_matches_the_whole_array_and_keeps_a_nan():
+    frames = integrate_calapso(make_circle(1.0, Grid(0.0, 1.0, 301)), 0.7)
+    g = mk.metric_diagonal(frames.n)
+    gram = (frames.T * g[:, None]).swapaxes(-1, -2) @ frames.T
+    whole = float(np.max(np.abs(gram - np.diag(g)))) / max(1.0, float(np.max(np.abs(frames.T))) ** 2)
+    assert frames.metric_drift() == whole
+    # A NaN in a later block must fail the check, not be dropped by a max.
+    frames.T[200, 1, 2] = np.nan
+    assert np.isnan(frames.metric_drift())
+
+
 def _expm1_horner(x):
     """Reference: the same degree-8 series in Horner form, same scaling."""
     norm = float(np.max(np.sum(np.abs(x), axis=-1)))
