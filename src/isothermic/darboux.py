@@ -21,7 +21,9 @@ command.  The Riccati route runs RK4 in a kernel generated per n, on
 Python floats.  The section route builds the RK4 step map of
 xi' = A xi as a matrix (``step_maps``, which also serves the Magnus
 steps of the Calapso frames, composed by ``prefix_increments``) and
-projects back onto the light cone after every step.  Sections that
+projects back onto the light cone after every step: each product is
+written into its step's row of the block's state array, and
+``lightcone_restore`` corrects that row in place.  Sections that
 share a curve and t are integrated as one batch: a (P, n) or (P, n+2)
 array of initial points gets one sampling and one set of maps, and
 each step is one product with the (n+2, P) array of states and one
@@ -56,6 +58,7 @@ from .errors import (
     GeometryError,
     PointAtInfinityError,
     SingularEncounterError,
+    require_finite,
 )
 
 # Relative secant threshold for the Riccati right hand side.
@@ -330,11 +333,13 @@ def integrate_riccati(
     SingularEncounterError carrying the parameter value, and a transform
     that leaves R^n (a sample overflows to inf or nan) raises
     PointAtInfinityError naming the first such parameter.  The run goes
-    block by block (``step_blocks``), keeping only the grid nodes.
+    block by block (``step_blocks``), keeping only the grid nodes.  A nan
+    or infinite mu or initial point raises GeometryError naming it.
     """
+    require_finite(mu, "mu")
+    xhat0 = require_finite(xhat0, "initial point")
     if mu == 0.0:
         raise GeometryError("mu = 0 gives a constant curve, not a Darboux transform")
-    xhat0 = np.asarray(xhat0, dtype=float)
     grid, n = curve.grid, curve.n
     if xhat0.shape != (n,):
         raise DimensionError(f"initial point must be in R^{n}")
@@ -483,7 +488,7 @@ def _rk4_increments(left: np.ndarray, mid: np.ndarray, right: np.ndarray, h: flo
 
 
 def lightcone_restore(y: np.ndarray) -> np.ndarray:
-    """Project y back onto the light cone exactly, in the canonical chart.
+    """Project y onto the light cone exactly, in place, in the canonical chart.
 
     Subtracts the defect along q, or along o when y is nearly
     orthogonal to q, so the correction never changes the null line's
@@ -493,19 +498,18 @@ def lightcone_restore(y: np.ndarray) -> np.ndarray:
     (y, y) = |x|^2 + a^2 - b^2, (y, q) = -(a + b) and (y, o) = (a - b) / 2,
     x the first n coordinates.  ``y`` is one vector (d,) or a batch
     (d, P) of P vectors, one per column, each projected by the same
-    rule.  Returns a new array; y is not modified.
+    rule.  Writes the new a and b into y and returns y.
     """
     v = y.tolist()
-    out = y.copy()
     if type(v[0]) is list:
         a_new, b_new = [], []
         for p in zip(*v):
             a, b = _restored(p[:-2], p[-2], p[-1])
             a_new.append(a)
             b_new.append(b)
-        out[-2] = a_new
-        out[-1] = b_new
-        return out
+        y[-2] = a_new
+        y[-1] = b_new
+        return y
     a = v[-2]
     b = v[-1]
     s = 0.0
@@ -515,23 +519,21 @@ def lightcone_restore(y: np.ndarray) -> np.ndarray:
     wq = -(a + b)
     if abs(wq) > 1e-8 * math.sqrt(s + a * a + b * b):
         c = defect / (2.0 * wq)
-        out[-2] = a + c
-        out[-1] = b - c
+        y[-2] = a + c
+        y[-1] = b - c
     else:
         c = defect / (2.0 * (a - b))
-        out[-2] = a - c
-        out[-1] = b - c
-    return out
+        y[-2] = a - c
+        y[-1] = b - c
+    return y
 
 
 def _restored(x, a: float, b: float) -> tuple[float, float]:
     """``lightcone_restore``'s (a, b) for the point (x, a, b), one column of a batch.
 
     The same operations in the same order as the single-vector path,
-    which keeps its own copy because it runs once per step of every
-    section: calling this function from there costs about 55 of its
-    950 ns, and 2.7% of the quads-many benchmark's operations per second
-    (median of 12 alternating pairs on a 2-core x86 machine).
+    which keeps these lines inline because it runs once per step of
+    every section and a call from there would add one per step.
     """
     s = 0.0
     for c in x:
@@ -559,16 +561,19 @@ def integrate_parallel_section(
     Darboux transform with parameter mu.  The classical RK4 maps
     M_k = I + E_k of xi' = A xi of one ``connection_blocks`` block are
     formed at once (``step_maps`` plus I); each step is one product
-    M_k y and one projection back onto the light cone with
+    M_k y, written into the step's row of the block's states, and one
+    projection of that row back onto the light cone, in place, with
     ``lightcone_restore``, which keeps the parallel scaling and corrects
     only the light-cone defect.  A batch shares the sampling and the
     maps, and steps its P states as the columns of one (n+2, P) array:
     still one product and one projection per step.  Only the grid nodes
-    are kept.
+    are kept.  A nan or infinite t or initial point raises GeometryError
+    naming it.
     """
+    require_finite(t, "t")
+    xihat0 = require_finite(xihat0, "initial point")
     grid = source.grid
     n = source.n
-    xihat0 = np.asarray(xihat0, dtype=float)
     if xihat0.ndim not in (1, 2) or xihat0.shape[-1] not in (n, n + 2) or not xihat0.size:
         raise DimensionError(
             "initial point must be affine (n,) or a null vector (n+2,), or a (P, n) or"
@@ -577,7 +582,7 @@ def integrate_parallel_section(
     if xihat0.shape[-1] == n:
         y = mk.euclidean_lift(xihat0)
     else:
-        y = xihat0.copy()
+        y = xihat0
         if not np.all(mk.is_lightlike(y, tol=1e-7)):
             raise GeometryError("initial section vector is not lightlike")
     batch = y.ndim == 2
@@ -591,8 +596,7 @@ def integrate_parallel_section(
         states = np.empty((block.steps + 1, *y.shape))
         states[0] = y
         for k, step in enumerate(maps, start=1):
-            y = lightcone_restore(step.dot(y))
-            states[k] = y
+            y = lightcone_restore(np.dot(step, y, out=states[k]))
         nodes = block.nodes
         kept = states[block.node_states]
         xi[..., nodes, :] = np.moveaxis(kept, -1, 0) if batch else kept

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by the geometry modules."""
+"""Exception hierarchy shared by the geometry modules, and their finiteness check."""
+
+import numpy as np
 
 
 class GeometryError(Exception):
@@ -67,3 +69,15 @@ class SignPropagationError(GeometryError):
 
 class VerificationError(GeometryError):
     """A numerical certificate exceeded its tolerance."""
+
+
+def require_finite(value, what: str) -> np.ndarray:
+    """``value`` as a float array, or a GeometryError naming ``what``.
+
+    Raises when any entry is nan or infinite.  No arithmetic runs on the
+    entries first, so no floating-point warning can fire before the error.
+    """
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise GeometryError(f"{what} contains non-finite numbers")
+    return arr

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import Grid, PolarizedCurve, derivative_samples
-from .errors import DimensionError, GeometryError
+from .errors import DimensionError, GeometryError, require_finite
 from .surface import SemiDiscreteSurface
 
 __all__ = [
@@ -46,13 +46,6 @@ __all__ = [
 
 # The one array encoding in files: little-endian float64.
 _DTYPE = "<f8"
-
-
-def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise GeometryError(f"{what} contains non-finite numbers")
-    return arr
 
 
 def _curve_payload(curve: PolarizedCurve) -> dict:
@@ -93,7 +86,7 @@ def _decode(value, what: str) -> np.ndarray:
         if len(raw) != expected:
             raise ValueError(f"{what} holds {len(raw)} bytes, shape {shape} needs {expected}")
         value = np.frombuffer(raw, dtype=_DTYPE).astype(float).reshape(shape)
-    return _require_finite(value, what)
+    return require_finite(value, what)
 
 
 def dict_to_curve(payload: dict) -> PolarizedCurve:

@@ -52,7 +52,7 @@ from .darboux import (
     simpson_blocks,
     step_maps,
 )
-from .errors import DimensionError, GeometryError, PolarizationError
+from .errors import DimensionError, GeometryError, PolarizationError, require_finite
 
 
 def christoffel_dual(
@@ -64,13 +64,14 @@ def christoffel_dual(
 
     The dual is defined up to translation; ``anchor`` fixes x*(s0)
     (default: origin).  The polarization is inherited unchanged.  The
-    sum runs block by block (``simpson_blocks``).
+    sum runs block by block (``simpson_blocks``).  A nan or infinite
+    anchor raises GeometryError.
     """
     if np.any(curve.m == 0.0):
         raise PolarizationError("polarization vanishes; dual derivative undefined")
     if anchor is None:
         anchor = np.zeros(curve.n)
-    anchor = np.asarray(anchor, dtype=float)
+    anchor = require_finite(anchor, "anchor")
     if anchor.shape != (curve.n,):
         raise DimensionError(f"anchor must be a point of R^{curve.n}")
 
@@ -242,8 +243,10 @@ def integrate_calapso(
     supplied (a curve brings its own polarization and ``m`` is not
     read); the coefficient A only sees the null line, so iterated
     transforms should stay in lift form instead of projecting through a
-    chart that the intermediate curve may cross at infinity.
+    chart that the intermediate curve may cross at infinity.  A nan or
+    infinite t raises GeometryError.
     """
+    require_finite(t, "t")
     if isinstance(source, PolarizedCurve):
         m = source.m
     elif m is None:

@@ -288,10 +288,8 @@ def test_batched_sections_match_single_sections(n, substeps, blocks, monkeypatch
                 assert np.max(null_defect) <= 1e-14
 
 
-@pytest.mark.parametrize("substeps", [1, 3])
-def test_a_batch_makes_one_projection_per_step(substeps, monkeypatch):
-    monkeypatch.setattr(db, "_BLOCK_STEPS", 64)
-    c = _curve(3, _grid_size(2, substeps), substeps)
+def _restored_shapes(c, points, substeps, monkeypatch):
+    """The shape of every ``lightcone_restore`` argument of one section run."""
     shapes = []
     restore = db.lightcone_restore
 
@@ -300,8 +298,39 @@ def test_a_batch_makes_one_projection_per_step(substeps, monkeypatch):
         return restore(y)
 
     monkeypatch.setattr(db, "lightcone_restore", counted)
-    db.integrate_parallel_section(c, -2.0, _batch_points(c, 3), substeps)
+    db.integrate_parallel_section(c, -2.0, points, substeps)
+    return shapes
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_a_batch_makes_one_projection_per_step(substeps, monkeypatch):
+    monkeypatch.setattr(db, "_BLOCK_STEPS", 64)
+    c = _curve(3, _grid_size(2, substeps), substeps)
+    shapes = _restored_shapes(c, _batch_points(c, 3), substeps, monkeypatch)
     assert shapes == [(5, 3)] * ((c.grid.num - 1) * substeps)
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_a_single_point_makes_one_projection_per_step(substeps, monkeypatch):
+    monkeypatch.setattr(db, "_BLOCK_STEPS", 64)
+    c = _curve(3, _grid_size(2, substeps), substeps)
+    point = mk.euclidean_lift(_batch_points(c, 1)[0])
+    shapes = _restored_shapes(c, point, substeps, monkeypatch)
+    assert shapes == [(5,)] * ((c.grid.num - 1) * substeps)
+
+
+@pytest.mark.parametrize("count", [None, 1, 3])
+def test_sections_leave_their_initial_points_unchanged(count, monkeypatch):
+    # The states are projected in place; a (1, n+2) batch transposes to a
+    # view of the caller's array, so that case must not be written either.
+    monkeypatch.setattr(db, "_BLOCK_STEPS", 64)
+    c = _curve(3, _grid_size(2, 1), 1)
+    points = mk.euclidean_lift(_batch_points(c, count or 1))
+    if count is None:
+        points = points[0]
+    before = points.copy()
+    db.integrate_parallel_section(c, -2.0, points)
+    assert np.array_equal(points, before)
 
 
 @pytest.mark.parametrize(

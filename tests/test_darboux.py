@@ -39,6 +39,7 @@ from isothermic.errors import (
     SingularEncounterError,
 )
 from isothermic.fixtures import concentric_pair, tractrix_circle_pair, unit_circle
+from isothermic.transforms import christoffel_dual, integrate_calapso
 from whole_grid import connection_samples, half_step_samples
 
 
@@ -275,20 +276,24 @@ def test_lightcone_restore_projects_along_q_or_o():
     frame = mk.canonical_frame(3)
     # A lift pushed off the cone pairs with q and is corrected along q.
     y = mk.euclidean_lift(np.array([0.4, -1.2, 0.7])) + 1e-6 * np.array([1.0, -2.0, 0.5, 0.3, 0.2])
+    before = y.copy()
     restored = lightcone_restore(y)
-    correction = restored - y
-    assert abs(mk.norm2(y)) > 1e-7
-    assert abs(mk.norm2(restored)) < 1e-15 * np.sum(y * y)
+    assert restored is y
+    correction = restored - before
+    assert abs(mk.norm2(before)) > 1e-7
+    assert abs(mk.norm2(restored)) < 1e-15 * np.sum(before * before)
     assert np.linalg.norm(correction) > 1e-7
-    assert _along(correction, frame.q) < 1e-15 * np.linalg.norm(y)
+    assert _along(correction, frame.q) < 1e-15 * np.linalg.norm(before)
     # Near the point at infinity, (y, q) / |y| falls below 1e-8 and o is used.
     y = frame.q + 1e-3 * np.array([1.0, 0.0, 0.0, 0.0, 0.0]) + 1e-12 * frame.o
     assert abs(mk.inner(y, frame.q)) < 1e-8 * np.linalg.norm(y)
+    before = y.copy()
     restored = lightcone_restore(y)
-    correction = restored - y
-    assert abs(mk.norm2(restored)) < 1e-15 * np.sum(y * y)
+    assert restored is y
+    correction = restored - before
+    assert abs(mk.norm2(restored)) < 1e-15 * np.sum(before * before)
     assert np.linalg.norm(correction) > 1e-7
-    assert _along(correction, frame.o) < 1e-15 * np.linalg.norm(y)
+    assert _along(correction, frame.o) < 1e-15 * np.linalg.norm(before)
 
 
 @pytest.mark.parametrize("branch", ["q", "o"])
@@ -296,6 +301,7 @@ def test_lightcone_restore_projects_along_q_or_o():
 def test_lightcone_restore_in_every_dimension(n, branch):
     frame = mk.canonical_frame(n)
     rng = np.random.default_rng([n, ord(branch)])
+    points, singles = [], []
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, n)
         if branch == "q":
@@ -308,15 +314,24 @@ def test_lightcone_restore_in_every_dimension(n, branch):
             direction = frame.o
         assert (abs(mk.inner(y, frame.q)) > 1e-8 * np.linalg.norm(y)) == (branch == "q")
         before = y.copy()
+        reference = _staged_restore(before, frame)
         restored = lightcone_restore(y)
-        assert np.array_equal(y, before)
-        reference = _staged_restore(y, frame)
+        # The projection moves only a and b, in place.
+        assert restored is y
+        assert np.array_equal(y[:n], before[:n])
         ulp = np.finfo(float).eps * np.max(np.abs(reference))
         assert np.max(np.abs(restored - reference)) <= 4 * ulp
-        assert abs(mk.norm2(restored)) <= 1e-15 * np.sum(y * y)
-        correction = restored - y
+        assert abs(mk.norm2(restored)) <= 1e-15 * np.sum(before * before)
+        correction = restored - before
         assert np.linalg.norm(correction) > 1e-9
-        assert _along(correction, direction) < 1e-15 * np.linalg.norm(y)
+        assert _along(correction, direction) < 1e-15 * np.linalg.norm(before)
+        points.append(before)
+        singles.append(restored)
+    # A (d, P) batch projects each column in place, bit for bit as alone.
+    batch = np.array(points).T.copy()
+    restored = lightcone_restore(batch)
+    assert restored is batch
+    assert np.array_equal(batch, np.array(singles).T)
 
 
 def test_parallel_residual_flags_wrong_parameter():
@@ -403,6 +418,37 @@ def test_initial_point_validation():
     c = unit_circle()
     with pytest.raises((DimensionError, GeometryError)):
         integrate_parallel_section(c, -2.0, np.zeros(5))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+# Each public integrator with one nan or infinite parameter, which the error names.
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        ("t", lambda c: integrate_parallel_section(c, _NAN, np.array([2.0, 0.0]))),
+        ("t", lambda c: integrate_parallel_section(c, -_INF, np.array([2.0, 0.0]))),
+        ("initial point", lambda c: integrate_parallel_section(c, -2.0, np.array([_NAN, 0.0]))),
+        ("initial point", lambda c: integrate_parallel_section(c, -2.0, [[2.0, 0.0], [_INF, 0.0]])),
+        ("initial point", lambda c: integrate_parallel_section(c, -2.0, [0.0, 0.0, _NAN, 1.0])),
+        ("t", lambda c: integrate_calapso(c, _NAN)),
+        ("t", lambda c: integrate_calapso(c, _INF)),
+        ("anchor", lambda c: christoffel_dual(c, anchor=(_NAN, 0.0))),
+        ("mu", lambda c: integrate_riccati(c, _NAN, np.array([2.0, 0.0]))),
+        ("mu", lambda c: integrate_riccati(c, _INF, np.array([2.0, 0.0]))),
+        ("initial point", lambda c: integrate_riccati(c, -2.0, np.array([2.0, _NAN]))),
+    ],
+    ids=[
+        "parallel-t-nan", "parallel-t-inf", "parallel-point-nan", "parallel-batch-inf",
+        "parallel-null-nan", "calapso-t-nan", "calapso-t-inf", "dual-anchor-nan",
+        "riccati-mu-nan", "riccati-mu-inf", "riccati-point-nan",
+    ],
+)
+def test_non_finite_parameters_raise_geometry_error_naming_them(what, call):
+    c = unit_circle(Grid(0.0, 1.0, 101))
+    with pytest.raises(GeometryError, match=f"^{what} contains non-finite numbers$"):
+        call(c)
 
 
 def test_to_curve_requires_matching_polarization():
