@@ -29,7 +29,7 @@ from .darboux import (
     gauge_matrix,
     parallel_residual,
 )
-from .errors import DimensionError, GeometryError, NonConcircularError
+from .errors import DimensionError, GeometryError, NonConcircularError, require_finite
 
 # Relative 2-vector tolerance above which four points are rejected
 # as non-concircular rather than silently projected.
@@ -69,6 +69,7 @@ def moebius_cross_ratio(
 
 def _require_nonzero(**mus: float) -> None:
     for name, mu in mus.items():
+        require_finite(mu, name)
         if mu == 0.0:
             raise GeometryError(f"{name} = 0 gives a constant curve, not a Darboux transform")
 

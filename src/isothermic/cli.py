@@ -335,7 +335,8 @@ class FixturePool:
         """The unit circle's Darboux transform at mu = -2 from (2, 0), by both routes.
 
         Returns (Riccati transform, parallel section), integrated along
-        ``get("unit-circle")``, so a corrupted circle carries over.
+        ``get("unit-circle")``, so a corrupted circle carries over.  Only
+        the Riccati half takes ``substeps``; the section steps on the grid.
         """
         key = f"darboux-pair/{substeps}"
         if key not in self._cache:
@@ -343,7 +344,7 @@ class FixturePool:
             p0 = np.array([2.0, 0.0])
             self._cache[key] = (
                 integrate_riccati(c, -2.0, p0, substeps=substeps),
-                integrate_parallel_section(c, -2.0, p0, substeps=substeps),
+                integrate_parallel_section(c, -2.0, p0),
             )
         return self._cache[key]
 
@@ -498,11 +499,10 @@ def _quad_checks(
 
 def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
-    substeps = ctx["substeps"]
     c = pool.get("unit-circle")
 
-    sec0 = pool.darboux_pair(substeps)[1]
-    sec1 = integrate_parallel_section(c, 1.0, np.array([0.3, -0.4]), substeps=substeps)
+    sec0 = pool.darboux_pair(ctx["substeps"])[1]
+    sec1 = integrate_parallel_section(c, 1.0, np.array([0.3, -0.4]))
     _quad_checks(checks, c, sec0, sec1, -2.0, 1.0, "unit-circle")
 
     def bigauge():
@@ -561,7 +561,7 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
                 ang = rng.uniform(0, 6.28)
                 pts[k].append(rng.uniform(1.4, 2.6) * np.array([np.cos(ang), np.sin(ang)]))
         s0, s1, s2 = (
-            integrate_parallel_section(c, mu, np.array(p), substeps=substeps)
+            integrate_parallel_section(c, mu, np.array(p))
             for mu, p in zip((-2.0, 1.0, 3.0), pts)
         )
         worst = 0.0
@@ -575,19 +575,18 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
 
 def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
-    substeps = ctx["substeps"]
     c = pool.get("unit-circle")
 
     checks.run(
         "calapso-metric-drift",
         "unit-circle",
-        lambda: transforms.integrate_calapso(c, 0.7, substeps=substeps).metric_drift(),
+        lambda: transforms.integrate_calapso(c, 0.7).metric_drift(),
     )
 
-    section = pool.darboux_pair(substeps)[1]
+    section = pool.darboux_pair(ctx["substeps"])[1]
 
     def transported():
-        frames = transforms.integrate_calapso(c, -2.0, substeps=substeps)
+        frames = transforms.integrate_calapso(c, -2.0)
         return transforms.transported_section_drift(frames, section)
 
     checks.run("calapso-transported-constancy", "unit-circle", transported)
@@ -595,18 +594,18 @@ def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
     checks.run(
         "calapso-composition",
         "unit-circle",
-        lambda: transforms.verify_calapso_composition(c, 0.4, 0.3, substeps=substeps),
+        lambda: transforms.verify_calapso_composition(c, 0.4, 0.3),
     )
 
     hat = section.to_curve(c.m)
     checks.run(
         "calapso-intertwine",
         "unit-circle",
-        lambda: transforms.verify_calapso_intertwine(c, hat, -2.0, 0.5, substeps=substeps),
+        lambda: transforms.verify_calapso_intertwine(c, hat, -2.0, 0.5),
     )
 
     def permute():
-        new_base, new_hat = transforms.calapso_darboux_permute(c, hat, -2.0, 0.7, substeps=substeps)
+        new_base, new_hat = transforms.calapso_darboux_permute(c, hat, -2.0, 0.7)
         fit = is_darboux_pair(new_base, new_hat)
         return abs(fit.mu - (-2.0 - 0.7))
 
@@ -668,7 +667,7 @@ def _isothermic_check(checks: Checks, surface: SemiDiscreteSurface, where: str) 
     )
 
 
-def _surface_checks(checks: Checks, surface: SemiDiscreteSurface, where: str, ctx) -> None:
+def _surface_checks(checks: Checks, surface: SemiDiscreteSurface, where: str) -> None:
     """Invariant checks against one surface; used for fixtures and user files."""
     if not surface.mu:
         checks.notes.append(f"edge checks skipped [{where}]: a one-curve surface has no edges")
@@ -683,7 +682,7 @@ def _surface_checks(checks: Checks, surface: SemiDiscreteSurface, where: str, ct
     checks.run(
         "surface-trivialization",
         where,
-        lambda: max(calapso_trivialization_residuals(surface, t, substeps=ctx["substeps"])),
+        lambda: max(calapso_trivialization_residuals(surface, t)),
     )
 
 
@@ -745,11 +744,11 @@ def _calapso_parameter(surface: SemiDiscreteSurface, moved: SemiDiscreteSurface,
 def _suite_surface(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
     patch = pool.get("cylinder-patch")
-    _surface_checks(checks, patch, "cylinder-patch", ctx)
+    _surface_checks(checks, patch, "cylinder-patch")
     _isothermic_check(checks, position_derived(pool.get("three-layer")), "three-layer")
 
     def vertical():
-        hat = surface_darboux(patch, -3.0, np.array([0.0, 3.0]), substeps=ctx["substeps"])
+        hat = surface_darboux(patch, -3.0, np.array([0.0, 3.0]))
         worst = 0.0
         for layer, hat_layer in zip(patch.curves, hat.curves):
             fit = is_darboux_pair(layer, hat_layer)
@@ -761,9 +760,7 @@ def _suite_surface(checks: Checks, rng: np.random.Generator, ctx) -> None:
     checks.run(
         "surface-calapso-parameter",
         "cylinder-patch",
-        lambda: _calapso_parameter(
-            patch, surface_calapso(patch, 0.4, substeps=ctx["substeps"]), 0.4
-        ),
+        lambda: _calapso_parameter(patch, surface_calapso(patch, 0.4), 0.4),
     )
 
 
@@ -808,6 +805,8 @@ def cmd_curve(args) -> int:
 
 def cmd_darboux(args) -> int:
     checks = Checks(args.tol_override)
+    if args.route == "parallel" and args.step_policy != 1:
+        raise GeometryError("--step-policy substep:k applies to --route riccati only")
     if args.mu == 0.0:
         raise GeometryError("--mu must be nonzero: mu = 0 gives a constant curve")
     curve = fileio.load_curve(args.infile)
@@ -820,9 +819,7 @@ def cmd_darboux(args) -> int:
     if args.route == "riccati":
         hat = integrate_riccati(curve, args.mu, point, substeps=args.step_policy)
     else:
-        section = integrate_parallel_section(
-            curve, args.mu, mk.euclidean_lift(point), substeps=args.step_policy
-        )
+        section = integrate_parallel_section(curve, args.mu, mk.euclidean_lift(point))
         hat = section.to_curve(curve.m)
     # Certify the positions, not the derivative the ODE gives hat.
     fit = is_darboux_pair(*position_derived(SemiDiscreteSurface([curve, hat], [args.mu])).curves)
@@ -860,7 +857,7 @@ def cmd_bianchi(args) -> int:
     if len(points) != len(mus):
         raise GeometryError(f"need {len(mus)} initial points, got {len(points)}")
     sections = [
-        integrate_parallel_section(curve, mu, mk.euclidean_lift(p), substeps=args.step_policy)
+        integrate_parallel_section(curve, mu, mk.euclidean_lift(p))
         for mu, p in zip(mus, points)
     ]
     if len(mus) == 2:
@@ -887,9 +884,7 @@ def cmd_bianchi(args) -> int:
 def cmd_surface(args) -> int:
     checks = Checks(args.tol_override)
     if args.mode == "build":
-        surface = build_surface(
-            fileio.load_curve(args.infile), args.layers, substeps=args.step_policy
-        )
+        surface = build_surface(fileio.load_curve(args.infile), args.layers)
         _edge_checks(checks, position_derived(surface))
         checks.print_table()
         what = f"surface with {surface.num_layers} layers"
@@ -917,13 +912,13 @@ def cmd_dual(args) -> int:
     checks = Checks(args.tol_override)
     data = fileio.load_any(args.infile)
     if isinstance(data, PolarizedCurve):
-        dual = transforms.christoffel_dual(data, substeps=args.step_policy)
+        dual = transforms.christoffel_dual(data)
         defect = transforms.dual_defect(data, dual)
         print(f"curve dual defect: {defect:.4e}")
         checks.run("dual-darboux-permute", args.infile, lambda: defect)
         write, kind = fileio.save_curve, "curve"
     else:
-        dual, consistency = surface_christoffel(data, substeps=args.step_policy)
+        dual, consistency = surface_christoffel(data)
         for k, value in enumerate(consistency):
             print(f"edge {k}: edge/smooth consistency {value:.4e}")
             checks.run("dual-edge-smooth", f"edge {k}", lambda v=value: v)
@@ -937,13 +932,13 @@ def cmd_calapso(args) -> int:
     data = fileio.load_any(args.infile)
     if isinstance(data, PolarizedCurve):
         lift = euclidean_section(data)
-        frames = transforms.integrate_calapso(lift, args.t, substeps=args.step_policy, m=data.m)
+        frames = transforms.integrate_calapso(lift, args.t, m=data.m)
         moved = frames.move(lift).to_curve(data.m)
         print(f"calapso transform at t={args.t:g}: N={moved.grid.num}")
         checks.run("calapso-metric-drift", args.infile, frames.metric_drift)
         write = fileio.save_curve
     else:
-        moved = surface_calapso(data, args.t, substeps=args.step_policy)
+        moved = surface_calapso(data, args.t)
         print(f"calapso transform at t={args.t:g}: mu {list(data.mu)} -> {list(moved.mu)}")
         checks.run(
             "surface-calapso-parameter", args.infile, lambda: _calapso_parameter(data, moved, args.t)
@@ -978,19 +973,23 @@ def cmd_cmc(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = Checks(args.tol_override)
-    ctx = {"substeps": args.step_policy}
     if args.surface:
         if args.corrupt is not None:
             raise GeometryError("--corrupt perturbs a fixture and does not apply to --surface")
         if args.seed is not None:
             raise GeometryError("--seed draws fixture samples and does not apply to --surface")
+        if args.step_policy != 1:
+            raise GeometryError(
+                "--step-policy steps the fixtures' Riccati transform and does not apply to"
+                " --surface"
+            )
         if args.suite not in ("all", "surface", "moutard"):
             raise GeometryError(
                 f"suite {args.suite!r} runs on fixtures; --surface takes all, surface or moutard"
             )
         surface = fileio.load_surface(args.surface)
         if args.suite in ("all", "surface"):
-            _surface_checks(checks, surface, args.surface, ctx)
+            _surface_checks(checks, surface, args.surface)
         if args.suite in ("all", "moutard"):
             try:
                 _moutard_checks(checks, surface, args.surface)
@@ -998,7 +997,7 @@ def cmd_verify(args) -> int:
                 checks.notes.append(f"moutard lift skipped: {exc}")
     else:
         seed = args.seed or 0
-        ctx["pool"] = FixturePool(corrupt=args.corrupt, seed=seed)
+        ctx = {"pool": FixturePool(corrupt=args.corrupt, seed=seed), "substeps": args.step_policy}
         selected = SUITE_NAMES if args.suite == "all" else (args.suite,)
         for name in selected:
             # A generator per suite, so no suite's draws move another's samples.
@@ -1080,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--report", action="store_true")
 
-    p = add(sub, "bianchi", step_policy, tol_override, help="permutability quad or cube")
+    p = add(sub, "bianchi", tol_override, help="permutability quad or cube")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mu", type=_parse_mu_list, required=True, metavar="mu0,mu1[,mu2]")
     p.add_argument(
@@ -1091,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add(sub, "surface", help="build or check a layered surface")
     modes = p.add_subparsers(dest="mode", required=True, metavar="mode")
-    p = add(modes, "build", step_policy, tol_override, help="stack Darboux layers on a curve")
+    p = add(modes, "build", tol_override, help="stack Darboux layers on a curve")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--layers", type=_parse_layers, required=True, metavar="mu:x,y;mu:x,y")
     p.add_argument("--out", required=True)
@@ -1099,13 +1098,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(modes, mode, tol_override, help=text)
         p.add_argument("--in", dest="infile", required=True)
 
-    p = add(sub, "dual", step_policy, tol_override, help="Christoffel dual of a curve or surface")
+    p = add(sub, "dual", tol_override, help="Christoffel dual of a curve or surface")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
 
-    p = add(
-        sub, "calapso", step_policy, tol_override, help="Calapso transform of a curve or surface"
-    )
+    p = add(sub, "calapso", tol_override, help="Calapso transform of a curve or surface")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--out", default=None)

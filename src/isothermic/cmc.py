@@ -139,7 +139,7 @@ def lifted_christoffel_dual(surface: SemiDiscreteSurface) -> list[LightConeSecti
             raise GeometryError(f"curve {k}: lift derivative is null; dual undefined")
         primes.append(lift.xiprime / w[:, None])
     z, _ = simpson_blocks(
-        grid, 1, surface.lift(0).xi[0], lambda block: block.sample(primes[0][block.rows])[0]
+        grid, surface.lift(0).xi[0], lambda block: block.sample(primes[0][block.rows])[0]
     )
     fields = [LightConeSection(grid=grid, xi=z, xiprime=primes[0])]
     for i, mu_i in enumerate(surface.mu):
@@ -176,7 +176,7 @@ def koenigs_dual(
         nu.append(np.sqrt(w))
         primes.append(-surface.lift(k).xiprime / w[:, None])
     z, _ = simpson_blocks(
-        grid, 1, np.zeros(surface.n + 2), lambda block: block.sample(primes[0][block.rows])[0]
+        grid, np.zeros(surface.n + 2), lambda block: block.sample(primes[0][block.rows])[0]
     )
     fields = [LightConeSection(grid=grid, xi=z, xiprime=primes[0])]
     for i in range(surface.num_layers - 1):

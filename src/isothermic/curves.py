@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, GeometryError, PolarizationError
+from .errors import DimensionError, GeometryError, PolarizationError, require_finite
 
 # Rows per block of the immersion and polarization checks of a curve.
 _CHECK_ROWS = 1024
@@ -176,7 +176,7 @@ class PolarizedCurve:
         return np.sum(self.xprime * self.xprime, axis=1)
 
     def with_polarization(self, m: np.ndarray | float) -> "PolarizedCurve":
-        m = np.broadcast_to(np.asarray(m, dtype=float), (self.grid.num,)).copy()
+        m = np.broadcast_to(require_finite(m, "polarization"), (self.grid.num,)).copy()
         return replace(self, m=m)
 
 
@@ -196,6 +196,7 @@ def from_samples(
 
 def make_circle(radius: float, grid: Grid, n: int = 2, m: np.ndarray | float = 1.0) -> PolarizedCurve:
     """Circle of given radius in the first two coordinates, angle parameter."""
+    require_finite(radius, "radius")
     if radius <= 0:
         raise GeometryError("radius must be positive")
     if n < 2:
@@ -213,6 +214,8 @@ def make_circle(radius: float, grid: Grid, n: int = 2, m: np.ndarray | float = 1
 
 def make_helix(radius: float, pitch: float, grid: Grid, m: np.ndarray | float = 1.0) -> PolarizedCurve:
     """Helix (r cos s, r sin s, p s); zero pitch degenerates to the circle."""
+    require_finite(radius, "radius")
+    require_finite(pitch, "pitch")
     s = grid.nodes()
     x = np.stack([radius * np.cos(s), radius * np.sin(s), pitch * s], axis=1)
     xp = np.stack([-radius * np.sin(s), radius * np.cos(s), np.full_like(s, pitch)], axis=1)
@@ -279,6 +282,7 @@ def tractrix_pair(y: PolarizedCurve, mu: float) -> tuple[PolarizedCurve, Polariz
     common arc-length polarization m = 1/(x', x') and has constant
     tangent cross ratio mu/m, separation |x+ - x-| = 1/sqrt(mu).
     """
+    require_finite(mu, "mu")
     if mu <= 0:
         raise GeometryError("tractrix construction needs mu > 0")
     speed = np.sqrt(y.speed2)

@@ -34,6 +34,14 @@ at a time and keeps only the grid nodes; no code samples the whole
 grid at once, so the memory a run needs beyond its result does not
 grow with the grid.
 
+Only the Riccati route takes a step policy (``substeps`` RK4 steps per
+grid cell, the samples between grid nodes interpolated by cubics): its
+error is set by the step, and two substeps cut it about 14x on a helix
+at N = 201.  There the sections gain about 1.6x from twice the steps
+and then stop, the Calapso frames get worse and the duals do not move:
+they sit near the floor that the interpolation sets, so they step on
+the grid.
+
 The gauge maps Gamma(r) that scale one null line by r and a transversal
 one by 1/r tie the two pictures together: the connections of a Darboux
 pair differ by the gauge Gamma(1 - t/mu) along the pair.  Applied to a
@@ -246,9 +254,7 @@ def simpson_cumulative(f_all: np.ndarray, h: float, anchor: np.ndarray) -> np.nd
     return np.cumsum(np.concatenate([anchor[None], increments]), axis=0)
 
 
-def simpson_blocks(
-    grid: Grid, substeps: int, anchor: np.ndarray, integrand
-) -> tuple[np.ndarray, np.ndarray]:
+def simpson_blocks(grid: Grid, anchor: np.ndarray, integrand) -> tuple[np.ndarray, np.ndarray]:
     """Antiderivative from ``anchor`` at s0 by Simpson's rule, block by block.
 
     ``integrand(block)`` returns the integrand at every evaluation point
@@ -259,7 +265,7 @@ def simpson_blocks(
     anchor = np.asarray(anchor, dtype=float)
     value = np.empty((grid.num, *anchor.shape))
     rate = np.empty_like(value)
-    for block in step_blocks(grid, substeps):
+    for block in step_blocks(grid, 1):
         f = integrand(block)
         out = simpson_cumulative(f, block.h, anchor)
         anchor = out[-1]
@@ -551,6 +557,9 @@ def integrate_parallel_section(
     source: PolarizedCurve,
     t: float,
     xihat0: np.ndarray,
+    # Steps per grid cell: more buy sections little and no command passes
+    # it.  Kept, default 1, because bench/tracing.py counts steps from it;
+    # it goes with the next benchmark refresh (ROADMAP items 1 and 2).
     substeps: int = 1,
 ) -> LightConeSection | list[LightConeSection]:
     """Parallel null section of the family connection at parameter t.

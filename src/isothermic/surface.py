@@ -36,6 +36,7 @@ from .errors import (
     PolarizationError,
     SignPropagationError,
     SingularEncounterError,
+    require_finite,
 )
 from .transforms import (
     CalapsoFrameField,
@@ -123,9 +124,7 @@ class SemiDiscreteSurface:
 
 
 def build_surface(
-    seed: PolarizedCurve,
-    layers: list[tuple[float, np.ndarray]],
-    substeps: int = 1,
+    seed: PolarizedCurve, layers: list[tuple[float, np.ndarray]]
 ) -> SemiDiscreteSurface:
     """Stack Darboux transforms of ``seed`` into a surface.
 
@@ -145,7 +144,7 @@ def build_surface(
         if point.shape == (seed.n,) and np.max(np.abs(point - top.x[0])) < 1e-12:
             raise DegenerateSecantError(f"layer {k}: initial point equals the curve start")
         try:
-            section = integrate_parallel_section(top, mu_k, point, substeps=substeps)
+            section = integrate_parallel_section(top, mu_k, point)
             curves.append(section.to_curve(top.m))
         except SingularEncounterError as exc:
             raise SingularEncounterError(exc.s, f"layer {k}: {exc}") from exc
@@ -308,11 +307,13 @@ def moutard_lift(surface: SemiDiscreteSurface) -> MoutardLift:
     )
 
 
-def _check_spectral_parameter(surface: SemiDiscreteSurface, t: float) -> None:
+def _check_spectral_parameter(surface: SemiDiscreteSurface, t: float, name: str = "t") -> None:
+    require_finite(t, name)
     for i, mu_i in enumerate(surface.mu):
         if t == mu_i:
             raise GeometryError(
-                f"parameter t = {t} equals the parameter of edge {i}; the edge gauge degenerates"
+                f"parameter {name} = {t} equals the parameter of edge {i};"
+                " the edge gauge degenerates"
             )
 
 
@@ -339,10 +340,7 @@ def surface_flatness(surface: SemiDiscreteSurface, t: float) -> list[float]:
 
 
 def surface_darboux(
-    surface: SemiDiscreteSurface,
-    mu: float,
-    point: np.ndarray,
-    substeps: int = 1,
+    surface: SemiDiscreteSurface, mu: float, point: np.ndarray
 ) -> SemiDiscreteSurface:
     """Darboux transform of the whole surface with vertical parameter mu.
 
@@ -353,8 +351,8 @@ def surface_darboux(
     (x_i, xhat_i) is Darboux with parameter mu.
     """
     mu = float(mu)
-    _check_spectral_parameter(surface, mu)
-    section = integrate_parallel_section(surface.curves[0], mu, point, substeps=substeps)
+    _check_spectral_parameter(surface, mu, "mu")
+    section = integrate_parallel_section(surface.curves[0], mu, point)
     sections = [section]
     for i, mu_i in enumerate(surface.mu):
         # The inverse of the edge gauge Gamma(1 - mu/mu_i) is Gamma(1/(1 - mu/mu_i)).
@@ -365,31 +363,25 @@ def surface_darboux(
     return SemiDiscreteSurface(curves=curves, mu=list(surface.mu))
 
 
-def _chain_frames(
-    surface: SemiDiscreteSurface, t: float, substeps: int
-) -> list[CalapsoFrameField]:
+def _chain_frames(surface: SemiDiscreteSurface, t: float) -> list[CalapsoFrameField]:
     """Trivializing frames per layer: T_0 integrated, then pushed by edge maps."""
-    chain = [integrate_calapso(surface.lift(0), t, substeps=substeps, m=surface.m)]
+    chain = [integrate_calapso(surface.lift(0), t, m=surface.m)]
     for k, gamma in enumerate(_edge_gauges(surface, t), start=1):
         chain.append(replace(chain[-1], T=chain[-1].T @ gamma, source=surface.lift(k)))
     return chain
 
 
-def surface_calapso(
-    surface: SemiDiscreteSurface, t: float, substeps: int = 1
-) -> SemiDiscreteSurface:
+def surface_calapso(surface: SemiDiscreteSurface, t: float) -> SemiDiscreteSurface:
     """Calapso transform of the surface: every edge parameter drops by t."""
     if t == 0.0:
         return SemiDiscreteSurface(curves=list(surface.curves), mu=list(surface.mu))
     _check_spectral_parameter(surface, t)
-    chain = _chain_frames(surface, t, substeps)
+    chain = _chain_frames(surface, t)
     curves = [frames.move(surface.lift(k)).to_curve(surface.m) for k, frames in enumerate(chain)]
     return SemiDiscreteSurface(curves=curves, mu=[v - t for v in surface.mu])
 
 
-def calapso_trivialization_residuals(
-    surface: SemiDiscreteSurface, t: float, substeps: int = 1
-) -> list[float]:
+def calapso_trivialization_residuals(surface: SemiDiscreteSurface, t: float) -> list[float]:
     """Construction-independent re-check of the frame chaining.
 
     For each layer j > 0 the chained frame T_0 Gamma_{01} ... must agree
@@ -400,18 +392,15 @@ def calapso_trivialization_residuals(
     if t == 0.0:
         return [0.0] * (surface.num_layers - 1)
     _check_spectral_parameter(surface, t)
-    chain = _chain_frames(surface, t, substeps)
+    chain = _chain_frames(surface, t)
     residuals = []
     for j in range(1, surface.num_layers):
-        direct = integrate_calapso(surface.curves[j], t, substeps=substeps)
+        direct = integrate_calapso(surface.curves[j], t)
         residuals.append(_constancy_residual(chain[j].T, direct.inverse()))
     return residuals
 
 
-def surface_christoffel(
-    surface: SemiDiscreteSurface,
-    substeps: int = 1,
-) -> tuple[SemiDiscreteSurface, list[float]]:
+def surface_christoffel(surface: SemiDiscreteSurface) -> tuple[SemiDiscreteSurface, list[float]]:
     """Christoffel dual surface and its edge/smooth consistency residuals.
 
     Curve 0 is dualized by integration; every next layer follows the
@@ -421,7 +410,7 @@ def surface_christoffel(
     reproduce the edge positions; the maximum gap per edge is returned
     alongside the dual surface.
     """
-    duals = [christoffel_dual(surface.curves[0], substeps=substeps)]
+    duals = [christoffel_dual(surface.curves[0])]
     consistency = []
     for i, mu_i in enumerate(surface.mu):
         a, b = surface.curves[i], surface.curves[i + 1]
@@ -430,6 +419,6 @@ def surface_christoffel(
         except DegenerateSecantError as exc:
             raise DegenerateSecantError(f"edge {i}: {exc}; dual edge rule undefined") from exc
         duals.append(dual)
-        smooth = christoffel_dual(b, anchor=dual.x[0], substeps=substeps)
+        smooth = christoffel_dual(b, anchor=dual.x[0])
         consistency.append(float(np.max(np.linalg.norm(smooth.x - dual.x, axis=1))))
     return SemiDiscreteSurface(curves=duals, mu=list(surface.mu)), consistency

@@ -20,6 +20,9 @@ elements, so it stays in O(n+1,1) without repair and is inverted in
 closed form, T^{-1} = G T^t G.  The frames are the running products of
 the step maps, formed block by block by a prefix scan
 (``darboux.prefix_increments``) rather than one step at a time.
+Frames and duals take one step per grid cell and no step policy:
+between grid nodes their coefficients are cubic interpolants, so
+smaller steps leave the dual where it is and make the frames worse.
 Sections move through the frame field, y -> T y with the exact
 derivative T (y' - A y), A y taken from the lift the frames were
 integrated along (``darboux.connection_apply``).  Composition, the
@@ -55,11 +58,7 @@ from .darboux import (
 from .errors import DimensionError, GeometryError, PolarizationError, require_finite
 
 
-def christoffel_dual(
-    curve: PolarizedCurve,
-    anchor: np.ndarray | None = None,
-    substeps: int = 1,
-) -> PolarizedCurve:
+def christoffel_dual(curve: PolarizedCurve, anchor: np.ndarray | None = None) -> PolarizedCurve:
     """Christoffel dual by Simpson's rule on (x*)' = x'/(m |x'|^2).
 
     The dual is defined up to translation; ``anchor`` fixes x*(s0)
@@ -83,7 +82,7 @@ def christoffel_dual(
             raise PolarizationError("polarization changes sign inside the interval")
         return inverse_tangent(xp_b, m_b)
 
-    x, xprime = simpson_blocks(curve.grid, substeps, anchor, integrand)
+    x, xprime = simpson_blocks(curve.grid, anchor, integrand)
     return PolarizedCurve(n=curve.n, grid=curve.grid, x=x, xprime=xprime, m=curve.m.copy())
 
 
@@ -223,6 +222,9 @@ def _magnus_increments(left: np.ndarray, mid: np.ndarray, right: np.ndarray, h: 
 def integrate_calapso(
     source: PolarizedCurve | LightConeSection,
     t: float,
+    # Steps per grid cell: more make the frames worse and no command passes
+    # it.  Kept, default 1, because bench/tracing.py counts steps from it;
+    # it goes with the next benchmark refresh (ROADMAP items 1 and 2).
     substeps: int = 1,
     m: np.ndarray | None = None,
 ) -> CalapsoFrameField:
@@ -261,13 +263,13 @@ def integrate_calapso(
     return CalapsoFrameField(grid=grid, t=t, T=T, source=source, m=m)
 
 
-def calapso_curve(curve: PolarizedCurve, t: float, substeps: int = 1) -> PolarizedCurve:
+def calapso_curve(curve: PolarizedCurve, t: float) -> PolarizedCurve:
     """The Calapso-transformed curve projected back to R^n.
 
     The polarization is carried over unchanged (the transformation
     preserves the parameter s and the polarized structure).
     """
-    frames = integrate_calapso(euclidean_section(curve), t, substeps=substeps, m=curve.m)
+    frames = integrate_calapso(euclidean_section(curve), t, m=curve.m)
     return frames.move(frames.source).to_curve(curve.m)
 
 
@@ -301,12 +303,7 @@ def _constancy_residual(*factors: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(mats - mats[0], axis=(-2, -1))) / scale)
 
 
-def verify_calapso_composition(
-    curve: PolarizedCurve,
-    tau: float,
-    t: float,
-    substeps: int = 1,
-) -> float:
+def verify_calapso_composition(curve: PolarizedCurve, tau: float, t: float) -> float:
     """s-constancy residual of T~^t T^tau (T^(tau+t))^{-1}.
 
     T~^t is the Calapso field of the tau-transformed curve; the product
@@ -315,19 +312,15 @@ def verify_calapso_composition(
     integrated on the raw transformed section, which stays smooth even
     when the intermediate curve sweeps through the chart's infinity.
     """
-    frames_tau = integrate_calapso(euclidean_section(curve), tau, substeps=substeps, m=curve.m)
+    frames_tau = integrate_calapso(euclidean_section(curve), tau, m=curve.m)
     section_tau = frames_tau.move(frames_tau.source)
-    frames_t = integrate_calapso(section_tau, t, substeps=substeps, m=curve.m)
-    frames_sum = integrate_calapso(curve, tau + t, substeps=substeps)
+    frames_t = integrate_calapso(section_tau, t, m=curve.m)
+    frames_sum = integrate_calapso(curve, tau + t)
     return _constancy_residual(frames_t.T, frames_tau.T, frames_sum.inverse())
 
 
 def verify_calapso_intertwine(
-    curve: PolarizedCurve,
-    transform: PolarizedCurve,
-    mu: float,
-    t: float,
-    substeps: int = 1,
+    curve: PolarizedCurve, transform: PolarizedCurve, mu: float, t: float
 ) -> float:
     """s-constancy residual of T^^t Gamma(1 - t/mu) (T^t)^{-1}.
 
@@ -336,18 +329,14 @@ def verify_calapso_intertwine(
     """
     if t == mu:
         raise GeometryError("t = mu degenerates the pair gauge")
-    frames = integrate_calapso(curve, t, substeps=substeps)
-    frames_hat = integrate_calapso(transform, t, substeps=substeps)
+    frames = integrate_calapso(curve, t)
+    frames_hat = integrate_calapso(transform, t)
     gamma = gauge_matrix(mk.euclidean_lift(curve.x), mk.euclidean_lift(transform.x), 1.0 - t / mu)
     return _constancy_residual(frames_hat.T, gamma, frames.inverse())
 
 
 def calapso_darboux_permute(
-    curve: PolarizedCurve,
-    transform: PolarizedCurve,
-    mu: float,
-    tau: float,
-    substeps: int = 1,
+    curve: PolarizedCurve, transform: PolarizedCurve, mu: float, tau: float
 ) -> tuple[PolarizedCurve, PolarizedCurve]:
     """Calapso transform of a Darboux pair, transported by one frame.
 
@@ -359,6 +348,6 @@ def calapso_darboux_permute(
         raise GeometryError("tau = mu collapses the transformed pair to a point")
     if tau == 0.0:
         return curve, transform
-    frames = integrate_calapso(euclidean_section(curve), tau, substeps=substeps, m=curve.m)
+    frames = integrate_calapso(euclidean_section(curve), tau, m=curve.m)
     moved = frames.move(frames.source), frames.move(euclidean_section(transform))
     return tuple(section.to_curve(c.m) for section, c in zip(moved, (curve, transform)))

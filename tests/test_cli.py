@@ -109,6 +109,22 @@ def test_darboux_certifies_every_run_with_its_named_checks(tmp_path, capsys):
         out.unlink()
 
 
+def test_darboux_step_policy_steps_only_the_riccati_route(tmp_path, capsys):
+    src = _curve_file(tmp_path, grid="0:1:201")
+    out = tmp_path / "hat.json"
+    args = ["darboux", "--in", str(src), "--mu", "-2", "--init", "2,0"]
+    args += ["--step-policy", "substep:3"]
+    capsys.readouterr()
+    assert main(args + ["--route", "parallel", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--step-policy" in errors[0], err
+    assert not out.exists()
+    assert main(args + ["--route", "riccati", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_darboux_through_the_chart_infinity_exits_1_without_writing(tmp_path, capsys):
     # On the line in R^1 with mu = -2 the parallel section passes the
     # chart's point at infinity near s = 1.8: the positions jump and the
@@ -855,8 +871,9 @@ def test_tol_override_must_be_finite_and_positive(value, capsys):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--suite", "darboux"], ["--suite", "cmc"], ["--corrupt", "unit-circle"], ["--seed", "1"]],
-    ids=["suite-darboux", "suite-cmc", "corrupt", "seed"],
+    [["--suite", "darboux"], ["--suite", "cmc"], ["--corrupt", "unit-circle"], ["--seed", "1"],
+     ["--step-policy", "substep:2"]],
+    ids=["suite-darboux", "suite-cmc", "corrupt", "seed", "step-policy"],
 )
 def test_verify_surface_rejects_fixture_options(extra, tmp_path, capsys):
     path = _outward_cmc_file(tmp_path)
@@ -965,7 +982,7 @@ SHARED_OPTIONS = {
     "--seed": ["--seed", "1"],
 }
 READERS = {
-    "--step-policy": {"darboux", "bianchi", "surface-build", "dual", "calapso", "verify"},
+    "--step-policy": {"darboux", "verify"},
     "--tol-override": {"darboux", "bianchi", "surface-build", "surface-check", "surface-moutard",
                        "dual", "calapso", "cmc", "verify", "export"},
     "--seed": {"verify"},

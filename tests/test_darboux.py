@@ -15,7 +15,15 @@ import pytest
 
 import isothermic.minkowski as mk
 from isothermic.clifford import reality_residual, sandwich, wedge_norm
-from isothermic.curves import Grid, PolarizedCurve, make_circle, make_curve, make_helix
+from isothermic.bianchi import bianchi_quad
+from isothermic.curves import (
+    Grid,
+    PolarizedCurve,
+    make_circle,
+    make_curve,
+    make_helix,
+    tractrix_pair,
+)
 from isothermic.darboux import (
     SECANT_TOL,
     connection_apply,
@@ -39,6 +47,7 @@ from isothermic.errors import (
     SingularEncounterError,
 )
 from isothermic.fixtures import concentric_pair, tractrix_circle_pair, unit_circle
+from isothermic.surface import build_surface, surface_calapso, surface_darboux, surface_flatness
 from isothermic.transforms import christoffel_dual, integrate_calapso
 from whole_grid import connection_samples, half_step_samples
 
@@ -140,6 +149,18 @@ def test_riccati_is_bit_identical_to_array_reference(n):
                 assert np.all(np.isfinite(x_ref))
                 assert np.array_equal(hat.x, x_ref)
                 assert np.array_equal(hat.xprime, xprime_ref)
+
+
+def test_riccati_substeps_cut_the_end_point_error():
+    # The one integrator whose error the step sets: two substeps per grid
+    # cell cut the end-point error about 14x on this helix.
+    def end_point(num, substeps):
+        c = make_helix(1.0, 0.2, Grid(0.0, 6.0, num))
+        return integrate_riccati(c, -2.0, np.array([2.0, 0.0, 0.5]), substeps=substeps).x[-1]
+
+    reference = end_point(6401, 4)
+    errors = [np.linalg.norm(end_point(201, k) - reference) for k in (1, 2)]
+    assert errors[1] * 4.0 <= errors[0], errors
 
 
 def test_riccati_start_on_curve_raises_at_grid_start():
@@ -423,7 +444,19 @@ def test_initial_point_validation():
 _NAN, _INF = float("nan"), float("inf")
 
 
-# Each public integrator with one nan or infinite parameter, which the error names.
+def _quad(c, mu0):
+    """Bianchi quad of c from finite sections at -2 and 1, taken at mu0."""
+    sec0 = integrate_parallel_section(c, -2.0, np.array([2.0, 0.0]))
+    sec1 = integrate_parallel_section(c, 1.0, np.array([0.3, -0.4]))
+    return bianchi_quad(c, sec0, sec1, mu0, 1.0)
+
+
+def _surface(c):
+    return build_surface(c, [(-2.0, np.array([2.0, 0.0]))])
+
+
+# Each public integrator, curve constructor and spectral-parameter entry
+# with one nan or infinite parameter, which the error names.
 @pytest.mark.parametrize(
     "what, call",
     [
@@ -438,11 +471,22 @@ _NAN, _INF = float("nan"), float("inf")
         ("mu", lambda c: integrate_riccati(c, _NAN, np.array([2.0, 0.0]))),
         ("mu", lambda c: integrate_riccati(c, _INF, np.array([2.0, 0.0]))),
         ("initial point", lambda c: integrate_riccati(c, -2.0, np.array([2.0, _NAN]))),
+        ("radius", lambda c: make_circle(_NAN, c.grid)),
+        ("radius", lambda c: make_helix(_INF, 0.2, c.grid)),
+        ("pitch", lambda c: make_helix(1.0, _NAN, c.grid)),
+        ("polarization", lambda c: c.with_polarization(_NAN)),
+        ("mu", lambda c: tractrix_pair(c, _NAN)),
+        ("mu0", lambda c: _quad(c, _NAN)),
+        ("t", lambda c: surface_flatness(_surface(c), _NAN)),
+        ("t", lambda c: surface_calapso(_surface(c), _INF)),
+        ("mu", lambda c: surface_darboux(_surface(c), _NAN, np.array([0.0, 3.0]))),
     ],
     ids=[
         "parallel-t-nan", "parallel-t-inf", "parallel-point-nan", "parallel-batch-inf",
         "parallel-null-nan", "calapso-t-nan", "calapso-t-inf", "dual-anchor-nan",
-        "riccati-mu-nan", "riccati-mu-inf", "riccati-point-nan",
+        "riccati-mu-nan", "riccati-mu-inf", "riccati-point-nan", "circle-radius-nan",
+        "helix-radius-inf", "helix-pitch-nan", "polarization-nan", "tractrix-mu-nan",
+        "quad-mu0-nan", "flatness-t-nan", "surface-calapso-t-inf", "surface-darboux-mu-nan",
     ],
 )
 def test_non_finite_parameters_raise_geometry_error_naming_them(what, call):
