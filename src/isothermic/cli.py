@@ -19,6 +19,7 @@ import numpy as np
 from . import bianchi, clifford, cmc, fileio, fixtures, minkowski as mk, transforms
 from .curves import Grid, PolarizedCurve, from_samples, make_circle, make_curve
 from .darboux import (
+    LightConeSection,
     euclidean_section,
     gauge_apply,
     integrate_parallel_section,
@@ -306,8 +307,9 @@ CORRUPTIBLE = tuple(FIXTURES)
 class FixturePool:
     """Builds the fixtures of one run on demand, optionally corrupting one of them.
 
-    Besides the named fixtures it builds the unit circle's Darboux pair
-    (``darboux_pair``), which four suites certify.
+    Besides the named fixtures it builds the unit circle's Darboux
+    transform at mu = -2 by both routes (``darboux_section`` and
+    ``riccati_transform``), which four suites certify.
     """
 
     def __init__(self, corrupt: str | None = None, seed: int = 0):
@@ -331,21 +333,25 @@ class FixturePool:
             self._cache[name] = value
         return self._cache[name]
 
-    def darboux_pair(self, substeps: int):
-        """The unit circle's Darboux transform at mu = -2 from (2, 0), by both routes.
+    def darboux_section(self) -> LightConeSection:
+        """The unit circle's parallel section at mu = -2 from (2, 0).
 
-        Returns (Riccati transform, parallel section), integrated along
-        ``get("unit-circle")``, so a corrupted circle carries over.  Only
-        the Riccati half takes ``substeps``; the section steps on the grid.
+        Integrated along ``get("unit-circle")``, so a corrupted circle
+        carries over; it steps on the grid and takes no step policy.
         """
-        key = f"darboux-pair/{substeps}"
+        if "darboux-section" not in self._cache:
+            c = self.get("unit-circle")
+            section = integrate_parallel_section(c, -2.0, np.array([2.0, 0.0]))
+            self._cache["darboux-section"] = section
+        return self._cache["darboux-section"]
+
+    def riccati_transform(self, substeps: int) -> PolarizedCurve:
+        """The same Darboux transform by the Riccati route, at ``substeps`` per grid cell."""
+        key = f"riccati/{substeps}"
         if key not in self._cache:
             c = self.get("unit-circle")
             p0 = np.array([2.0, 0.0])
-            self._cache[key] = (
-                integrate_riccati(c, -2.0, p0, substeps=substeps),
-                integrate_parallel_section(c, -2.0, p0),
-            )
+            self._cache[key] = integrate_riccati(c, -2.0, p0, substeps=substeps)
         return self._cache[key]
 
 
@@ -438,7 +444,7 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
 
     c = pool.get("unit-circle")
-    riccati, section = pool.darboux_pair(ctx["substeps"])
+    riccati, section = pool.riccati_transform(ctx["substeps"]), pool.darboux_section()
     projected = section.to_curve(c.m)
     checks.run(
         "riccati-parallel-agreement",
@@ -501,7 +507,7 @@ def _suite_bianchi(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
     c = pool.get("unit-circle")
 
-    sec0 = pool.darboux_pair(ctx["substeps"])[1]
+    sec0 = pool.darboux_section()
     sec1 = integrate_parallel_section(c, 1.0, np.array([0.3, -0.4]))
     _quad_checks(checks, c, sec0, sec1, -2.0, 1.0, "unit-circle")
 
@@ -583,7 +589,7 @@ def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
         lambda: transforms.integrate_calapso(c, 0.7).metric_drift(),
     )
 
-    section = pool.darboux_pair(ctx["substeps"])[1]
+    section = pool.darboux_section()
 
     def transported():
         frames = transforms.integrate_calapso(c, -2.0)
@@ -624,7 +630,7 @@ def _suite_christoffel(checks: Checks, rng: np.random.Generator, ctx) -> None:
     checks.run("dual-of-dual", "unit-circle", dual_of_dual)
 
     def permute_square():
-        hat = pool.darboux_pair(ctx["substeps"])[0]
+        hat = pool.riccati_transform(ctx["substeps"])
         dual = transforms.christoffel_dual(c)
         hatstar = transforms.christoffel_darboux_permute(c, dual, hat, -2.0)
         fit = is_darboux_pair(dual, hatstar)
@@ -996,6 +1002,12 @@ def cmd_verify(args) -> int:
             except PolarizationError as exc:
                 checks.notes.append(f"moutard lift skipped: {exc}")
     else:
+        # Only these suites have Riccati rows, the rows that read the policy.
+        if args.step_policy != 1 and args.suite not in ("all", "darboux", "christoffel"):
+            raise GeometryError(
+                f"--step-policy steps the fixtures' Riccati transform, which suite"
+                f" {args.suite!r} does not read; use it with all, darboux or christoffel"
+            )
         seed = args.seed or 0
         ctx = {"pool": FixturePool(corrupt=args.corrupt, seed=seed), "substeps": args.step_policy}
         selected = SUITE_NAMES if args.suite == "all" else (args.suite,)

@@ -113,13 +113,11 @@ class LightConeSection:
         section that meets the chart's infinity raises
         PointAtInfinityError.
         """
-        frame = mk.canonical_frame(self.n)
-        pts = mk.affine_point(self.xi)
-        w = -mk.inner(self.xi, frame.q)
-        xiprime = self.derivative()
-        wprime = -mk.inner(xiprime, frame.q)
-        scaled = xiprime / w[:, None] - (wprime / w**2)[:, None] * self.xi
-        xprime = scaled[:, : self.n]
+        n, xi, xiprime = self.n, self.xi, self.derivative()
+        w = mk.chart_weight(xi)
+        pts = xi[:, :n] / w[:, None]
+        wprime = xiprime[:, n] + xiprime[:, n + 1]
+        xprime = xiprime[:, :n] / w[:, None] - (wprime / w**2)[:, None] * xi[:, :n]
         m = np.broadcast_to(np.asarray(m, dtype=float), (self.grid.num,)).copy()
         return PolarizedCurve(n=self.n, grid=self.grid, x=pts, xprime=xprime, m=m)
 

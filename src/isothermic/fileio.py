@@ -227,8 +227,8 @@ def export_obj(path: str | Path, surface: SemiDiscreteSurface) -> None:
         pts = curve.x
         if surface.n == 2:
             pts = np.concatenate([pts, np.zeros((num, 1))], axis=1)
-        for row in pts:
-            lines.append("v " + " ".join(repr(float(v)) for v in row))
+        vertex = "v " + " ".join(["{!r}"] * pts.shape[1])
+        lines.extend(vertex.format(*row) for row in pts.tolist())
     for i in range(surface.num_layers - 1):
         base_a = i * num
         base_b = (i + 1) * num

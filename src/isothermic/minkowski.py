@@ -90,43 +90,53 @@ def canonical_frame(n: int) -> Frame:
     return Frame(o=o, q=q)
 
 
-def embed(x: np.ndarray) -> np.ndarray:
-    """Pad R^n vectors with two trailing zeros into R^{n+1,1}."""
-    x = np.asarray(x, dtype=float)
-    pad = np.zeros(x.shape[:-1] + (2,))
-    return np.concatenate([x, pad], axis=-1)
-
-
 def euclidean_lift(x: np.ndarray) -> np.ndarray:
     """Null lift o + x + (x,x)/2 q of affine points, normalized to (y, q) = -1."""
     x = np.asarray(x, dtype=float)
-    frame = canonical_frame(x.shape[-1])
-    xx = np.sum(x * x, axis=-1)[..., None]
-    return frame.o + embed(x) + 0.5 * xx * frame.q
+    n = x.shape[-1]
+    half_xx = 0.5 * np.sum(x * x, axis=-1)
+    lift = np.empty(x.shape[:-1] + (n + 2,))
+    lift[..., :n] = x
+    lift[..., n] = 0.5 - half_xx
+    lift[..., n + 1] = 0.5 + half_xx
+    return lift
 
 
 def lift_derivative(x: np.ndarray, xprime: np.ndarray) -> np.ndarray:
     """Derivative of the Euclidean lift along a curve: x' + (x . x') q."""
     x = np.asarray(x, dtype=float)
     xprime = np.asarray(xprime, dtype=float)
-    q = canonical_frame(x.shape[-1]).q
-    xdx = np.sum(x * xprime, axis=-1)[..., None]
-    return embed(xprime) + xdx * q
+    n = x.shape[-1]
+    xdx = np.sum(x * xprime, axis=-1)
+    out = np.empty(np.broadcast_shapes(x.shape, xprime.shape)[:-1] + (n + 2,))
+    out[..., :n] = xprime
+    out[..., n] = -xdx
+    out[..., n + 1] = xdx
+    return out
+
+
+def chart_weight(xi: np.ndarray) -> np.ndarray:
+    """The weight w = -(xi, q) = a + b of null vectors in the canonical chart.
+
+    xi / w is the Euclidean lift of the affine point xi represents.  A
+    null line whose w vanishes (relative to |xi|, below INFINITY_TOL)
+    has no affine point and raises PointAtInfinityError.
+    """
+    w = xi[..., -2] + xi[..., -1]
+    scale = np.linalg.norm(xi, axis=-1)
+    if not np.all(np.abs(w) > INFINITY_TOL * np.maximum(scale, 1e-300)):
+        raise PointAtInfinityError("null line pairs to zero with the chart's infinity")
+    return w
 
 
 def affine_point(xi: np.ndarray) -> np.ndarray:
     """Affine points of R^n represented by null vectors, canonical chart.
 
-    A null line whose pairing (xi, q) with the chart's infinity vanishes
-    (relative to |xi|, below INFINITY_TOL) raises PointAtInfinityError.
+    A null line at the chart's infinity raises PointAtInfinityError
+    (``chart_weight``).
     """
     xi = np.asarray(xi, dtype=float)
-    n = xi.shape[-1] - 2
-    w = -inner(xi, canonical_frame(n).q)
-    scale = np.linalg.norm(xi, axis=-1)
-    if not np.all(np.abs(w) > INFINITY_TOL * np.maximum(scale, 1e-300)):
-        raise PointAtInfinityError("null line pairs to zero with the chart's infinity")
-    return (xi / w[..., None])[..., :n]
+    return xi[..., :-2] / chart_weight(xi)[..., None]
 
 
 def wedge_matrix(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -125,6 +125,36 @@ def test_darboux_step_policy_steps_only_the_riccati_route(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("suite", ["clifford", "minkowski", "bianchi", "calapso", "surface",
+                                   "moutard", "cmc"])
+def test_verify_step_policy_on_a_suite_without_riccati_rows_exits_2(suite, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    capsys.readouterr()
+    argv = ["verify", "--suite", suite, "--step-policy", "substep:3", "--csv", str(report)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--step-policy" in errors[0], captured.err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("suite", ["darboux", "christoffel"])
+def test_verify_step_policy_steps_the_riccati_rows(suite, capsys):
+    assert main(["verify", "--suite", suite, "--step-policy", "substep:3"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["bianchi", "calapso"])
+def test_suites_that_read_only_the_section_never_integrate_the_riccati_half(
+    suite, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Riccati transform was integrated")
+
+    monkeypatch.setattr(cli, "integrate_riccati", refuse)
+    assert main(["verify", "--suite", suite]) == 0
+
+
 def test_darboux_through_the_chart_infinity_exits_1_without_writing(tmp_path, capsys):
     # On the line in R^1 with mu = -2 the parallel section passes the
     # chart's point at infinity near s = 1.8: the positions jump and the

@@ -8,12 +8,16 @@ Core claims:
     - is_darboux_pair recovers mu, its reality residual certifies tangent
       circle contact, and the gauge relation ties the two flat connections
     - parallel sections stay on the light cone and detect degenerate data
+    - the chart projection on the n affine columns equals the quotient
+      rule on all n + 2 columns bit for bit (reference in padded_forms.py)
 """
 
 import numpy as np
 import pytest
 
 import isothermic.minkowski as mk
+import isothermic.transforms as tr
+import padded_forms
 from isothermic.clifford import reality_residual, sandwich, wedge_norm
 from isothermic.bianchi import bianchi_quad
 from isothermic.curves import (
@@ -26,6 +30,7 @@ from isothermic.curves import (
 )
 from isothermic.darboux import (
     SECANT_TOL,
+    LightConeSection,
     connection_apply,
     connection_matrix,
     euclidean_section,
@@ -185,6 +190,37 @@ def test_riccati_leaving_space_raises_at_first_nonfinite_node():
     assert f"s = {c.grid.nodes()[first]:.6g}" in str(info.value)
 
 
+def _moved_lift(n: int) -> LightConeSection:
+    """A curve's lift in R^n moved by a constant Lorentz map, so the chart weight varies."""
+    grid = Grid(0.0, 2.0, 301)
+    s = grid.nodes()
+    x = np.stack([np.cos((k + 1) * s + 0.5) / (k + 1) for k in range(n)], axis=1)
+    xp = np.stack([-np.sin((k + 1) * s + 0.5) for k in range(n)], axis=1)
+    rng = np.random.default_rng(n)
+    skew = rng.standard_normal((n + 2, n + 2))
+    lorentz = np.eye(n + 2) + tr._expm1_matrices(
+        0.3 * mk.metric_diagonal(n)[:, None] * (skew - skew.T)
+    )
+    xi = mk.euclidean_lift(x) @ lorentz.T
+    return LightConeSection(grid=grid, xi=xi, xiprime=mk.lift_derivative(x, xp) @ lorentz.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_to_curve_equals_the_quotient_rule_on_all_columns(n):
+    section = _moved_lift(n)
+    curve, reference = section.to_curve(0.5), padded_forms.to_curve(section, 0.5)
+    for name in ("x", "xprime", "m"):
+        assert np.array_equal(getattr(curve, name), getattr(reference, name)), name
+    # One sample within 1e-8 (relative) of the chart's infinity: both raise alike.
+    frame = mk.canonical_frame(n)
+    section.xi[150] = frame.q + 1e-3 * np.append(section.xi[150, :n], [0.0, 0.0]) + 1e-12 * frame.o
+    with pytest.raises(PointAtInfinityError) as ref:
+        padded_forms.to_curve(section, 0.5)
+    with pytest.raises(PointAtInfinityError) as info:
+        section.to_curve(0.5)
+    assert str(info.value) == str(ref.value)
+
+
 def test_concentric_circles_cross_ratio():
     a, b = concentric_pair()
     real, wedge = tangent_cross_ratio(a, b)
@@ -331,7 +367,7 @@ def test_lightcone_restore_in_every_dimension(n, branch):
             direction = frame.q
         else:
             # Near the chart's infinity: (y, q) / |y| is far below 1e-8.
-            y = frame.q + 1e-3 * mk.embed(x) + 1e-12 * frame.o
+            y = frame.q + 1e-3 * np.append(x, [0.0, 0.0]) + 1e-12 * frame.o
             direction = frame.o
         assert (abs(mk.inner(y, frame.q)) > 1e-8 * np.linalg.norm(y)) == (branch == "q")
         before = y.copy()

@@ -230,6 +230,13 @@ def test_obj_export_structure(tmp_path):
     assert all(l.split()[3] == "0.0" for l in verts)
     first = faces[0].split()[1:]
     assert first == ["1", "2", "13", "12"]
+    # The same bytes as one repr(float(v)) per coordinate.
+    expected = ["o surface"]
+    for curve in surface.curves:
+        for row in np.concatenate([curve.x, np.zeros((11, 1))], axis=1):
+            expected.append("v " + " ".join(repr(float(v)) for v in row))
+    expected += [f"f {k + 1} {k + 2} {k + 13} {k + 12}" for k in range(10)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
 
 def test_obj_export_rejects_high_dimension(tmp_path):

@@ -3,6 +3,8 @@
 Core claims:
     - euclidean lifts are null and reproduce -|x_i - x_j|^2 / 2 as pairings
     - lift derivatives are tangent to the cone
+    - lifts written column by column equal the padded frame sums bit for
+      bit (references in padded_forms.py)
     - the metric has signature (n+1, 1)
     - projection and wedge operators act as their defining formulas
     - chart_avoiding returns a frame whose chart keeps all points finite
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import isothermic.minkowski as mk
+import padded_forms
 from isothermic.errors import PointAtInfinityError
 
 
@@ -51,6 +54,21 @@ def test_lift_derivative_tangency():
     # the derivative of the lift is linear in xp
     xip2 = mk.lift_derivative(x, 2.0 * xp)
     assert np.max(np.abs(xip2 - 2.0 * xip)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lifts_equal_the_padded_frame_sums(n):
+    # Batches, a single point, and a derivative broadcast against one point;
+    # exact zeros and a negative zero among the coordinates.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((64, n)) * 2.0
+    xp = rng.standard_normal((64, n))
+    x[:4] = 0.0
+    x[4, 0] = -0.0
+    xp[5] = 0.0
+    for args in ((x, xp), (x[7], xp[7]), (x[7], xp)):
+        assert np.array_equal(mk.euclidean_lift(args[0]), padded_forms.euclidean_lift(args[0]))
+        assert np.array_equal(mk.lift_derivative(*args), padded_forms.lift_derivative(*args))
 
 
 def test_affine_point_round_trip():
