@@ -232,17 +232,18 @@ def bianchi_cube(
 ) -> BianchiCube:
     """Three Darboux transforms close into a combinatorial cube.
 
-    The three faces are Bianchi quads; the eighth vertex is computed
-    canonically through sec0 and cross-checked against the other two
-    construction orders projectively.
+    The three faces are Bianchi quads over one lift of ``base``; the
+    eighth vertex is computed canonically through sec0 and checked
+    against the other two construction orders projectively.
     """
     _require_nonzero(mu0=mu0, mu1=mu1, mu2=mu2)
     mus = (mu0, mu1, mu2)
     if len(set(mus)) != 3:
         raise GeometryError("cube requires pairwise distinct parameters")
-    face01 = bianchi_quad(base, sec0, sec1, mu0, mu1)
-    face02 = bianchi_quad(base, sec0, sec2, mu0, mu2)
-    face12 = bianchi_quad(base, sec1, sec2, mu1, mu2)
+    lift = euclidean_section(base)
+    face01 = bianchi_quad(lift, sec0, sec1, mu0, mu1, base.m)
+    face02 = bianchi_quad(lift, sec0, sec2, mu0, mu2, base.m)
+    face12 = bianchi_quad(lift, sec1, sec2, mu1, mu2, base.m)
     route0 = bianchi_quad(sec0, face01, face02, mu1, mu2, base.m)
     route1 = bianchi_quad(sec1, face01, face12, mu0, mu2, base.m)
     route2 = bianchi_quad(sec2, face02, face12, mu0, mu1, base.m)

@@ -742,9 +742,10 @@ def _cmc_checks(checks: Checks, fx: fixtures.CmcFixture, where: str):
 
 
 def _calapso_parameter(surface: SemiDiscreteSurface, moved: SemiDiscreteSurface, t: float) -> float:
-    """Worst gap of the moved surface's fitted edge parameters from mu - t (0 with no edges)."""
-    report = check_isothermic(moved)
-    return max((abs(e.mu - (v - t)) for e, v in zip(report.edges, surface.mu)), default=0.0)
+    """Worst edge residual of the moved surface (0 with no edges): each fitted parameter's
+    gap from mu - t, which comes in whole ulps and can be 0, and its fit's spread."""
+    fits = zip(check_isothermic(moved).edges, surface.mu)
+    return max((max(abs(e.mu - (v - t)), e.spread) for e, v in fits), default=0.0)
 
 
 def _suite_surface(checks: Checks, rng: np.random.Generator, ctx) -> None:

@@ -96,37 +96,6 @@ def sixth_order_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
     return _stencil_derivative(values, grid, _STENCIL6 if grid.num >= 7 else _STENCIL4)
 
 
-def cubic_stencil(grid: Grid, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of piecewise-cubic interpolation at points s, each (4, K).
-
-    Row i holds the i-th node of the 4-node stencil around each query
-    point, clamped at the boundary, and its Lagrange weight; with smooth
-    data, ``stencil_sum`` over them is O(h^4) accurate.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = (s - grid.s0) / grid.h
-    base = np.clip(np.floor(t).astype(int) - 1, 0, grid.num - 4)
-    u = t - base
-    # Lagrange basis on nodes 0,1,2,3 evaluated at u.
-    u0, u1, u2, u3 = u, u - 1.0, u - 2.0, u - 3.0
-    w = np.stack(
-        [
-            u1 * u2 * u3 / -6.0,
-            u0 * u2 * u3 / 2.0,
-            u0 * u1 * u3 / -2.0,
-            u0 * u1 * u2 / 6.0,
-        ]
-    )
-    return base[None, :] + np.arange(4)[:, None], w
-
-
-def stencil_sum(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum over the stencil of the weights w times values[idx]."""
-    gathered = np.asarray(values, dtype=float)[idx]  # (4, K, ...)
-    w = w.reshape(w.shape + (1,) * (gathered.ndim - 2))
-    return np.sum(w * gathered, axis=0)
-
-
 @dataclass
 class PolarizedCurve:
     """Sampled polarized curve (x, ds^2/m) in R^n.

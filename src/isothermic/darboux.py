@@ -34,13 +34,15 @@ at a time and keeps only the grid nodes; no code samples the whole
 grid at once, so the memory a run needs beyond its result does not
 grow with the grid.
 
+Samples between grid nodes are cubic interpolation with fixed weights
+per fraction of a cell (``StepBlock``); at one step per cell, the
+midpoint rule (-1, 9, 9, -1) / 16 of Deslauriers and Dubuc (1989).
 Only the Riccati route takes a step policy (``substeps`` RK4 steps per
-grid cell, the samples between grid nodes interpolated by cubics): its
-error is set by the step, and two substeps cut it about 14x on a helix
-at N = 201.  There the sections gain about 1.6x from twice the steps
-and then stop, the Calapso frames get worse and the duals do not move:
-they sit near the floor that the interpolation sets, so they step on
-the grid.
+grid cell): its error is set by the step, and two substeps cut it
+about 14x on a helix at N = 201.  There the sections gain about 1.6x
+from twice the steps and then stop, the Calapso frames get worse and
+the duals do not move: they sit near the floor that the interpolation
+sets, so they step on the grid.
 
 The gauge maps Gamma(r) that scale one null line by r and a transversal
 one by 1/r tie the two pictures together: the connections of a Darboux
@@ -60,7 +62,7 @@ import numpy as np
 
 from . import clifford as cl
 from . import minkowski as mk
-from .curves import Grid, PolarizedCurve, cubic_stencil, derivative_samples, stencil_sum
+from .curves import Grid, PolarizedCurve, derivative_samples
 from .errors import (
     DimensionError,
     GeometryError,
@@ -191,11 +193,12 @@ _CHUNK_STEPS = 32
 class StepBlock:
     """Steps k0 .. k0 + steps - 1 of an RK4 run over a grid.
 
-    Its 2 steps + 1 step nodes and midpoints off the grid nodes, ``off``,
-    are cubic interpolation (stencil ``idx``, weights ``w``), reading the
-    grid rows ``rows`` with the grid nodes ``nodes``.  The states after
-    k0 .. k0 + steps steps, sliced by ``node_states``, and the samples,
-    sliced by ``node_samples``, are those at the grid nodes ``nodes``.
+    It reads the grid rows ``rows``.  Its states after k0 .. k0 + steps
+    steps, sliced by ``node_states``, and its samples at the 2 steps + 1
+    step nodes and midpoints, sliced by ``node_samples``, are those at
+    the grid nodes ``nodes``.  Each of ``fills``, (at, i, j, weights),
+    gives the points ``at``, all at one fraction of a cell, the 4-point
+    sum of the rows i + l .. j - 1 + l times weights[l], l = 0 .. 3.
     """
 
     k0: int
@@ -205,9 +208,7 @@ class StepBlock:
     nodes: slice
     node_states: slice
     node_samples: slice
-    off: np.ndarray
-    idx: np.ndarray
-    w: np.ndarray
+    fills: tuple
 
     def sample(self, *values: np.ndarray) -> list[np.ndarray]:
         """Each of ``values``, given at the grid nodes ``rows``, at every
@@ -217,21 +218,37 @@ class StepBlock:
         for v in values:
             v_all = np.empty((2 * self.steps + 1, *v.shape[1:]))
             v_all[self.node_samples] = v[self.nodes.start - lo : self.nodes.stop - lo]
-            v_all[self.off] = stencil_sum(v, self.idx, self.w)
+            for at, i, j, (w0, w1, w2, w3) in self.fills:
+                a, b, c, d = v[i:j], v[i + 1 : j + 1], v[i + 2 : j + 2], v[i + 3 : j + 3]
+                v_all[at] = w0 * a + w1 * b + w2 * c + w3 * d
             sampled.append(v_all)
         return sampled
 
 
 def _step_block(grid: Grid, substeps: int, k0: int, k1: int) -> StepBlock:
-    h = grid.h / substeps
-    off = np.flatnonzero(np.arange(2 * k0, 2 * k1 + 1) % (2 * substeps))
-    idx, w = cubic_stencil(grid, grid.s0 + 0.5 * h * (2 * k0 + off))
+    per_cell, last = 2 * substeps, grid.num - 2  # evaluation points per cell; the last cell
+    # The rows read: the stencils of the cells of the block's first and last midpoints.
+    lo, hi = (min(max(j // per_cell - 1, 0), last - 2) for j in (2 * k0 + 1, 2 * k1 - 1))
+    fills = []
+    for r in range(1, per_cell):
+        # The cells c whose point per_cell c + r lies in [2 k0, 2 k1]: the first (shift 0),
+        # inner (1) and last (2) cells weigh the rows c - shift + l, l = 0 .. 3, by the
+        # cubic Lagrange basis at u = shift + r / per_cell (dyadics where r / per_cell = 1/2).
+        c0, c1 = -((r - 2 * k0) // per_cell), (2 * k1 - r) // per_cell
+        cells = ((c0, min(c1, 0)), (max(c0, 1), min(c1, last - 1)), (max(c0, last), c1))
+        for shift, (a, b) in enumerate(cells):
+            if a <= b:
+                u0 = shift + r / per_cell
+                u1, u2, u3 = u0 - 1.0, u0 - 2.0, u0 - 3.0
+                w = (u1 * u2 * u3 / -6.0, u0 * u2 * u3 / 2.0,
+                     u0 * u1 * u3 / -2.0, u0 * u1 * u2 / 6.0)
+                at = slice(per_cell * a + r - 2 * k0, per_cell * b + r - 2 * k0 + 1, per_cell)
+                fills.append((at, a - shift - lo, b - shift + 1 - lo, w))
     first = -k0 % substeps
-    nodes = slice((k0 + first) // substeps, k1 // substeps + 1)
-    lo, hi = min(int(idx[0, 0]), nodes.start), max(int(idx[-1, -1]) + 1, nodes.stop)
     return StepBlock(
-        k0, k1 - k0, h, slice(lo, hi), nodes,
-        slice(first, None, substeps), slice(2 * first, None, 2 * substeps), off, idx - lo, w,
+        k0, k1 - k0, grid.h / substeps, slice(lo, hi + 4),
+        slice((k0 + first) // substeps, k1 // substeps + 1),
+        slice(first, None, substeps), slice(2 * first, None, 2 * substeps), tuple(fills),
     )
 
 
@@ -483,12 +500,24 @@ def _rk4_increments(left: np.ndarray, mid: np.ndarray, right: np.ndarray, h: flo
 
     M - I = h/6 (A_0 + 2 K_2 + 2 K_3 + K_4) with K_2 = A_(1/2) (I + h/2 A_0),
     K_3 = A_(1/2) (I + h/2 K_2) and K_4 = A_1 (I + h K_3): the stages of
-    RK4 applied to every initial vector at once.
+    RK4 applied to every initial vector at once, formed in place with
+    the operations of that formula in its order.
     """
-    k2 = mid + (0.5 * h) * (mid @ left)
-    k3 = mid + (0.5 * h) * (mid @ k2)
-    k4 = right + h * (right @ k3)
-    return (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = mid @ left
+    k2 *= 0.5 * h
+    k2 += mid
+    k3 = mid @ k2
+    k3 *= 0.5 * h
+    k3 += mid
+    k4 = right @ k3
+    k4 *= h
+    k4 += right
+    k2 *= 2.0
+    k2 += left
+    k2 += 2.0 * k3
+    k2 += k4
+    k2 *= h / 6.0
+    return k2
 
 
 def lightcone_restore(y: np.ndarray) -> np.ndarray:
@@ -602,8 +631,8 @@ def integrate_parallel_section(
         maps += np.eye(n + 2)
         states = np.empty((block.steps + 1, *y.shape))
         states[0] = y
-        for k, step in enumerate(maps, start=1):
-            y = lightcone_restore(np.dot(step, y, out=states[k]))
+        for step, row in zip(maps, states[1:]):
+            y = lightcone_restore(step.dot(y, row))
         nodes = block.nodes
         kept = states[block.node_states]
         xi[..., nodes, :] = np.moveaxis(kept, -1, 0) if batch else kept

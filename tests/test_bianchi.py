@@ -4,12 +4,14 @@ Core claims:
     - the algebraic fourth vertex is a parallel section along both edges
       and closes the quad with cross ratio mu1/mu0
     - the two-gauge factorization of the quad holds identically in t
-    - three routes around the cube land on the same eighth vertex
+    - three routes around the cube land on the same eighth vertex; the
+      cube lifts its base once, and each face is the quad over the curve
 """
 
 import numpy as np
 import pytest
 
+import isothermic.bianchi as bianchi
 import isothermic.minkowski as mk
 from isothermic.bianchi import (
     bianchi_cube,
@@ -169,6 +171,26 @@ def test_cube_routes_agree():
     s0, s1, s2 = _sections(c, mus, points)
     cube = bianchi_cube(c, s0, s1, s2, *mus)
     assert np.max(np.asarray(cube.route_gaps)) < 1e-9
+
+
+def test_cube_lifts_its_base_once_and_keeps_each_face_quad(monkeypatch):
+    c = unit_circle()
+    mus = (-2.0, 1.0, 3.0)
+    points = (np.array([2.0, 0.0]), np.array([0.3, -0.4]), np.array([-1.5, 0.2]))
+    secs = _sections(c, mus, points)
+    lifted = []
+
+    def counted(curve):
+        lifted.append(curve)
+        return euclidean_section(curve)
+
+    monkeypatch.setattr(bianchi, "euclidean_section", counted)
+    cube = bianchi_cube(c, *secs, *mus)
+    assert len(lifted) == 1 and lifted[0] is c
+    monkeypatch.undo()
+    for face, (i, j) in zip((cube.face01, cube.face02, cube.face12), ((0, 1), (0, 2), (1, 2))):
+        quad = bianchi_quad(c, secs[i], secs[j], mus[i], mus[j])
+        assert np.array_equal(face.xi, quad.xi) and np.array_equal(face.xiprime, quad.xiprime)
 
 
 def test_cube_random_seeds():
