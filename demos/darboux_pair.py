@@ -26,7 +26,7 @@ def main():
     start = np.array([2.0, 0.0])
 
     riccati = integrate_riccati(curve, mu, start)
-    parallel = integrate_parallel_section(curve, mu, start).to_curve(curve.m)
+    parallel = integrate_parallel_section(curve, mu, start).to_curve()
 
     gap = np.max(np.abs(riccati.x - parallel.x))
     print(f"route disagreement at h = {grid.h:.0e}: {gap:.3e}")
@@ -45,7 +45,7 @@ def main():
         g = Grid(0.0, 1.0, num)
         c = arc_length_polarization(make_circle(1.0, g))
         r = integrate_riccati(c, mu, start)
-        p = integrate_parallel_section(c, mu, start).to_curve(c.m)
+        p = integrate_parallel_section(c, mu, start).to_curve()
         print(f"  N = {num:4d}: |riccati - parallel| = {np.max(np.abs(r.x - p.x)):.3e}")
 
 

@@ -23,6 +23,7 @@ from . import minkowski as mk
 from .curves import PolarizedCurve
 from .darboux import (
     LightConeSection,
+    as_section,
     connection_apply,
     euclidean_section,
     gauge_apply,
@@ -89,38 +90,32 @@ def bianchi_quad(
     sec1: LightConeSection,
     mu0: float,
     mu1: float,
-    m: np.ndarray | None = None,
 ) -> LightConeSection:
     """Close the Darboux quadrilateral algebraically.
 
     ``sec0`` and ``sec1`` are parallel sections over ``base`` for the
-    parameters mu0 and mu1.  A curve base supplies its own polarization
-    and ``m`` is not read; a bare section base, as on the faces of a
-    cube, needs ``m``.  The returned section is an exact mu1-parallel
-    section along the sec0 curve; along the sec1 curve it is
-    mu0-parallel up to scaling (the line is parallel, the chosen
-    representative is not).  The gauge Gamma_{<xi>}^{<xi0>}(1 - mu1/mu0)
-    and, for the derivative, the mu1-connection along the sec0 curve act
-    on the sections through inner products (``gauge_apply``,
-    ``connection_apply``); no per-sample matrix is built.  A base and
-    sec0 that span the same line raise NonComplementaryLinesError.
+    parameters mu0 and mu1.  ``base`` is a curve, lifted once, or a
+    section, as on the faces of a cube (``as_section``); its polarization
+    m is the quad's, and the returned section carries it.  That section
+    is an exact mu1-parallel section along the sec0 curve; along the
+    sec1 curve it is mu0-parallel up to scaling (the line is parallel,
+    the chosen representative is not).  The gauge
+    Gamma_{<xi>}^{<xi0>}(1 - mu1/mu0) and, for the derivative, the
+    mu1-connection along the sec0 curve act on the sections through
+    inner products (``gauge_apply``, ``connection_apply``); no
+    per-sample matrix is built.  A base and sec0 that span the same line
+    raise NonComplementaryLinesError.
     """
     _require_nonzero(mu0=mu0, mu1=mu1)
     if mu0 == mu1:
         raise GeometryError("quad requires distinct Darboux parameters")
-    if isinstance(base, PolarizedCurve):
-        xi, m = euclidean_section(base), base.m
-    elif m is None:
-        raise GeometryError("a polarization m is required alongside bare sections")
-    else:
-        xi = base
+    xi = as_section(base)
     _require_sections_compatible(xi, sec0, sec1)
     samples = gauge_apply(xi.xi, sec0.xi, 1.0 - mu1 / mu0, sec1.xi)
-    m = np.broadcast_to(np.asarray(m, dtype=float), (xi.grid.num,))
     # The quad point rides the sec0 curve as a mu1-parallel section, so
     # its derivative comes from that connection, not from stencils.
-    xiprime = connection_apply(sec0.xi, sec0.derivative(), m, mu1, samples)
-    return LightConeSection(grid=xi.grid, xi=samples, xiprime=xiprime)
+    xiprime = connection_apply(sec0.xi, sec0.derivative(), xi.m, mu1, samples)
+    return LightConeSection(grid=xi.grid, xi=samples, m=xi.m, xiprime=xiprime)
 
 
 @dataclass
@@ -155,10 +150,8 @@ def check_quad(
     spread = float(np.max(np.abs(cr - target)))
     cr_swapped = moebius_cross_ratio(sec0.xi, sec1.xi, xi.xi, sec01.xi)
     swapped_spread = float(np.max(np.abs(cr_swapped - (1.0 - target))))
-    curve0 = sec0.to_curve(base.m)
-    curve1 = sec1.to_curve(base.m)
-    res_def = parallel_residual(sec01, curve0, mu1)
-    res_other = parallel_residual(sec01, curve1, mu0, mod_line=True)
+    res_def = parallel_residual(sec01, sec0.to_curve(), mu1)
+    res_other = parallel_residual(sec01, sec1.to_curve(), mu0, mod_line=True)
     return QuadReport(
         mu0=mu0,
         mu1=mu1,
@@ -241,12 +234,12 @@ def bianchi_cube(
     if len(set(mus)) != 3:
         raise GeometryError("cube requires pairwise distinct parameters")
     lift = euclidean_section(base)
-    face01 = bianchi_quad(lift, sec0, sec1, mu0, mu1, base.m)
-    face02 = bianchi_quad(lift, sec0, sec2, mu0, mu2, base.m)
-    face12 = bianchi_quad(lift, sec1, sec2, mu1, mu2, base.m)
-    route0 = bianchi_quad(sec0, face01, face02, mu1, mu2, base.m)
-    route1 = bianchi_quad(sec1, face01, face12, mu0, mu2, base.m)
-    route2 = bianchi_quad(sec2, face02, face12, mu0, mu1, base.m)
+    face01 = bianchi_quad(lift, sec0, sec1, mu0, mu1)
+    face02 = bianchi_quad(lift, sec0, sec2, mu0, mu2)
+    face12 = bianchi_quad(lift, sec1, sec2, mu1, mu2)
+    route0 = bianchi_quad(sec0, face01, face02, mu1, mu2)
+    route1 = bianchi_quad(sec1, face01, face12, mu0, mu2)
+    route2 = bianchi_quad(sec2, face02, face12, mu0, mu1)
     gaps = (
         mk.projective_gap(route0.xi, route1.xi),
         mk.projective_gap(route0.xi, route2.xi),

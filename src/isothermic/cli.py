@@ -20,7 +20,6 @@ from . import bianchi, clifford, cmc, fileio, fixtures, minkowski as mk, transfo
 from .curves import Grid, PolarizedCurve, from_samples, make_circle, make_curve
 from .darboux import (
     LightConeSection,
-    euclidean_section,
     gauge_apply,
     integrate_parallel_section,
     integrate_riccati,
@@ -364,7 +363,7 @@ def _darboux_agreement(N: int) -> float:
     p0 = np.array([2.0, 0.0])
     riccati = integrate_riccati(c, -2.0, p0)
     section = integrate_parallel_section(c, -2.0, mk.euclidean_lift(p0))
-    projected = section.to_curve(c.m)
+    projected = section.to_curve()
     return float(np.max(np.linalg.norm(riccati.x - projected.x, axis=1)))
 
 
@@ -445,7 +444,7 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
 
     c = pool.get("unit-circle")
     riccati, section = pool.riccati_transform(ctx["substeps"]), pool.darboux_section()
-    projected = section.to_curve(c.m)
+    projected = section.to_curve()
     checks.run(
         "riccati-parallel-agreement",
         "unit-circle",
@@ -603,7 +602,7 @@ def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
         lambda: transforms.verify_calapso_composition(c, 0.4, 0.3),
     )
 
-    hat = section.to_curve(c.m)
+    hat = section.to_curve()
     checks.run(
         "calapso-intertwine",
         "unit-circle",
@@ -827,7 +826,7 @@ def cmd_darboux(args) -> int:
         hat = integrate_riccati(curve, args.mu, point, substeps=args.step_policy)
     else:
         section = integrate_parallel_section(curve, args.mu, mk.euclidean_lift(point))
-        hat = section.to_curve(curve.m)
+        hat = section.to_curve()
     # Certify the positions, not the derivative the ODE gives hat.
     fit = is_darboux_pair(*position_derived(SemiDiscreteSurface([curve, hat], [args.mu])).curves)
     checks.run(
@@ -873,7 +872,7 @@ def cmd_bianchi(args) -> int:
         print(f"cross ratio spread: {report.cross_ratio_spread:.4e}")
         print(f"parallel residual (defining): {report.parallel_residual_defining:.4e}")
         print(f"parallel residual (other edge): {report.parallel_residual_other:.4e}")
-        checks.save(args.out, fileio.save_curve, quad.to_curve(curve.m), "fourth vertex curve")
+        checks.save(args.out, fileio.save_curve, quad.to_curve(), "fourth vertex curve")
     else:
         cube = bianchi.bianchi_cube(
             curve, sections[0], sections[1], sections[2], mus[0], mus[1], mus[2]
@@ -883,7 +882,7 @@ def cmd_bianchi(args) -> int:
         print(f"route gaps (projective): {', '.join(f'{g:.4e}' for g in np.atleast_1d(gaps))}")
         print(f"max gap: {float(np.max(gaps)):.4e}")
         checks.run("cube-routes", args.infile, lambda: np.max(gaps))
-        vertex = cube.vertex.to_curve(curve.m)
+        vertex = cube.vertex.to_curve()
         checks.save(args.out, fileio.save_curve, vertex, "eighth vertex curve")
     return 0
 
@@ -938,9 +937,8 @@ def cmd_calapso(args) -> int:
     checks = Checks(args.tol_override)
     data = fileio.load_any(args.infile)
     if isinstance(data, PolarizedCurve):
-        lift = euclidean_section(data)
-        frames = transforms.integrate_calapso(lift, args.t, m=data.m)
-        moved = frames.move(lift).to_curve(data.m)
+        frames = transforms.integrate_calapso(data, args.t)
+        moved = frames.move(frames.source).to_curve()
         print(f"calapso transform at t={args.t:g}: N={moved.grid.num}")
         checks.run("calapso-metric-drift", args.infile, frames.metric_drift)
         write = fileio.save_curve

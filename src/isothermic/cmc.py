@@ -141,14 +141,14 @@ def lifted_christoffel_dual(surface: SemiDiscreteSurface) -> list[LightConeSecti
     z, _ = simpson_blocks(
         grid, surface.lift(0).xi[0], lambda block: block.sample(primes[0][block.rows])[0]
     )
-    fields = [LightConeSection(grid=grid, xi=z, xiprime=primes[0])]
+    fields = [LightConeSection(grid=grid, xi=z, m=m, xiprime=primes[0])]
     for i, mu_i in enumerate(surface.mu):
         dxi = surface.lift(i + 1).xi - surface.lift(i).xi
         dd = mk.norm2(dxi)
         if np.min(np.abs(dd)) <= 1e-300:
             raise DegenerateEdgeError(f"edge {i}: null secant; dual edge rule undefined")
         z = fields[i].xi + dxi / (mu_i * dd)[:, None]
-        fields.append(LightConeSection(grid=grid, xi=z, xiprime=primes[i + 1]))
+        fields.append(LightConeSection(grid=grid, xi=z, m=m, xiprime=primes[i + 1]))
     return fields
 
 
@@ -178,11 +178,11 @@ def koenigs_dual(
     z, _ = simpson_blocks(
         grid, np.zeros(surface.n + 2), lambda block: block.sample(primes[0][block.rows])[0]
     )
-    fields = [LightConeSection(grid=grid, xi=z, xiprime=primes[0])]
+    fields = [LightConeSection(grid=grid, xi=z, m=m, xiprime=primes[0])]
     for i in range(surface.num_layers - 1):
         dxi = surface.lift(i + 1).xi - surface.lift(i).xi
         z = fields[i].xi + dxi / (nu[i] * nu[i + 1])[:, None]
-        fields.append(LightConeSection(grid=grid, xi=z, xiprime=primes[i + 1]))
+        fields.append(LightConeSection(grid=grid, xi=z, m=m, xiprime=primes[i + 1]))
     return fields, nu
 
 
@@ -449,7 +449,7 @@ def tangent_congruence(
         )
         if defect > CONGRUENCE_TOL:
             raise GeometryError(f"congruence invariants fail on curve {k} ({defect:.2e})")
-        fields.append(LightConeSection(grid=surface.grid, xi=lifted))
+        fields.append(LightConeSection(grid=surface.grid, xi=lifted, m=surface.m))
     return fields
 
 

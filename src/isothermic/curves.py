@@ -125,19 +125,24 @@ class PolarizedCurve:
             raise DimensionError("xprime shape does not match x")
         if self.m.shape != (self.grid.num,):
             raise DimensionError("m must be sampled per node")
-        # Each row block is reduced to its min |x'|^2, max |x'|^2, min |m|
-        # and whether m == 0 somewhere, so the checks' temporaries stay
-        # O(_CHECK_ROWS); a NaN propagates through both reductions.
+        # Each row block is reduced to whether x, x' and m are finite, and
+        # to its min |x'|^2, max |x'|^2 and min |m|, so the checks'
+        # temporaries stay O(_CHECK_ROWS).  Finiteness goes first: the
+        # other checks compare, and a nan compares False.
         starts = range(0, self.grid.num, _CHECK_ROWS)
-        reduced = np.empty((4, len(starts)))
+        reduced = np.empty((6, len(starts)))
         ones = np.ones(self.n)
         for b, k in enumerate(starts):
-            xp, m = self.xprime[k : k + _CHECK_ROWS], self.m[k : k + _CHECK_ROWS]
+            x, xp, m = (v[k : k + _CHECK_ROWS] for v in (self.x, self.xprime, self.m))
             speed2 = (xp * xp) @ ones
-            reduced[:, b] = speed2.min(), speed2.max(), np.abs(m).min(), (m == 0.0).any()
-        if np.sqrt(reduced[0].min()) <= 1e-12 * max(np.sqrt(reduced[1].max()), 1.0):
+            finite = [np.isfinite(v).all() for v in (x, xp, m)]
+            reduced[:, b] = *finite, speed2.min(), speed2.max(), np.abs(m).min()
+        for name, finite in zip(("x", "xprime", "m"), reduced[:3]):
+            if not finite.all():
+                raise GeometryError(f"curve {name} contains non-finite numbers")
+        if np.sqrt(reduced[3].min()) <= 1e-12 * max(np.sqrt(reduced[4].max()), 1.0):
             raise GeometryError("curve is not immersed: x' vanishes somewhere")
-        if reduced[3].any() or reduced[2].min() <= 1e-300:
+        if reduced[5].min() <= 1e-300:
             raise PolarizationError("polarization denominator m vanishes")
 
     @property

@@ -15,7 +15,8 @@ of connections
 
     d/ds - (2t/m) xi ^ xi' / (xi', xi')        at  t = mu
 
-in R^{n+1,1}.  Both routes are fourth order on the stored grid and are
+in R^{n+1,1}, each carrying the polarization m of the curve it rides.
+Both routes are fourth order on the stored grid and are
 cross-validated against each other by the test-suite and the verify
 command.  The Riccati route runs RK4 in a kernel generated per n, on
 Python floats.  The section route builds the RK4 step map of
@@ -67,6 +68,7 @@ from .errors import (
     DimensionError,
     GeometryError,
     PointAtInfinityError,
+    PolarizationError,
     SingularEncounterError,
     require_finite,
 )
@@ -77,16 +79,20 @@ SECANT_TOL = 1e-12
 
 @dataclass
 class LightConeSection:
-    """A sampled field in R^{n+1,1} along a grid.
+    """A sampled field in R^{n+1,1} along a grid, with its polarization.
 
     ``xi`` holds the (N, n+2) samples, ``xiprime`` their derivative when
     a closed form is available (else finite differences are used on
-    demand).  Light-cone lifts are the main use, but only ``to_curve``
-    needs the field to be null.
+    demand), and ``m`` the polarization ds^2/m of the curve the section
+    rides, (N,) or a scalar that broadcasts; every transform passes it
+    on from its source.  An m of another length raises DimensionError,
+    a nan, infinite or zero one PolarizationError.  Light-cone lifts are
+    the main use, but only ``to_curve`` needs the field to be null.
     """
 
     grid: Grid
     xi: np.ndarray
+    m: np.ndarray
     xiprime: np.ndarray | None = None
 
     def __post_init__(self):
@@ -97,6 +103,13 @@ class LightConeSection:
             self.xiprime = np.asarray(self.xiprime, dtype=float)
             if self.xiprime.shape != self.xi.shape:
                 raise DimensionError("xiprime shape does not match xi")
+        m = np.asarray(self.m, dtype=float)
+        if m.shape not in ((), (self.grid.num,)):
+            raise DimensionError(f"m has shape {m.shape}, expected ({self.grid.num},)")
+        self.m = m = np.full(self.grid.num, m) if m.ndim == 0 else m
+        # Reductions only, so no temporary grows with the grid; min and max keep a nan.
+        if not (math.isfinite(m.min()) and math.isfinite(m.max()) and m.all()):
+            raise PolarizationError("polarization m must be finite and nonzero")
 
     @property
     def n(self) -> int:
@@ -107,8 +120,8 @@ class LightConeSection:
             return self.xiprime
         return derivative_samples(self.xi, self.grid)
 
-    def to_curve(self, m: np.ndarray) -> PolarizedCurve:
-        """Project to the affine chart as a polarized curve.
+    def to_curve(self) -> PolarizedCurve:
+        """Project to the affine chart as a polarized curve with the section's m.
 
         The derivative comes from the quotient rule on (xi, xi'), so no
         finite-difference error enters when xiprime is analytic.  A
@@ -120,15 +133,19 @@ class LightConeSection:
         pts = xi[:, :n] / w[:, None]
         wprime = xiprime[:, n] + xiprime[:, n + 1]
         xprime = xiprime[:, :n] / w[:, None] - (wprime / w**2)[:, None] * xi[:, :n]
-        m = np.broadcast_to(np.asarray(m, dtype=float), (self.grid.num,)).copy()
-        return PolarizedCurve(n=self.n, grid=self.grid, x=pts, xprime=xprime, m=m)
+        return PolarizedCurve(n=n, grid=self.grid, x=pts, xprime=xprime, m=self.m.copy())
 
 
 def euclidean_section(curve: PolarizedCurve) -> LightConeSection:
-    """Euclidean-normalized light cone lift of a curve, with derivative."""
+    """Euclidean-normalized light cone lift of a curve, with derivative and m."""
     xi = mk.euclidean_lift(curve.x)
     xiprime = mk.lift_derivative(curve.x, curve.xprime)
-    return LightConeSection(grid=curve.grid, xi=xi, xiprime=xiprime)
+    return LightConeSection(grid=curve.grid, xi=xi, m=curve.m, xiprime=xiprime)
+
+
+def as_section(source: PolarizedCurve | LightConeSection) -> LightConeSection:
+    """A section as it is, or a curve as its Euclidean section."""
+    return euclidean_section(source) if isinstance(source, PolarizedCurve) else source
 
 
 @dataclass
@@ -431,16 +448,12 @@ def connection_apply(
     )
 
 
-def connection_blocks(
-    source: PolarizedCurve | LightConeSection, m: np.ndarray, t: float, substeps: int
-):
+def connection_blocks(source: PolarizedCurve | LightConeSection, t: float, substeps: int):
     """Yield (block, xi, xi', A(s, t)) at every evaluation point, block by block.
 
-    ``source`` is a curve, lifted to its Euclidean section only on each
-    block's ``rows``, or a section.
+    ``source`` is a section, or a curve, lifted to its Euclidean section
+    only on each block's ``rows``; either brings its polarization m.
     """
-    grid = source.grid
-    m = np.broadcast_to(np.asarray(m, dtype=float), (grid.num,))
     if isinstance(source, PolarizedCurve):
         def lift(rows):
             x = source.x[rows]
@@ -450,8 +463,8 @@ def connection_blocks(
 
         def lift(rows):
             return xi[rows], xiprime[rows]
-    for block in step_blocks(grid, substeps):
-        xi_b, xip_b, m_b = block.sample(*lift(block.rows), m[block.rows])
+    for block in step_blocks(source.grid, substeps):
+        xi_b, xip_b, m_b = block.sample(*lift(block.rows), source.m[block.rows])
         yield block, xi_b, xip_b, connection_matrix(xi_b, xip_b, m_b, t)
 
 
@@ -626,7 +639,7 @@ def integrate_parallel_section(
         y = np.ascontiguousarray(y.T)  # (n+2, P): one state per column
     xi = np.empty((*y.shape[1:], grid.num, n + 2))
     xiprime = np.empty_like(xi)
-    for block, _, _, a in connection_blocks(source, source.m, t, substeps):
+    for block, _, _, a in connection_blocks(source, t, substeps):
         maps = step_maps(a, block.h, _rk4_increments)
         maps += np.eye(n + 2)
         states = np.empty((block.steps + 1, *y.shape))
@@ -639,8 +652,8 @@ def integrate_parallel_section(
         a_nodes = a[block.node_samples]
         xiprime[..., nodes, :] = np.einsum("kij,...kj->...ki", a_nodes, xi[..., nodes, :])
     if batch:
-        return [LightConeSection(grid=grid, xi=x, xiprime=xp) for x, xp in zip(xi, xiprime)]
-    return LightConeSection(grid=grid, xi=xi, xiprime=xiprime)
+        return [LightConeSection(grid, x, source.m, xp) for x, xp in zip(xi, xiprime)]
+    return LightConeSection(grid=grid, xi=xi, m=source.m, xiprime=xiprime)
 
 
 def parallel_residual(
@@ -657,7 +670,7 @@ def parallel_residual(
     """
     lift = euclidean_section(base)
     deriv = derivative_samples(section.xi, base.grid)
-    defect = deriv - connection_apply(lift.xi, lift.xiprime, base.m, t, section.xi)
+    defect = deriv - connection_apply(lift.xi, lift.xiprime, lift.m, t, section.xi)
     if mod_line:
         sec = section.xi
         coef = np.sum(defect * sec, axis=1) / np.maximum(np.sum(sec * sec, axis=1), 1e-300)
@@ -715,10 +728,8 @@ def verify_gauge_relation(
     """
     if mu == 0.0 or t == mu:
         raise GeometryError("gauge parameter 1 - t/mu is zero or undefined")
-    sec = euclidean_section(curve)
-    sec_hat = euclidean_section(transform)
-    a = connection_matrix(sec.xi, sec.xiprime, curve.m, t)
-    a_hat = connection_matrix(sec_hat.xi, sec_hat.xiprime, transform.m, t)
+    sec, sec_hat = euclidean_section(curve), euclidean_section(transform)
+    a, a_hat = (connection_matrix(s.xi, s.xiprime, s.m, t) for s in (sec, sec_hat))
     r = 1.0 - t / mu
     gamma = gauge_matrix(sec.xi, sec_hat.xi, r)
     gamma_prime = derivative_samples(gamma, curve.grid)

@@ -145,7 +145,7 @@ def build_surface(
             raise DegenerateSecantError(f"layer {k}: initial point equals the curve start")
         try:
             section = integrate_parallel_section(top, mu_k, point)
-            curves.append(section.to_curve(top.m))
+            curves.append(section.to_curve())
         except SingularEncounterError as exc:
             raise SingularEncounterError(exc.s, f"layer {k}: {exc}") from exc
         except (PointAtInfinityError, GeometryError) as exc:
@@ -280,7 +280,7 @@ def moutard_lift(surface: SemiDiscreteSurface) -> MoutardLift:
     normalization = []
     for k, (xi, xiprime) in enumerate(scaled):
         s = float(signs[k])
-        section = LightConeSection(grid=grid, xi=s * xi, xiprime=s * xiprime)
+        section = LightConeSection(grid=grid, xi=s * xi, m=m, xiprime=s * xiprime)
         normalization.append(float(np.max(np.abs(m * mk.norm2(section.xiprime) - 1.0))))
         sections.append(section)
 
@@ -348,7 +348,7 @@ def surface_darboux(
     edge it is carried by the inverse edge gauge map, which lands on
     the fourth point of the corresponding Bianchi quad.  The result
     keeps the original edge parameters; each vertical pair
-    (x_i, xhat_i) is Darboux with parameter mu.
+    (x_i, xhat_i) is Darboux with parameter mu, xhat_i with the m of x_i.
     """
     mu = float(mu)
     _check_spectral_parameter(surface, mu, "mu")
@@ -358,14 +358,14 @@ def surface_darboux(
         # The inverse of the edge gauge Gamma(1 - mu/mu_i) is Gamma(1/(1 - mu/mu_i)).
         r_inv = 1.0 / (1.0 - mu / mu_i)
         xi_next = gauge_apply(surface.lift(i + 1).xi, surface.lift(i).xi, r_inv, sections[i].xi)
-        sections.append(LightConeSection(grid=surface.grid, xi=xi_next))
-    curves = [sec.to_curve(surface.m) for sec in sections]
+        sections.append(LightConeSection(surface.grid, xi_next, surface.curves[i + 1].m))
+    curves = [sec.to_curve() for sec in sections]
     return SemiDiscreteSurface(curves=curves, mu=list(surface.mu))
 
 
 def _chain_frames(surface: SemiDiscreteSurface, t: float) -> list[CalapsoFrameField]:
     """Trivializing frames per layer: T_0 integrated, then pushed by edge maps."""
-    chain = [integrate_calapso(surface.lift(0), t, m=surface.m)]
+    chain = [integrate_calapso(surface.lift(0), t)]
     for k, gamma in enumerate(_edge_gauges(surface, t), start=1):
         chain.append(replace(chain[-1], T=chain[-1].T @ gamma, source=surface.lift(k)))
     return chain
@@ -377,7 +377,7 @@ def surface_calapso(surface: SemiDiscreteSurface, t: float) -> SemiDiscreteSurfa
         return SemiDiscreteSurface(curves=list(surface.curves), mu=list(surface.mu))
     _check_spectral_parameter(surface, t)
     chain = _chain_frames(surface, t)
-    curves = [frames.move(surface.lift(k)).to_curve(surface.m) for k, frames in enumerate(chain)]
+    curves = [frames.move(surface.lift(k)).to_curve() for k, frames in enumerate(chain)]
     return SemiDiscreteSurface(curves=curves, mu=[v - t for v in surface.mu])
 
 

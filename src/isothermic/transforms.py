@@ -46,6 +46,7 @@ from . import minkowski as mk
 from .curves import Grid, PolarizedCurve
 from .darboux import (
     LightConeSection,
+    as_section,
     connection_apply,
     connection_blocks,
     euclidean_section,
@@ -124,16 +125,15 @@ class CalapsoFrameField:
 
     ``T`` holds (num, n+2, n+2) matrices; each T(s) preserves the
     Minkowski form up to the rounding reported by ``metric_drift``, so
-    it is inverted in closed form.  ``source`` and ``m`` (references,
-    not copies) are what the frames were integrated along; they give
+    it is inverted in closed form.  ``source`` (a reference, not a copy)
+    is the section the frames were integrated along; with its m it gives
     the coefficient A(s, t) of T' = -T A when a section is moved.
     """
 
     grid: Grid
     t: float
     T: np.ndarray
-    source: PolarizedCurve | LightConeSection
-    m: np.ndarray
+    source: LightConeSection
 
     @property
     def n(self) -> int:
@@ -166,15 +166,11 @@ class CalapsoFrameField:
         return np.einsum("kij,kj->ki", self.T, y)
 
     def move(self, section: LightConeSection) -> LightConeSection:
-        """The section s -> T(s) y(s), with the exact derivative T (y' - A y)."""
-        lift = self.source
-        if isinstance(lift, PolarizedCurve):
-            lift = euclidean_section(lift)
-        y = section.xi
-        a_y = connection_apply(lift.xi, lift.derivative(), self.m, self.t, y)
-        return LightConeSection(
-            grid=self.grid, xi=self.act(y), xiprime=self.act(section.derivative() - a_y)
-        )
+        """The section s -> T(s) y(s), with the exact derivative T (y' - A y) and its m."""
+        lift, y = self.source, section.xi
+        a_y = connection_apply(lift.xi, lift.derivative(), lift.m, self.t, y)
+        xiprime = self.act(section.derivative() - a_y)
+        return LightConeSection(grid=self.grid, xi=self.act(y), m=section.m, xiprime=xiprime)
 
 
 # Row-sum norm up to which the degree-6 Taylor series of exp(X) - I is
@@ -230,7 +226,6 @@ def integrate_calapso(
     # it.  Kept, default 1, because bench/tracing.py counts steps from it;
     # it goes with the next benchmark refresh (ROADMAP items 1 and 2).
     substeps: int = 1,
-    m: np.ndarray | None = None,
 ) -> CalapsoFrameField:
     """Solve T' = -T A(s, t) from T(s0) = I; return the frame field.
 
@@ -242,29 +237,25 @@ def integrate_calapso(
     products P_k = M_1 ... M_k - I come from one prefix scan
     (``prefix_increments``, in increment form), its frames are
     y + y P_k from the frame y that ends the block before, and only the
-    grid nodes are kept.  Integrated on a curve's lift, the moved
-    curve is ``frames.move(frames.source)``: the curve is lifted once.
+    grid nodes are kept.
 
-    Accepts a raw light-cone section in place of a curve, with ``m``
-    supplied (a curve brings its own polarization and ``m`` is not
-    read); the coefficient A only sees the null line, so iterated
-    transforms should stay in lift form instead of projecting through a
-    chart that the intermediate curve may cross at infinity.  A nan or
-    infinite t raises GeometryError.
+    ``source`` is a section, with its m, or a curve, lifted once
+    (``as_section``); the frames keep that section as ``frames.source``,
+    so the moved curve is ``frames.move(frames.source)``.  A only sees
+    the null line, so iterated transforms should stay in lift form
+    instead of projecting through a chart that the intermediate curve
+    may cross at infinity.  A nan or infinite t raises GeometryError.
     """
     require_finite(t, "t")
-    if isinstance(source, PolarizedCurve):
-        m = source.m
-    elif m is None:
-        raise GeometryError("a polarization m is required alongside a bare section")
+    source = as_section(source)
     grid, d = source.grid, source.n + 2
     T = np.empty((grid.num, d, d))
     y = np.eye(d)
-    for block, _, _, a in connection_blocks(source, m, t, substeps):
+    for block, _, _, a in connection_blocks(source, t, substeps):
         p = prefix_increments(step_maps(a, block.h, _magnus_increments))
         T[block.nodes] = y + y @ p[block.node_states]
         y = y + y @ p[-1]
-    return CalapsoFrameField(grid=grid, t=t, T=T, source=source, m=m)
+    return CalapsoFrameField(grid=grid, t=t, T=T, source=source)
 
 
 def calapso_curve(curve: PolarizedCurve, t: float) -> PolarizedCurve:
@@ -273,8 +264,8 @@ def calapso_curve(curve: PolarizedCurve, t: float) -> PolarizedCurve:
     The polarization is carried over unchanged (the transformation
     preserves the parameter s and the polarized structure).
     """
-    frames = integrate_calapso(euclidean_section(curve), t, m=curve.m)
-    return frames.move(frames.source).to_curve(curve.m)
+    frames = integrate_calapso(curve, t)
+    return frames.move(frames.source).to_curve()
 
 
 def transported_section_drift(
@@ -316,9 +307,8 @@ def verify_calapso_composition(curve: PolarizedCurve, tau: float, t: float) -> f
     integrated on the raw transformed section, which stays smooth even
     when the intermediate curve sweeps through the chart's infinity.
     """
-    frames_tau = integrate_calapso(euclidean_section(curve), tau, m=curve.m)
-    section_tau = frames_tau.move(frames_tau.source)
-    frames_t = integrate_calapso(section_tau, t, m=curve.m)
+    frames_tau = integrate_calapso(curve, tau)
+    frames_t = integrate_calapso(frames_tau.move(frames_tau.source), t)
     frames_sum = integrate_calapso(curve, tau + t)
     return _constancy_residual(frames_t.T, frames_tau.T, frames_sum.inverse())
 
@@ -352,6 +342,6 @@ def calapso_darboux_permute(
         raise GeometryError("tau = mu collapses the transformed pair to a point")
     if tau == 0.0:
         return curve, transform
-    frames = integrate_calapso(euclidean_section(curve), tau, m=curve.m)
+    frames = integrate_calapso(curve, tau)
     moved = frames.move(frames.source), frames.move(euclidean_section(transform))
-    return tuple(section.to_curve(c.m) for section, c in zip(moved, (curve, transform)))
+    return tuple(section.to_curve() for section in moved)

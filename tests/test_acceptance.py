@@ -84,7 +84,7 @@ def _higher_curve(name: str, num: int = 1001) -> PolarizedCurve:
 
 def _route_gap(c: PolarizedCurve) -> float:
     start = 2.0 * c.x[0]
-    par = integrate_parallel_section(c, -2.0, start).to_curve(c.m)
+    par = integrate_parallel_section(c, -2.0, start).to_curve()
     ric = integrate_riccati(c, -2.0, start)
     return float(np.max(np.abs(par.x - ric.x)))
 

@@ -234,7 +234,9 @@ def test_quad_rejects_a_base_on_the_line_of_sec0():
     c = unit_circle()
     _, s1 = _sections(c, (-2.0, 1.0), (np.array([2.0, 0.0]), np.array([0.3, -0.4])))
     lift = euclidean_section(c)
-    same_line = LightConeSection(grid=c.grid, xi=2.0 * lift.xi, xiprime=2.0 * lift.xiprime)
+    same_line = LightConeSection(
+        grid=c.grid, xi=2.0 * lift.xi, m=c.m, xiprime=2.0 * lift.xiprime
+    )
     with pytest.raises(NonComplementaryLinesError):
         bianchi_quad(c, same_line, s1, -2.0, 1.0)
 

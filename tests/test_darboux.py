@@ -67,7 +67,7 @@ def _route_agreement(num: int, m: float) -> float:
     p0 = np.array([2.0, 0.0])
     riccati = integrate_riccati(c, -2.0, p0)
     section = integrate_parallel_section(c, -2.0, mk.euclidean_lift(p0))
-    projected = section.to_curve(c.m)
+    projected = section.to_curve()
     return float(np.max(np.linalg.norm(riccati.x - projected.x, axis=1)))
 
 
@@ -202,13 +202,13 @@ def _moved_lift(n: int) -> LightConeSection:
         0.3 * mk.metric_diagonal(n)[:, None] * (skew - skew.T)
     )
     xi = mk.euclidean_lift(x) @ lorentz.T
-    return LightConeSection(grid=grid, xi=xi, xiprime=mk.lift_derivative(x, xp) @ lorentz.T)
+    return LightConeSection(grid=grid, xi=xi, m=0.5, xiprime=mk.lift_derivative(x, xp) @ lorentz.T)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_to_curve_equals_the_quotient_rule_on_all_columns(n):
     section = _moved_lift(n)
-    curve, reference = section.to_curve(0.5), padded_forms.to_curve(section, 0.5)
+    curve, reference = section.to_curve(), padded_forms.to_curve(section, 0.5)
     for name in ("x", "xprime", "m"):
         assert np.array_equal(getattr(curve, name), getattr(reference, name)), name
     # One sample within 1e-8 (relative) of the chart's infinity: both raise alike.
@@ -217,7 +217,7 @@ def test_to_curve_equals_the_quotient_rule_on_all_columns(n):
     with pytest.raises(PointAtInfinityError) as ref:
         padded_forms.to_curve(section, 0.5)
     with pytest.raises(PointAtInfinityError) as info:
-        section.to_curve(0.5)
+        section.to_curve()
     assert str(info.value) == str(ref.value)
 
 
@@ -534,6 +534,6 @@ def test_non_finite_parameters_raise_geometry_error_naming_them(what, call):
 def test_to_curve_requires_matching_polarization():
     c = unit_circle()
     sec = integrate_parallel_section(c, -2.0, np.array([2.0, 0.0]))
-    hat = sec.to_curve(c.m)
+    hat = sec.to_curve()
     fit = is_darboux_pair(c, hat)
     assert abs(fit.mu + 2.0) < 1e-10

@@ -83,9 +83,8 @@ def test_malformed_json_raises_geometry_error(tmp_path):
 
 def test_nan_rejected_on_save_and_load(tmp_path):
     c = unit_circle()
-    x = c.x.copy()
-    x[3, 0] = np.nan
-    broken = PolarizedCurve(n=2, grid=c.grid, x=x, xprime=c.xprime, m=c.m)
+    broken = PolarizedCurve(n=2, grid=c.grid, x=c.x.copy(), xprime=c.xprime, m=c.m)
+    broken.x[3, 0] = np.nan  # after the constructor's checks
     with pytest.raises(GeometryError):
         fileio.save_curve(tmp_path / "n.json", broken)
     path = tmp_path / "inf.json"

@@ -105,7 +105,9 @@ def test_build_surface_guard_sees_position_errors(monkeypatch, tmp_path, capsys)
         xi = mk.euclidean_lift(x)
         lift = euclidean_section(source)
         a = connection_matrix(lift.xi, lift.xiprime, source.m, t)
-        return LightConeSection(grid=source.grid, xi=xi, xiprime=np.einsum("kij,kj->ki", a, xi))
+        return LightConeSection(
+            grid=source.grid, xi=xi, m=source.m, xiprime=np.einsum("kij,kj->ki", a, xi)
+        )
 
     monkeypatch.setattr(surface_module, "integrate_parallel_section", shifted)
     built = build_surface(unit_circle(), [(-2.0, np.array([2.0, 0.0]))])

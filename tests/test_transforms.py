@@ -158,15 +158,16 @@ def test_move_matches_the_dense_connection(n):
     scale = 1.0 + 0.2 * np.cos(s)
     bare = LightConeSection(
         grid=c.grid,
+        m=c.m,
         xi=scale[:, None] * lift.xi,
         xiprime=scale[:, None] * lift.xiprime - (0.2 * np.sin(s))[:, None] * lift.xi,
     )
     phase = np.arange(n + 2)
     y = LightConeSection(
-        grid=c.grid, xi=np.sin(s[:, None] + phase), xiprime=np.cos(s[:, None] + phase)
+        grid=c.grid, xi=np.sin(s[:, None] + phase), m=c.m, xiprime=np.cos(s[:, None] + phase)
     )
     for source, ref in ((c, lift), (bare, bare)):
-        frames = integrate_calapso(source, 0.6, m=c.m)
+        frames = integrate_calapso(source, 0.6)
         a = connection_matrix(ref.xi, ref.xiprime, c.m, 0.6)
         covariant = y.xiprime - np.einsum("kij,kj->ki", a, y.xi)
         moved = frames.move(y)
@@ -221,7 +222,7 @@ def test_calapso_permuted_pair_on_long_helix():
     # frames that leave O(n+1,1) to spoil the transported pair.
     c = make_helix(1.0, 0.15, Grid(0.0, 15.0, 15001))
     start = c.x[0] * np.array([2.0, 2.0, 1.0])
-    hat = integrate_parallel_section(c, -2.0, start).to_curve(c.m)
+    hat = integrate_parallel_section(c, -2.0, start).to_curve()
     new_base, new_hat = calapso_darboux_permute(c, hat, -2.0, 0.4)
     fit = is_darboux_pair(new_base, new_hat)
     assert fit.spread < TOLERANCES["calapso-permute-parameter"]
