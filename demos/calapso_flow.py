@@ -10,15 +10,15 @@ the pair to a constant line, and for generic tau the transformed pair
 import numpy as np
 
 import isothermic.minkowski as mk
-from isothermic.darboux import integrate_parallel_section, integrate_riccati, is_darboux_pair
+from isothermic.darboux import integrate_parallel_section, integrate_riccati
 from isothermic.fixtures import unit_circle
+from isothermic.surface import SemiDiscreteSurface, calapso_trivialization_residuals, check_isothermic
 from isothermic.transforms import (
     calapso_curve,
     calapso_darboux_permute,
     integrate_calapso,
     transported_section_drift,
     verify_calapso_composition,
-    verify_calapso_intertwine,
 )
 
 
@@ -42,11 +42,14 @@ def main():
 
     print(f"composition T^(s+t) vs T^s T^t: {verify_calapso_composition(curve, 0.4, 0.3):.3e}")
 
+    # A Darboux pair is a two-layer surface: its frames intertwine by the
+    # edge gauge, and check_isothermic certifies it from the positions.
     hat = integrate_riccati(curve, mu, start)
-    print(f"intertwine with the Darboux pair: {verify_calapso_intertwine(curve, hat, mu, 0.5):.3e}")
+    pair = SemiDiscreteSurface([curve, hat], [mu])
+    print(f"intertwine with the Darboux pair: {calapso_trivialization_residuals(pair, 0.5)[0]:.3e}")
 
     new_base, new_hat = calapso_darboux_permute(curve, hat, mu, tau)
-    fit = is_darboux_pair(new_base, new_hat)
+    fit = check_isothermic(SemiDiscreteSurface([new_base, new_hat], [mu - tau])).edges[0]
     print(f"transformed pair parameter: {fit.mu:+.12f} (expected {mu - tau:+g})")
 
 

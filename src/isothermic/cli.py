@@ -17,13 +17,12 @@ import zlib
 import numpy as np
 
 from . import bianchi, clifford, cmc, fileio, fixtures, minkowski as mk, transforms
-from .curves import Grid, PolarizedCurve, from_samples, make_circle, make_curve
+from .curves import Grid, PolarizedCurve, make_circle, make_curve
 from .darboux import (
     LightConeSection,
     gauge_apply,
     integrate_parallel_section,
     integrate_riccati,
-    is_darboux_pair,
     tangent_cross_ratio,
 )
 from .errors import (
@@ -40,7 +39,6 @@ from .surface import (
     calapso_trivialization_residuals,
     check_isothermic,
     moutard_lift,
-    position_derived,
     surface_calapso,
     surface_christoffel,
     surface_darboux,
@@ -179,6 +177,11 @@ def _parse_seed(text: str) -> int:
 def _safe_t(mu: list[float]) -> float:
     # Strictly inside (0, min |mu|) so it collides with no edge parameter.
     return 0.618 * min(abs(v) for v in mu)
+
+
+def _pair_edge(a: PolarizedCurve, b: PolarizedCurve, mu: float) -> EdgeReport:
+    """The certificate of the Darboux pair (a, b): its one edge as a two-layer surface."""
+    return check_isothermic(SemiDiscreteSurface([a, b], [mu])).edges[0]
 
 
 # ------------------------------------------------------------- check rows
@@ -457,12 +460,8 @@ def _suite_darboux(checks: Checks, rng: np.random.Generator, ctx) -> None:
 
     checks.run("riccati-parallel-order", "unit-circle", order)
 
-    # The Riccati output's own derivative is the ODE right-hand side, for
-    # which the cross ratio is real by algebra; certify the positions.
     checks.run(
-        "darboux-ribaucour-contact",
-        "unit-circle",
-        lambda: is_darboux_pair(c, from_samples(riccati.x, c.grid, c.m)).reality,
+        "darboux-ribaucour-contact", "unit-circle", lambda: _pair_edge(c, riccati, -2.0).reality
     )
 
     a, b = pool.get("concentric")
@@ -606,12 +605,11 @@ def _suite_calapso(checks: Checks, rng: np.random.Generator, ctx) -> None:
     checks.run(
         "calapso-intertwine",
         "unit-circle",
-        lambda: transforms.verify_calapso_intertwine(c, hat, -2.0, 0.5),
+        lambda: calapso_trivialization_residuals(SemiDiscreteSurface([c, hat], [-2.0]), 0.5)[0],
     )
 
     def permute():
-        new_base, new_hat = transforms.calapso_darboux_permute(c, hat, -2.0, 0.7)
-        fit = is_darboux_pair(new_base, new_hat)
+        fit = _pair_edge(*transforms.calapso_darboux_permute(c, hat, -2.0, 0.7), -2.0 - 0.7)
         return abs(fit.mu - (-2.0 - 0.7))
 
     checks.run("calapso-permute-parameter", "unit-circle", permute)
@@ -632,7 +630,7 @@ def _suite_christoffel(checks: Checks, rng: np.random.Generator, ctx) -> None:
         hat = pool.riccati_transform(ctx["substeps"])
         dual = transforms.christoffel_dual(c)
         hatstar = transforms.christoffel_darboux_permute(c, dual, hat, -2.0)
-        fit = is_darboux_pair(dual, hatstar)
+        fit = _pair_edge(dual, hatstar, -2.0)
         return max(transforms.dual_defect(hat, hatstar), fit.spread, abs(fit.mu + 2.0))
 
     checks.run("dual-darboux-permute", "unit-circle", permute_square)
@@ -751,13 +749,13 @@ def _suite_surface(checks: Checks, rng: np.random.Generator, ctx) -> None:
     pool = ctx["pool"]
     patch = pool.get("cylinder-patch")
     _surface_checks(checks, patch, "cylinder-patch")
-    _isothermic_check(checks, position_derived(pool.get("three-layer")), "three-layer")
+    _isothermic_check(checks, pool.get("three-layer"), "three-layer")
 
     def vertical():
         hat = surface_darboux(patch, -3.0, np.array([0.0, 3.0]))
         worst = 0.0
         for layer, hat_layer in zip(patch.curves, hat.curves):
-            fit = is_darboux_pair(layer, hat_layer)
+            fit = _pair_edge(layer, hat_layer, -3.0)
             worst = max(worst, fit.spread, abs(fit.mu + 3.0))
         return worst
 
@@ -827,8 +825,7 @@ def cmd_darboux(args) -> int:
     else:
         section = integrate_parallel_section(curve, args.mu, mk.euclidean_lift(point))
         hat = section.to_curve()
-    # Certify the positions, not the derivative the ODE gives hat.
-    fit = is_darboux_pair(*position_derived(SemiDiscreteSurface([curve, hat], [args.mu])).curves)
+    fit = _pair_edge(curve, hat, args.mu)
     checks.run(
         "quad-cross-ratio",
         args.route,
@@ -891,7 +888,7 @@ def cmd_surface(args) -> int:
     checks = Checks(args.tol_override)
     if args.mode == "build":
         surface = build_surface(fileio.load_curve(args.infile), args.layers)
-        _edge_checks(checks, position_derived(surface))
+        _edge_checks(checks, surface)
         checks.print_table()
         what = f"surface with {surface.num_layers} layers"
         checks.save(args.out, fileio.save_surface, surface, what)

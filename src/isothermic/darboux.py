@@ -190,6 +190,13 @@ def is_darboux_pair(x: PolarizedCurve, xhat: PolarizedCurve) -> DarbouxFit:
     Darboux pair; mu is estimated as the median of the per-sample
     products, robust against a few bad samples.  The caller holds the
     residuals against a tolerance.
+
+    It reads the derivatives it is given.  The certificate of a pair is
+    ``surface.check_isothermic`` on the two-layer surface, which reads
+    the positions.  This fit stays for callers that judge stored
+    derivatives: where a transformed curve's speed nearly vanishes, a
+    derivative of its samples carries the stencil's truncation into the
+    cross ratio.
     """
     real, wedge = tangent_cross_ratio(x, xhat)
     crm = real * x.m

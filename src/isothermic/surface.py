@@ -6,8 +6,10 @@ pairs with constant edge parameters mu.  The module measures that
 structure, produces Moutard lifts, certifies that the connection family
 attached to the surface is flat (one gauge-relation residual per edge),
 and applies the surface-level Darboux, Calapso, and Christoffel
-transforms layer by layer.
-``check_isothermic`` returns residuals; nothing here holds them
+transforms layer by layer.  A Darboux pair is the two-layer surface,
+and ``check_isothermic`` is its certificate as it is every stack's: it
+reads the positions of layers k >= 1, not the derivatives a transform
+stored with them.  It returns residuals; nothing here holds them
 against a tolerance.
 """
 
@@ -52,7 +54,6 @@ __all__ = [
     "IsothermicReport",
     "MoutardLift",
     "build_surface",
-    "position_derived",
     "check_isothermic",
     "moutard_lift",
     "surface_flatness",
@@ -130,8 +131,8 @@ def build_surface(
 
     Each layer is given by (mu, initial point); the next curve is the
     parallel-section transform of the previous one, keeping the
-    derivative its ODE supplies.  ``position_derived`` gives the layers
-    that certify the positions.
+    derivative its ODE supplies.  ``check_isothermic`` does not read
+    that derivative, so the stack is certified on its positions.
     """
     curves = [seed]
     mu: list[float] = []
@@ -152,22 +153,6 @@ def build_surface(
             raise type(exc)(f"layer {k}: {exc}") from exc
         mu.append(mu_k)
     return SemiDiscreteSurface(curves=curves, mu=mu)
-
-
-def position_derived(surface: SemiDiscreteSurface) -> SemiDiscreteSurface:
-    """The surface with the derivatives of layers k >= 1 taken from their positions.
-
-    An integrated layer's own derivative, xi' = A xi, makes the cross
-    ratio mu/m by algebra, so only a derivative of the samples lets
-    ``check_isothermic`` see the positions.  The sixth-order stencil's
-    truncation falls faster than the layers' O(h^4) position error, so
-    on coarse grids the residual follows the positions, not the stencil.
-    """
-    curves = [surface.curves[0]] + [
-        from_samples(c.x, c.grid, c.m, sixth_order_derivative(c.x, c.grid))
-        for c in surface.curves[1:]
-    ]
-    return SemiDiscreteSurface(curves=curves, mu=list(surface.mu))
 
 
 @dataclass
@@ -200,7 +185,14 @@ class IsothermicReport:
 
 
 def check_isothermic(surface: SemiDiscreteSurface) -> IsothermicReport:
-    """Per-edge Darboux residuals for the whole stack.
+    """Per-edge Darboux residuals for the whole stack, read from the positions.
+
+    Layer 0 keeps its own x'; layers k >= 1 get x' from their samples by
+    the sixth-order stencil (``sixth_order_derivative``).  A transform's
+    own derivative, xi' = A xi, makes the cross ratio mu/m by algebra, so
+    only a derivative of the samples sees the positions.  The stencil's
+    truncation falls faster than the layers' O(h^4) position error, so on
+    coarse grids the residual follows the positions, not the stencil.
 
     Each edge reports the reality and constancy residuals of the
     tangent cross ratio times m, the recovered mu against the declared
@@ -208,9 +200,13 @@ def check_isothermic(surface: SemiDiscreteSurface) -> IsothermicReport:
     check mu^2 = (nu_i nu_j / (dx, dx))^2 with nu = sqrt(m (x', x')).
     """
     m = surface.m
+    curves = [surface.curves[0]] + [
+        from_samples(c.x, c.grid, c.m, sixth_order_derivative(c.x, c.grid))
+        for c in surface.curves[1:]
+    ]
     edges = []
     for i, declared in enumerate(surface.mu):
-        a, b = surface.curves[i], surface.curves[i + 1]
+        a, b = curves[i], curves[i + 1]
         fit = is_darboux_pair(a, b)
         denom = max(1.0, abs(fit.mu))
         mu_defect = abs(fit.mu - declared) / denom

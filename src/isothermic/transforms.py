@@ -25,11 +25,11 @@ between grid nodes their coefficients are cubic interpolants, so
 smaller steps leave the dual where it is and make the frames worse.
 Sections move through the frame field, y -> T y with the exact
 derivative T (y' - A y), A y taken from the lift the frames were
-integrated along (``darboux.connection_apply``).  Composition, the
-intertwining with the Darboux gauge, and permutability with Darboux
-transforms are all verified as s-constancy of comparison maps (the
-statements hold up to a global Moebius transformation), relative to
-the size of the frames they are built from.
+integrated along (``darboux.connection_apply``).  Composition is
+verified as s-constancy of a comparison map (the statement holds up to
+a global Moebius transformation), relative to the size of the frames it
+is built from; the intertwining with a Darboux pair's gauge is the
+two-layer case of ``surface.calapso_trivialization_residuals``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .darboux import (
     connection_apply,
     connection_blocks,
     euclidean_section,
-    gauge_matrix,
     inverse_tangent,
     prefix_increments,
     simpson_blocks,
@@ -313,22 +312,6 @@ def verify_calapso_composition(curve: PolarizedCurve, tau: float, t: float) -> f
     return _constancy_residual(frames_t.T, frames_tau.T, frames_sum.inverse())
 
 
-def verify_calapso_intertwine(
-    curve: PolarizedCurve, transform: PolarizedCurve, mu: float, t: float
-) -> float:
-    """s-constancy residual of T^^t Gamma(1 - t/mu) (T^t)^{-1}.
-
-    T^^t belongs to the Darboux transform; conjugating by the pair's
-    gauge map must reproduce T^t up to a constant map.
-    """
-    if t == mu:
-        raise GeometryError("t = mu degenerates the pair gauge")
-    frames = integrate_calapso(curve, t)
-    frames_hat = integrate_calapso(transform, t)
-    gamma = gauge_matrix(mk.euclidean_lift(curve.x), mk.euclidean_lift(transform.x), 1.0 - t / mu)
-    return _constancy_residual(frames_hat.T, gamma, frames.inverse())
-
-
 def calapso_darboux_permute(
     curve: PolarizedCurve, transform: PolarizedCurve, mu: float, tau: float
 ) -> tuple[PolarizedCurve, PolarizedCurve]:
@@ -336,7 +319,11 @@ def calapso_darboux_permute(
 
     Both curves are moved with the T^tau of the base curve, which keeps
     them suitably positioned: the results form a Darboux pair with
-    parameter mu - tau (verify with ``is_darboux_pair``).
+    parameter mu - tau (certify it with ``surface.check_isothermic`` on
+    the two-layer surface).  On the pair it agrees with
+    ``surface.surface_calapso`` to rounding; it stays a curve-pair
+    function because ``surface`` imports this module and the benchmark
+    harness calls it by this name.
     """
     if tau == mu:
         raise GeometryError("tau = mu collapses the transformed pair to a point")

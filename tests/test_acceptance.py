@@ -33,7 +33,12 @@ from isothermic.fixtures import (
     tractrix_circle_pair,
     unit_circle,
 )
-from isothermic.surface import moutard_lift, surface_christoffel
+from isothermic.surface import (
+    SemiDiscreteSurface,
+    calapso_trivialization_residuals,
+    moutard_lift,
+    surface_christoffel,
+)
 from isothermic.transforms import (
     calapso_darboux_permute,
     christoffel_darboux_permute,
@@ -42,7 +47,6 @@ from isothermic.transforms import (
     integrate_calapso,
     transported_section_drift,
     verify_calapso_composition,
-    verify_calapso_intertwine,
 )
 
 START = np.array([2.0, 0.0])
@@ -240,7 +244,7 @@ def _calapso_residuals(c, start):
 
     composition = verify_calapso_composition(c, 0.4, 0.3)
     hat = integrate_riccati(c, -2.0, start)
-    intertwine = verify_calapso_intertwine(c, hat, -2.0, 0.5)
+    intertwine = calapso_trivialization_residuals(SemiDiscreteSurface([c, hat], [-2.0]), 0.5)[0]
 
     new_base, new_hat = calapso_darboux_permute(c, hat, -2.0, 0.7)
     shift = abs(is_darboux_pair(new_base, new_hat).mu - (-2.7))

@@ -555,8 +555,10 @@ def test_verify_corrupt_circle_fails_ribaucour_contact(capsys):
 CORRUPTION_FAILURES = {
     "unit-circle": {
         "calapso-intertwine",
+        "calapso-permute-parameter",
         "calapso-transported-constancy",
         "darboux-ribaucour-contact",
+        "dual-darboux-permute",
         "quad-parallel-defining",
         "quad-parallel-other",
         "riccati-parallel-agreement",

@@ -17,6 +17,7 @@ import pytest
 
 import isothermic.minkowski as mk
 import isothermic.surface as surface_module
+from isothermic import fileio
 from isothermic.cli import main
 from isothermic.curves import Grid, make_circle, make_helix
 from isothermic.darboux import (
@@ -40,7 +41,6 @@ from isothermic.surface import (
     calapso_trivialization_residuals,
     check_isothermic,
     moutard_lift,
-    position_derived,
     surface_calapso,
     surface_christoffel,
     surface_darboux,
@@ -94,25 +94,26 @@ def test_check_isothermic_flags_broken_stack():
     assert [k for k, e in enumerate(report.edges) if not e.residual <= 1e-6] == [0]
 
 
-def test_build_surface_guard_sees_position_errors(monkeypatch, tmp_path, capsys):
-    # The layer is shifted by 1e-3 sin(3s) and keeps the derivative that
-    # xi' = A xi assigns to its new positions; with that derivative the
-    # cross ratio is mu/m by algebra, so only a derivative taken from the
-    # positions exposes the shift, and `surface build` judges those.
-    def shifted(source, t, point, substeps=1):
-        x = mk.affine_point(integrate_parallel_section(source, t, point, substeps).xi)
-        x[:, 0] += 1e-3 * np.sin(3.0 * source.grid.nodes())
-        xi = mk.euclidean_lift(x)
-        lift = euclidean_section(source)
-        a = connection_matrix(lift.xi, lift.xiprime, source.m, t)
-        return LightConeSection(
-            grid=source.grid, xi=xi, m=source.m, xiprime=np.einsum("kij,kj->ki", a, xi)
-        )
+def _shifted(source, t, point, substeps=1):
+    """The parallel section's layer shifted by 1e-3 sin(3s), with the derivative
+    that xi' = A xi assigns to its new positions.  With that derivative the
+    cross ratio is mu/m by algebra, so only a derivative taken from the
+    positions exposes the shift."""
+    x = mk.affine_point(integrate_parallel_section(source, t, point, substeps).xi)
+    x[:, 0] += 1e-3 * np.sin(3.0 * source.grid.nodes())
+    xi = mk.euclidean_lift(x)
+    lift = euclidean_section(source)
+    a = connection_matrix(lift.xi, lift.xiprime, source.m, t)
+    return LightConeSection(
+        grid=source.grid, xi=xi, m=source.m, xiprime=np.einsum("kij,kj->ki", a, xi)
+    )
 
-    monkeypatch.setattr(surface_module, "integrate_parallel_section", shifted)
+
+def test_build_surface_guard_sees_position_errors(monkeypatch, tmp_path, capsys):
+    # check_isothermic reads the shifted positions, so `surface build` refuses them.
+    monkeypatch.setattr(surface_module, "integrate_parallel_section", _shifted)
     built = build_surface(unit_circle(), [(-2.0, np.array([2.0, 0.0]))])
-    assert check_isothermic(built).edges[0].residual <= 1e-6
-    assert check_isothermic(position_derived(built)).edges[0].residual > 1e-6
+    assert check_isothermic(built).edges[0].residual > 1e-6
 
     seed, out = tmp_path / "c.json", tmp_path / "s.json"
     assert main(["curve", "--family", "circle", "--out", str(seed)]) == 0
@@ -122,6 +123,26 @@ def test_build_surface_guard_sees_position_errors(monkeypatch, tmp_path, capsys)
     assert re.search(r"^surface-isothermic +edge 0 +\S+ +\S+ +FAIL$", captured.out, re.M)
     assert captured.err.splitlines() == ["verification failed: failed checks: surface-isothermic"]
     assert not out.exists()
+
+
+def test_surface_file_commands_read_positions(monkeypatch, tmp_path, capsys):
+    # The saved file stores the shifted layer with the ODE's derivative at
+    # its positions; every command that certifies a file reads the positions.
+    monkeypatch.setattr(surface_module, "integrate_parallel_section", _shifted)
+    built = build_surface(unit_circle(), [(-2.0, np.array([2.0, 0.0]))])
+    monkeypatch.undo()
+    path, csv_path = tmp_path / "s.json", tmp_path / "r.csv"
+    fileio.save_surface(path, built)
+
+    assert main(["surface", "check", "--in", str(path)]) == 1
+    assert "NOT isothermic at tolerance" in capsys.readouterr().out
+    assert main(["verify", "--surface", str(path)]) == 1
+    failed = re.search(r"^failed checks: (.*)$", capsys.readouterr().out, re.M)
+    assert "surface-isothermic" in failed.group(1).split(", ")
+    assert main(["export", "--in", str(path), "--csv", str(csv_path)]) == 0
+    rows = csv_path.read_text().splitlines()[1:]
+    assert len(rows) == 1
+    assert rows[0].startswith("surface-isothermic,edge 0,") and rows[0].endswith(",false")
 
 
 @pytest.mark.parametrize(
@@ -137,7 +158,7 @@ def test_build_surface_guard_accepts_accurate_coarse_grid(seed, points):
     # solution, but the fourth-order stencil's truncation alone put edge 1
     # at 1.3e-5; the position-derived edges must pass at 1e-6.
     surface = build_surface(seed, [(-2.0, np.array(points[0])), (1.0, np.array(points[1]))])
-    edges = check_isothermic(position_derived(surface)).edges
+    edges = check_isothermic(surface).edges
     assert len(edges) == 2
     assert all(edge.residual <= 1e-6 for edge in edges)
 

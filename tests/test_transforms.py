@@ -30,6 +30,7 @@ from isothermic.darboux import (
 )
 from isothermic.errors import GeometryError
 from isothermic.fixtures import unit_circle
+from isothermic.surface import SemiDiscreteSurface, calapso_trivialization_residuals
 from isothermic.transforms import (
     calapso_curve,
     calapso_darboux_permute,
@@ -39,7 +40,6 @@ from isothermic.transforms import (
     integrate_calapso,
     transported_section_drift,
     verify_calapso_composition,
-    verify_calapso_intertwine,
 )
 
 # Polarizations of either sign that the Calapso certificates must hold for.
@@ -204,7 +204,7 @@ def test_calapso_intertwine():
     for m in POLARIZATIONS:
         c = unit_circle().with_polarization(m)
         hat = integrate_riccati(c, -2.0, np.array([2.0, 0.0]))
-        residual = verify_calapso_intertwine(c, hat, -2.0, 0.5)
+        residual = calapso_trivialization_residuals(SemiDiscreteSurface([c, hat], [-2.0]), 0.5)[0]
         assert residual < TOLERANCES["calapso-intertwine"]
 
 
